@@ -25,9 +25,6 @@ def _add_experiment_parser(sub, d):
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", type=str, default=None, help="report output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; results are identical "
-                        "at any setting")
     p.add_argument("--max-terms", type=int, default=None,
                    help="override the term-materialization cap")
     p.add_argument("--max-n", type=int, default=None,

@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps, check_cap
 from .cube import (CubePoint, Mask, MultilinearPoly, monomials_upto,
                    n_monomials, popcount, slice_masks)
-from .linalg import PrimeField, RankOracle
+from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
 
 
 def _as_masks(points: Iterable) -> list[Mask]:
@@ -45,12 +45,6 @@ def evaluation_bool_matrix(monomials: Sequence[Mask],
     return out
 
 
-def pack_bool_rows(rows: np.ndarray) -> list[int]:
-    """Pack 0/1 rows into Python ints, bit j = column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
 class EvaluationMatrix:
     """Evaluation rows of all monomials of degree <= D at a point set E.
 
@@ -63,6 +57,8 @@ class EvaluationMatrix:
         self.field = field
         self.n = n
         self.degree = degree
+        # points and monomials are held as uint64 masks
+        check_cap(n, 64, "evaluation matrix variables n")
         self.points = _as_masks(points)
         check_cap(len(self.points), caps.max_rows, "evaluation matrix rows")
         self.monomials = monomials_upto(n, degree, caps)
@@ -80,40 +76,16 @@ class EvaluationMatrix:
 
     def oracle(self, labels: bool = False) -> RankOracle:
         """Frozen rank oracle on this matrix's rows."""
-        rows = self.bool_matrix()
         row_labels = self.points if labels else None
-        if self.field.p == 2:
-            return RankOracle.from_packed_rows(
-                self.field, self.n_d, pack_bool_rows(rows), row_labels)
-        return RankOracle.from_array(self.field, rows, row_labels)
+        return RankOracle.from_rows(self.field, self.bool_matrix(), row_labels)
 
-    def row_for_oracle(self, mask: Mask):
-        row = self.point_row_bool(mask)
-        if self.field.p == 2:
-            return pack_bool_rows(row.reshape(1, -1))[0]
-        return row.astype(np.int64)
+    # the oracle takes the 0/1 evaluation row as it is
+    row_for_oracle = point_row_bool
 
 
 def batch_member(oracle: RankOracle, bool_rows: np.ndarray) -> list[bool]:
-    """Row-space membership for many candidate rows at once.
-
-    For odd p the candidate block is eliminated against the stored pivots
-    with vectorized updates; for p = 2 the packed-int reduction is already
-    cheap and is used row by row.
-    """
-    field = oracle.field
-    if field.p == 2:
-        packed = pack_bool_rows(bool_rows)
-        return [oracle._impl.member(r) for r in packed]
-    p = field.p
-    work = bool_rows.astype(np.int64).copy()
-    for c in sorted(oracle._impl.pivots):
-        prow = oracle._impl.pivots[c]
-        vals = work[:, c]
-        nz = np.nonzero(vals)[0]
-        if nz.size:
-            work[nz] = (work[nz] - np.outer(vals[nz], prow)) % p
-    return [not np.any(row) for row in work]
+    """Row-space membership for many candidate rows at once."""
+    return oracle.members(bool_rows)
 
 
 def _polys_from_coeff_vectors(vectors, monomials, n, field) -> list[MultilinearPoly]:

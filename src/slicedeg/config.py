@@ -1,4 +1,4 @@
-"""Size caps and shared error types.
+"""Size caps, shared error types and the working precision.
 
 Every operation that could materialize a combinatorial explosion checks an
 explicit cap and fails loudly instead of thrashing.  Caps are carried in a
@@ -8,6 +8,17 @@ small dataclass so callers (and the CLI) can override them per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+
+import mpmath as mp
+
+DPS = 40  # mpmath digits for threshold arithmetic (>= 30 significant)
+
+
+def mpf_fraction(fr: Fraction) -> mp.mpf:
+    """An exact rational as an mpmath float at the working precision."""
+    with mp.workdps(DPS):
+        return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
 class CapExceeded(RuntimeError):

@@ -18,14 +18,12 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
-from .config import DEFAULT_CAPS, Caps, CapExceeded, check_cap
+from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap
 from .cube import (CubePoint, Mask, MultilinearPoly, NVAR, ONE, VAR, ZERO,
                    SubstitutionMap, apply_substitution, multilinearize_product,
                    popcount, slice_masks)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
-
-_DPS = 40
 
 # constants tried, in order, wherever an instance needs "a large enough C";
 # the first value passing the instance's exact check is chosen and reported
@@ -304,7 +302,7 @@ def pick_sampling_constant(n: int, k: int, q: int, eps: float, seed: int,
             continue
         err_k = junta_exact_slice_error(junta, k, "zero")
         err_K = junta_exact_slice_error(junta, k + q, "nonzero")
-        with mp.workdps(_DPS):
+        with mp.workdps(DPS):
             ok = (mp.mpf(err_k.numerator) / err_k.denominator <= eps
                   and mp.mpf(err_K.numerator) / err_K.denominator <= eps)
         if ok:
@@ -494,7 +492,7 @@ class CoinInstance:
     def from_sizing(cls, p: int, delta: Fraction, eps: Fraction,
                     C: int) -> "CoinInstance":
         """n from the sizing rule n = ceil(C log(1/eps) / delta^2)."""
-        with mp.workdps(_DPS):
+        with mp.workdps(DPS):
             raw = C * mp.log(mp.mpf(eps.denominator) / eps.numerator) \
                 / (mp.mpf(delta.numerator) / delta.denominator) ** 2
             n = int(mp.ceil(raw))
@@ -818,7 +816,7 @@ def galvin_poly(F: GalvinFamily, field: PrimeField,
 
 def bernstein_bound(m: int, q, theta) -> mp.mpf:
     """Deviation bound 2 exp(-theta^2 / (2 m q (1-q) + 2 theta / 3))."""
-    with mp.workdps(_DPS):
+    with mp.workdps(DPS):
         qf = mp.mpf(Fraction(q).numerator) / Fraction(q).denominator \
             if not isinstance(q, float) else mp.mpf(q)
         th = mp.mpf(theta)
@@ -849,7 +847,7 @@ def binom_ratio_check(n: int, r: int, s: int) -> BinomRatioReport:
     if not (0 <= r <= s <= Fraction(n, 4)):
         raise ValueError(f"need 0 <= r <= s <= n/4, got r={r}, s={s}, n={n}")
     ratio = Fraction(comb(n, n // 2 - s), comb(n, n // 2 - r))
-    with mp.workdps(_DPS):
+    with mp.workdps(DPS):
         lower = mp.e ** (mp.mpf(-8 * s * (s - r)) / n)
         upper = mp.e ** (mp.mpf(-2 * r * (s - r)) / n)
         printed_lower = mp.e ** (mp.mpf(-8 * s * (r - s)) / n)
@@ -894,7 +892,7 @@ def hyper_ratio_check(n: int, m: int, k: int, ell: int = 0) -> HyperRatioReport:
         raise ValueError("need 0 <= ell <= k <= floor(m/2)")
     steps_exact = True
     steps_exp = True
-    with mp.workdps(_DPS):
+    with mp.workdps(DPS):
         for j in range(ell, k):
             step = Fraction(_paired(n, m, j + 1), _paired(n, m, j))
             if step > 1 - Fraction(2 * j, m):

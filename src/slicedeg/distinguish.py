@@ -22,19 +22,11 @@ from math import comb
 from typing import Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 
-from .config import DEFAULT_CAPS, Caps, check_cap
-from .closure import EvaluationMatrix, IdealSampler, evaluation_bool_matrix, pack_bool_rows
+from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
+from .closure import EvaluationMatrix, IdealSampler, evaluation_bool_matrix
 from .cube import Mask, MultilinearPoly, slice_masks, slice_stats
 from .linalg import PrimeField, RankOracle
-
-_DPS = 40  # working precision for threshold arithmetic (>= 30 significant digits)
-
-
-def _mpf_fraction(fr: Fraction) -> mp.mpf:
-    with mp.workdps(_DPS):
-        return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
 def p_adic_part(q: int, p: int) -> int:
@@ -116,7 +108,7 @@ class RobustThresholds:
 
     def special_ell_hi(self, eps) -> mp.mpf:
         """Upper end of the valid ell range: ln(1/eps)/2."""
-        with mp.workdps(_DPS):
+        with mp.workdps(DPS):
             return -mp.log(mp.mpf(eps)) / 2
 
 
@@ -126,8 +118,8 @@ def thresholds(inst: SliceDistinguishInstance) -> RobustThresholds:
     eps0_main = min(e^(-100 d^2 n / a), 1/1000), eps1_main = e^(-d^2 n /(100 a)),
     and the extension variants with the extra factor s and constants 1000/2000.
     """
-    with mp.workdps(_DPS):
-        base = _mpf_fraction(inst.delta ** 2 * inst.n / inst.alpha)
+    with mp.workdps(DPS):
+        base = mpf_fraction(inst.delta ** 2 * inst.n / inst.alpha)
         base_s = base / inst.s
         eps0_main = min(mp.e ** (-100 * base), mp.mpf(1) / 1000)
         eps1_main = mp.e ** (-base / 100)
@@ -336,26 +328,18 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     K_masks = list(slice_masks(n, K))
     per_degree: dict[int, int] = {}
     for d in range(n + 1):
-        monos_ev = EvaluationMatrix(field, n, d, k_masks, caps)
-        k_rows_bool = monos_ev.bool_matrix()
-        K_rows_bool = evaluation_bool_matrix(monos_ev.monomials, K_masks)
-        if field.p == 2:
-            k_rows = pack_bool_rows(k_rows_bool)
-            K_rows = pack_bool_rows(K_rows_bool)
-        else:
-            k_rows = [r.astype(np.int64) for r in k_rows_bool]
-            K_rows = [r.astype(np.int64) for r in K_rows_bool]
+        ev = EvaluationMatrix(field, n, d, k_masks, caps)
+        convert = RankOracle(field, ev.n_d).rows
+        k_rows = convert(ev.bool_matrix())
+        K_rows = convert(evaluation_bool_matrix(ev.monomials, K_masks))
         best: Optional[tuple] = None
         for r in range(max_removals + 1):
             for removed in combinations(range(size_k), r):
                 removed_set = set(removed)
-                oracle = RankOracle(field, monos_ev.n_d)
-                impl_absorb = oracle._impl.absorb
-                for i, row in enumerate(k_rows):
-                    if i not in removed_set:
-                        impl_absorb(row)
-                member = oracle._impl.member
-                outside = sum(1 for row in K_rows if not member(row))
+                oracle = RankOracle(field, ev.n_d)
+                oracle.extend([row for i, row in enumerate(k_rows)
+                               if i not in removed_set])
+                outside = oracle.members(K_rows).count(False)
                 if outside:
                     best = (removed, outside)
                     break
@@ -430,12 +414,8 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
                 row = sub_ev.row_for_oracle(K_masks[0])
                 outside = 0 if oracle.member(row) else size_K
             else:
-                rows_bool = evaluation_bool_matrix(sub_ev.monomials, K_masks)
-                if p == 2:
-                    rows = pack_bool_rows(rows_bool)
-                else:
-                    rows = [r.astype(np.int64) for r in rows_bool]
-                outside = sum(1 for row in rows if not oracle._impl.member(row))
+                rows = evaluation_bool_matrix(sub_ev.monomials, K_masks)
+                outside = oracle.members(rows).count(False)
             per_degree[d] = outside
             expected = Fraction(p - 1, p) * Fraction(outside, size_K)
             hit = outside >= 1 if target_psi_K is None else expected >= target_psi_K
@@ -527,13 +507,13 @@ def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
     ell = Fraction(t * t, n)
     psi_low = slice_stats(witness, m - t, caps).psi
     psi_mid = slice_stats(witness, m, caps).psi
-    with mp.workdps(_DPS):
-        ell_f = _mpf_fraction(ell)
-        eps_lo = max(_mpf_fraction(psi_low), mp.mpf(2) ** (-mp.mpf(n) / 100))
+    with mp.workdps(DPS):
+        ell_f = mpf_fraction(ell)
+        eps_lo = max(mpf_fraction(psi_low), mp.mpf(2) ** (-mp.mpf(n) / 100))
         eps_hi = min(mp.e ** (-200), mp.e ** (-2 * ell_f))
         ell_in_range = bool(ell_f >= 100)
         eps_window_nonempty = bool(eps_lo <= eps_hi)
-        psi_mid_ok = bool(_mpf_fraction(psi_mid) >= mp.e ** (-ell_f / 2))
+        psi_mid_ok = bool(mpf_fraction(psi_mid) >= mp.e ** (-ell_f / 2))
     hypotheses = ell_in_range and eps_window_nonempty and psi_mid_ok
     threshold = Fraction(t, 25)
     degree = witness.degree

@@ -14,13 +14,14 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable
 
 import mpmath as mp
 
 from . import __version__
-from .config import DEFAULT_CAPS, Caps, CapExceeded
+from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded
 from .closure import (Candidates, IdealSampler, ball_fact_check, closure,
                       hamming_ball, nie_wang_check)
 from .cube import MultilinearPoly, n_monomials, poly_to_json_dict, slice_masks
@@ -184,32 +185,27 @@ def _mindeg(params, seed, caps):
     return checks, tables, []
 
 
-@experiment("hegedus-sweep",
-            {"p": (int, 2, "characteristic"), "n_min": (int, 6, "smallest n"),
-             "n_max": (int, 14, "largest n")},
-            "exact degree = p-power gap across the full grid")
-def _gap_sweep_ppower(params, seed, caps):
+_SWEEP_PARAMS = {"p": (int, 2, "characteristic"),
+                 "n_min": (int, 6, "smallest n"),
+                 "n_max": (int, 14, "largest n")}
+
+
+def _gap_sweep(params, seed, caps, gaps):
     rows, violations = gap_degree_sweep(
         params["p"], range(params["n_min"], params["n_max"] + 1),
-        gaps="ppower", caps=caps)
+        gaps=gaps, caps=caps)
     table = [vars(r) for r in rows]
     checks = [Check("zero-violations", not violations,
                     f"{len(rows)} instances, {len(violations)} violations")]
     return checks, {"sweep": table}, []
 
 
-@experiment("extension-sweep",
-            {"p": (int, 2, "characteristic"), "n_min": (int, 6, "smallest n"),
-             "n_max": (int, 14, "largest n")},
-            "exact degree = p-adic part for composite gaps")
-def _extension(params, seed, caps):
-    rows, violations = gap_degree_sweep(
-        params["p"], range(params["n_min"], params["n_max"] + 1),
-        gaps="composite", caps=caps)
-    table = [vars(r) for r in rows]
-    checks = [Check("zero-violations", not violations,
-                    f"{len(rows)} instances, {len(violations)} violations")]
-    return checks, {"sweep": table}, []
+experiment("hegedus-sweep", _SWEEP_PARAMS,
+           "exact degree = p-power gap across the full grid")(
+    partial(_gap_sweep, gaps="ppower"))
+experiment("extension-sweep", _SWEEP_PARAMS,
+           "exact degree = p-adic part for composite gaps")(
+    partial(_gap_sweep, gaps="composite"))
 
 
 @experiment("closure",
@@ -460,7 +456,7 @@ def _sample(params, seed, caps):
             continue
         err_k = junta_exact_slice_error(junta, k, "zero")
         err_K = junta_exact_slice_error(junta, k + q, "nonzero")
-        with mp.workdps(40):
+        with mp.workdps(DPS):
             passes = bool(
                 mp.mpf(err_k.numerator) / err_k.denominator <= mp.mpf(eps)
                 and mp.mpf(err_K.numerator) / err_K.denominator <= mp.mpf(eps))

@@ -11,7 +11,7 @@ right, rows top to bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -180,6 +180,18 @@ def solve(m: FieldMatrix, rhs: Sequence[int]) -> Optional[list[int]]:
     return x
 
 
+def pack_bool_rows(rows: np.ndarray) -> list[int]:
+    """Pack 0/1 rows into Python ints, bit j = column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+def _checked_block(a: np.ndarray, cols: int) -> np.ndarray:
+    if a.ndim != 2 or a.shape[1] != cols:
+        raise ValueError(f"rows of shape {a.shape[1:]} != ({cols},)")
+    return a
+
+
 class _BitRankOracle:
     """GF(2) backend: a row is a Python int, bit i = column i."""
 
@@ -190,6 +202,11 @@ class _BitRankOracle:
         self.pivots: dict[int, int] = {}
         self.pivot_mask = 0
         self.dependents: dict[int, int] = {}
+
+    def rows(self, block) -> list[int]:
+        if isinstance(block, list) and all(type(r) is int for r in block):
+            return block
+        return pack_bool_rows(_checked_block(np.asarray(block) % 2, self.cols))
 
     def _reduce(self, row: int, count: bool = False) -> int:
         pivots = self.pivots
@@ -217,12 +234,15 @@ class _BitRankOracle:
         self.dependents.setdefault(c, 0)
         return c
 
-    def member(self, row: int) -> bool:
-        return self._reduce(row) == 0
+    def members(self, rows: list[int]) -> list[bool]:
+        return [self._reduce(r) == 0 for r in rows]
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def residue(self, row: int) -> list[int]:
+        res = self._reduce(row)
+        return [(res >> i) & 1 for i in range(self.cols)]
+
+    def entry(self, pivot_col: int, col: int) -> int:
+        return (self.pivots[pivot_col] >> col) & 1
 
 
 class _ArrRankOracle:
@@ -236,18 +256,30 @@ class _ArrRankOracle:
         self.pivots: dict[int, np.ndarray] = {}
         self.dependents: dict[int, int] = {}
 
-    def _reduce(self, row: np.ndarray, count: bool = False) -> np.ndarray:
+    def rows(self, block) -> np.ndarray:
+        return _checked_block(
+            np.mod(np.asarray(block, dtype=np.int64), self.p), self.cols)
+
+    def _reduce(self, work: np.ndarray, count: bool = False) -> np.ndarray:
+        """Reduce every row of the block ``work`` in place to its residue.
+
+        Each stored row is zero in the other pivot columns, so a row's
+        coefficient on a pivot is its entry there before any update, and
+        pivots no row touches are skipped.
+        """
         p = self.p
-        for c in sorted(self.pivots):
-            v = int(row[c])
-            if v:
-                row = (row - v * self.pivots[c]) % p
-                if count:
-                    self.dependents[c] = self.dependents.get(c, 0) + 1
-        return row
+        cols = sorted(self.pivots)
+        for i in np.flatnonzero(work[:, cols].any(axis=0)):
+            c = cols[i]
+            vals = work[:, c]
+            nz = np.flatnonzero(vals)
+            work[nz] = (work[nz] - np.outer(vals[nz], self.pivots[c])) % p
+            if count:
+                self.dependents[c] = self.dependents.get(c, 0) + int(nz.size)
+        return work
 
     def absorb(self, row: np.ndarray) -> Optional[int]:
-        res = self._reduce(np.mod(row.astype(np.int64), self.p), count=True)
+        res = self._reduce(row[None, :], count=True)[0]
         nz = np.nonzero(res)[0]
         if nz.size == 0:
             return None
@@ -263,13 +295,14 @@ class _ArrRankOracle:
         self.dependents.setdefault(c, 0)
         return c
 
-    def member(self, row: np.ndarray) -> bool:
-        res = self._reduce(np.mod(row.astype(np.int64), self.p))
-        return not np.any(res)
+    def members(self, rows: np.ndarray) -> list[bool]:
+        return (~self._reduce(rows).any(axis=1)).tolist()
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def residue(self, row: np.ndarray) -> list[int]:
+        return self._reduce(row[None, :])[0].tolist()
+
+    def entry(self, pivot_col: int, col: int) -> int:
+        return int(self.pivots[pivot_col][col])
 
 
 class RankOracle:
@@ -280,6 +313,9 @@ class RankOracle:
     ``absorb`` grows the span (returns True iff rank grew); ``member`` is a
     read-only span test.  Final rank equals batch-RREF rank regardless of
     absorption order.
+
+    Rows may be given as 0/1 or integer numpy rows, int lists, or rows
+    already converted by ``rows``; only this module knows the stored format.
     """
 
     def __init__(self, field: PrimeField, cols: int):
@@ -291,37 +327,40 @@ class RankOracle:
             self._impl = _ArrRankOracle(cols, field.p)
         self._pivot_owner: dict[int, object] = {}
 
-    def _pack(self, row):
-        if self.field.p == 2:
-            if isinstance(row, int):
-                return row
-            if len(row) != self.cols:
-                raise ValueError(f"row length {len(row)} != cols {self.cols}")
-            mask = 0
-            for i, v in enumerate(row):
-                if v % 2:
-                    mask |= 1 << i
-            return mask
-        if isinstance(row, np.ndarray):
-            if row.shape != (self.cols,):
-                raise ValueError(f"row length {row.shape} != cols {self.cols}")
-            return row
-        if len(row) != self.cols:
-            raise ValueError(f"row length {len(row)} != cols {self.cols}")
-        return np.array(row, dtype=np.int64)
+    def rows(self, block):
+        """The rows of a 2-D block in the stored format.
+
+        ``absorb``, ``member``, ``members`` and ``residue`` take the result
+        (or its elements) as they are, so a block used against many oracles
+        of the same field and width is converted once.  Converting again
+        returns GF(2) rows unchanged and copies odd-p rows.
+        """
+        return self._impl.rows(block)
 
     def absorb(self, row, label=None) -> bool:
-        new_pivot = self._impl.absorb(self._pack(row))
-        if new_pivot is not None and label is not None:
-            self._pivot_owner[new_pivot] = label
-        return new_pivot is not None
+        rank = self.rank
+        self.extend([row], None if label is None else [label])
+        return self.rank > rank
+
+    def extend(self, block, row_labels: Optional[Sequence] = None) -> None:
+        """Absorb the rows of a block in order, labelling each new pivot
+        with its row's label when labels are given."""
+        impl = self._impl
+        for idx, r in enumerate(impl.rows(block)):
+            new_pivot = impl.absorb(r)
+            if new_pivot is not None and row_labels is not None:
+                self._pivot_owner[new_pivot] = row_labels[idx]
 
     def member(self, row) -> bool:
-        return self._impl.member(self._pack(row))
+        return self.members([row])[0]
+
+    def members(self, block) -> list[bool]:
+        """Row-space membership of every row of a 2-D block."""
+        return self._impl.members(self.rows(block))
 
     @property
     def rank(self) -> int:
-        return self._impl.rank
+        return len(self._impl.pivots)
 
     @property
     def pivot_dependents(self) -> dict[int, int]:
@@ -343,27 +382,16 @@ class RankOracle:
         inner product of ``row`` with the canonical nullspace vector of free
         column f, which makes witness extraction a lookup.
         """
-        packed = self._pack(row)
-        if self.field.p == 2:
-            res = self._impl._reduce(packed)
-            return [(res >> i) & 1 for i in range(self.cols)]
-        res = self._impl._reduce(np.mod(packed.astype(np.int64), self.field.p))
-        return [int(v) for v in res]
+        return self._impl.residue(self.rows([row])[0])
 
     def nullspace_vector(self, free_col: int) -> list[int]:
         """Canonical nullspace vector for one free (non-pivot) column."""
         if free_col in self._impl.pivots:
             raise ValueError(f"column {free_col} is a pivot column")
-        p = self.field.p
         v = [0] * self.cols
         v[free_col] = 1
-        if p == 2:
-            for pc, prow in self._impl.pivots.items():
-                if (prow >> free_col) & 1:
-                    v[pc] = 1
-        else:
-            for pc, prow in self._impl.pivots.items():
-                v[pc] = (-int(prow[free_col])) % p
+        for pc in self._impl.pivots:
+            v[pc] = (-self._impl.entry(pc, free_col)) % self.field.p
         return v
 
     def nullspace(self) -> list[tuple[int, ...]]:
@@ -377,39 +405,44 @@ class RankOracle:
 
     # -- fast batch constructors ----------------------------------------
     @classmethod
-    def from_packed_rows(cls, field: PrimeField, cols: int, rows: Iterable[int],
+    def from_rows(cls, field: PrimeField, rows: np.ndarray,
+                  row_labels: Optional[Sequence] = None):
+        """Build an oracle on a 2-D block with the field's one elimination:
+        absorbing packed rows for GF(2), batch RREF for odd p."""
+        if field.p == 2:
+            return cls.from_packed_rows(field, rows.shape[1], rows, row_labels)
+        return cls.from_array(field, rows, row_labels)
+
+    @classmethod
+    def from_packed_rows(cls, field: PrimeField, cols: int, rows: Sequence,
                          row_labels: Optional[Sequence] = None):
-        """Build a GF(2) oracle by absorbing packed integer rows."""
+        """Build a GF(2) oracle by absorbing rows in order.
+
+        ``rows`` are packed integer rows or a 0/1 block, packed first.
+        """
         if field.p != 2:
             raise ValueError("packed rows are a GF(2) representation")
         o = cls(field, cols)
-        impl = o._impl
-        for idx, r in enumerate(rows):
-            new_pivot = impl.absorb(r)
-            if new_pivot is not None and row_labels is not None:
-                o._pivot_owner[new_pivot] = row_labels[idx]
+        o.extend(rows, row_labels)
         return o
 
     @classmethod
     def from_array(cls, field: PrimeField, a: np.ndarray,
                    row_labels: Optional[Sequence] = None):
-        """Build an oracle from a dense int array using batch elimination."""
+        """Build an oracle from a dense int array.
+
+        Odd p runs one batch RREF; GF(2) absorbs the packed rows in order.
+        """
+        if field.p == 2:
+            return cls.from_packed_rows(field, a.shape[1], a, row_labels)
         o = cls(field, a.shape[1])
-        work = np.mod(np.asarray(a, dtype=np.int64), field.p).copy()
+        work = np.mod(np.asarray(a, dtype=np.int64), field.p)
         rank, pivot_cols, pivot_src, dependents = _rref_array(
             work, field.p, track_dependents=True
         )
         impl = o._impl
-        if field.p == 2:
-            for i, c in enumerate(pivot_cols):
-                mask = 0
-                for j in np.nonzero(work[i])[0]:
-                    mask |= 1 << int(j)
-                impl.pivots[c] = mask
-                impl.pivot_mask |= 1 << c
-        else:
-            for i, c in enumerate(pivot_cols):
-                impl.pivots[c] = work[i].copy()
+        for i, c in enumerate(pivot_cols):
+            impl.pivots[c] = work[i].copy()
         impl.dependents = dependents
         if row_labels is not None:
             o._pivot_owner = {

@@ -7,9 +7,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicedeg.closure import (Candidates, IdealSampler, ball_fact_check,
-                              closure, hamming_ball, ideal_basis,
-                              nie_wang_check, sample_ideal)
+from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
+                              ball_fact_check, closure, hamming_ball,
+                              ideal_basis, nie_wang_check, sample_ideal)
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, n_monomials, popcount,
                            slice_masks)
@@ -63,6 +63,12 @@ class TestIdealBasis:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             ideal_basis(F2, 40, [0], 10, Caps(max_cols=100))
+
+    @pytest.mark.parametrize("field", [F2, F3])
+    def test_more_than_64_variables_is_a_cap(self, field):
+        # point and monomial masks are uint64, which cannot hold n = 70
+        with pytest.raises(CapExceeded):
+            EvaluationMatrix(field, 70, 1, [1 << 65]).oracle()
 
 
 class TestClosure:

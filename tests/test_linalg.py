@@ -216,6 +216,30 @@ class TestRankOracle:
                 inc.absorb(list(row))
             assert batch.rank == inc.rank
             assert batch.pivot_columns() == inc.pivot_columns()
+            assert batch.nullspace() == inc.nullspace()
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 6),
+           st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_membership_forms_match_brute_force(self, p, rows, cols, seed):
+        # block and per-row membership agree with the enumerated span for
+        # 0/1 numpy rows, int lists and rows converted by the oracle
+        field = PrimeField(p)
+        rng = random.Random(seed)
+        data = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+        probes = data + [[rng.randrange(2) for _ in range(cols)]
+                         for _ in range(6)]
+        rank = brute_rank(field, data)
+        expect = [brute_rank(field, data + [v]) == rank for v in probes]
+        inc = RankOracle(field, cols)
+        for row in data:
+            inc.absorb(row)
+        for o in (RankOracle.from_array(field, np.array(data)), inc):
+            block = np.array(probes, dtype=np.uint8)
+            for form in (block, probes, o.rows(block)):
+                assert o.members(form) == expect
+                assert [o.member(r) for r in form] == expect
+                assert [not any(o.residue(r)) for r in form] == expect
 
     def test_residue_indexes_witnesses(self):
         # residue entry f equals the inner product with the free-column-f
