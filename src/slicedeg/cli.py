@@ -27,7 +27,7 @@ def _add_experiment_parser(sub, d):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--max-terms", type=int, default=None,
                    help="override the term-materialization cap")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-slice-points", type=int, default=None,
                    help="override the slice-enumeration cap")
 
 
@@ -68,8 +68,8 @@ def main(argv=None) -> int:
     overrides = {}
     if args.max_terms is not None:
         overrides["max_terms"] = args.max_terms
-    if args.max_n is not None:
-        overrides["max_slice_points"] = args.max_n
+    if args.max_slice_points is not None:
+        overrides["max_slice_points"] = args.max_slice_points
     if overrides:
         caps = caps.with_overrides(**overrides)
     report = run(ExperimentSpec(name=args.command, params=params,

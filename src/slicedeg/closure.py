@@ -103,12 +103,13 @@ def ideal_basis(field: PrimeField, n: int, points: Iterable, degree: int,
     oracle = ev.oracle()
     basis = _polys_from_coeff_vectors(
         oracle.nullspace(), ev.monomials, n, field)
-    if __debug__ and basis and ev.points:
+    if basis and ev.points:
         # sampled vanishing check; full verification is quadratic
         rng = random.Random(0xBA5E5)
         pairs = [(rng.choice(ev.points), rng.choice(basis))
                  for _ in range(min(1000, len(ev.points) * len(basis)))]
-        assert all(poly.evaluate(pt) == 0 for pt, poly in pairs)
+        if not all(poly.evaluate(pt) == 0 for pt, poly in pairs):
+            raise AssertionError("an ideal basis element does not vanish on E")
     return basis
 
 

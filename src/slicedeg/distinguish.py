@@ -378,6 +378,9 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     if not (0 <= eps0_budget < 1):
         raise ValueError("eps0_budget must lie in [0, 1)")
     n, p, k, K = inst.n, inst.p, inst.k, inst.K
+    if target_psi_K is not None and target_psi_K > Fraction(p - 1, p):
+        # at degree n every point of slice K escapes, which gives (p - 1)/p
+        raise ValueError("target_psi_K above (p - 1)/p is unreachable")
     field = PrimeField(p)
     size_k, size_K = comb(n, k), comb(n, K)
     check_cap(size_k + size_K, caps.max_slice_points, "slice sizes")
@@ -448,7 +451,8 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
                 or (report.degree == best.degree
                     and (report.error_set or []) < (best.error_set or []))):
             best = report
-    assert best is not None
+    if best is None:
+        raise AssertionError("no distinguisher up to degree n; this cannot happen")
     return best
 
 

@@ -6,6 +6,13 @@ same oracle interface: bit-packed integer rows for p = 2 (XOR elimination,
 64+ columns per machine word via Python ints) and numpy int64 rows for odd
 p.  All output is deterministic: pivots are chosen scanning columns left to
 right, rows top to bottom.
+
+The batch RREF ``_rref_array`` eliminates with delayed modular reduction
+(after FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008) in the
+narrowest signed type, int16, int32 or else int64, in which ``cols`` updates
+of size (p - 1)^2 fit; the type follows from p and the width alone.  No
+entry takes more than the growth bound (max - p) // (p - 1)^2 of updates
+between two reductions, so every intermediate value is exact.
 """
 
 from __future__ import annotations
@@ -92,6 +99,24 @@ class FieldMatrix:
         return f"FieldMatrix(p={self.field.p}, {self.rows}x{self.cols})"
 
 
+def _growth_bound(dtype, p: int) -> int:
+    """How many updates of size at most (p - 1)^2 an entry reduced into
+    [0, p) can take in ``dtype`` before it must be reduced again."""
+    return (int(np.iinfo(dtype).max) - p) // (p - 1) ** 2
+
+
+def _work_dtype(p: int, cols: int):
+    """The narrowest work type in which ``cols`` updates fit, else int64.
+
+    An elimination makes at most one update per pivot, and there are at most
+    ``cols`` pivots, so int16 and int32 never need a periodic reduction.
+    """
+    for dtype in (np.int16, np.int32):
+        if _growth_bound(dtype, p) >= cols:
+            return dtype
+    return np.int64  # holds (p - 1)^2 + p, one update, for every p < 2^31
+
+
 def _rref_array(a: np.ndarray, p: int, track_dependents: bool = False):
     """In-place RREF of ``a`` mod p.
 
@@ -99,37 +124,65 @@ def _rref_array(a: np.ndarray, p: int, track_dependents: bool = False):
     gives the original row index that supplied each pivot; ``dependents`` maps
     pivot column -> number of other rows reduced against it (only filled when
     ``track_dependents``).
+
+    The elimination runs on a copy in ``_work_dtype(p, cols)`` with delayed
+    reduction.  Invariants, with bound = ``_growth_bound(dtype, p)``:
+
+    - an entry is reduced into [0, p) and then only decreases, by at most
+      (p - 1)^2 per update, and the block takes at most ``bound`` updates
+      between two reductions, so no entry leaves [-(max - p), p);
+    - the pivot column is reduced before it is searched and used, and the
+      pivot row before it is scaled, so every product is at most (p - 1)^2;
+    - columns left of the pivot are final: the pivot row is zero there, so an
+      update touches columns >= the pivot only.
+
+    The block is reduced when the next update would exceed the bound, which
+    happens in int64 only (at a few hundred columns, for p above about 2^27;
+    every step or two at p near 2^31), and once at the end into ``a``.
     """
     rows, cols = a.shape
+    dtype = _work_dtype(p, cols)
+    bound = _growth_bound(dtype, p)
+    w = np.mod(a, p).astype(dtype)
     pivot_cols: list[int] = []
     pivot_src_row: list[int] = []
     dependents: dict[int, int] = {}
     orig = list(range(rows))
+    pending = 0  # updates since the block was last reduced
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        colvals = w[:, c] % p
+        w[:, c] = colvals
+        nz = np.flatnonzero(colvals[r:])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
+            w[[r, piv]] = w[[piv, r]]
+            colvals[[r, piv]] = colvals[[piv, r]]
             orig[r], orig[piv] = orig[piv], orig[r]
-        inv = pow(int(a[r, c]), p - 2, p)
+        prow = w[r, c:]
+        prow %= p
+        inv = pow(int(prow[0]), p - 2, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
-        colvals = a[:, c].copy()
+            prow *= inv
+            prow %= p
         colvals[r] = 0
-        touched = np.nonzero(colvals)[0]
+        touched = np.flatnonzero(colvals)
         if touched.size:
-            a[touched] = (a[touched] - np.outer(colvals[touched], a[r])) % p
+            if pending == bound:
+                w[:, c:] %= p
+                pending = 0
+            w[touched, c:] -= np.outer(colvals[touched], prow)
+            pending += 1
         if track_dependents:
             dependents[c] = int(touched.size)
         pivot_cols.append(c)
         pivot_src_row.append(orig[r])
         r += 1
+    a[...] = np.mod(w, p)
     return r, pivot_cols, pivot_src_row, dependents
 
 

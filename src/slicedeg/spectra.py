@@ -156,7 +156,8 @@ def standard_decomposition(spec: Spectrum) -> StandardDecomposition:
     g_bits = tuple(w[(i - lo) % b] for i in range(n + 1))
     g = Spectrum(n, g_bits)
     per_g = period(g)
-    assert per_g == b, "periodic extension must realize the window period"
+    if per_g != b:
+        raise AssertionError("periodic extension must realize the window period")
     h = spec ^ g
     return StandardDecomposition(g=g, h=h, per_g=per_g, B_h=bounded_index(h),
                                  window=(lo, hi), fallback=False)
@@ -317,7 +318,8 @@ def periodic_exact_poly(n: int, q: int, values: Sequence[int], field: PrimeField
         for w in range(q):
             a[w][c] = col[w]
     x = solve(FieldMatrix(field, a), [v % p for v in values])
-    assert x is not None, "digit basis spans all q-periodic weight functions"
+    if x is None:
+        raise AssertionError("digit basis spans all q-periodic weight functions")
 
     full = [0] * (n + 1)
     for c, digits in enumerate(digit_vectors):
@@ -326,5 +328,6 @@ def periodic_exact_poly(n: int, q: int, values: Sequence[int], field: PrimeField
                 full[w] = (full[w] + x[c] * v) % p
     ecoeffs = ecoeffs_from_weight_values(full, p)
     deg = max((j for j, c in enumerate(ecoeffs) if c), default=0)
-    assert deg < q, "digit-basis construction must have degree below q"
+    if deg >= q:
+        raise AssertionError("digit-basis construction must have degree below q")
     return MultilinearPoly.from_sym(n, field, ecoeffs, caps=caps)

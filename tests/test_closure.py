@@ -1,6 +1,8 @@
 """Vanishing ideals, degree closures, and ideal sampling."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -69,6 +71,22 @@ class TestIdealBasis:
         # point and monomial masks are uint64, which cannot hold n = 70
         with pytest.raises(CapExceeded):
             EvaluationMatrix(field, 70, 1, [1 << 65]).oracle()
+
+    def test_vanishing_check_survives_python_O(self):
+        # a basis that fails the sampled check must raise with asserts off
+        code = (
+            "import sys\n"
+            "if __debug__: sys.exit(3)\n"
+            "from slicedeg.closure import ideal_basis\n"
+            "from slicedeg.cube import MultilinearPoly\n"
+            "from slicedeg.linalg import PrimeField\n"
+            "MultilinearPoly.evaluate = lambda self, point: 1\n"
+            "ideal_basis(PrimeField(2), 4, [0, 1, 2], 1)\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        assert "AssertionError: an ideal basis element" in res.stderr
 
 
 class TestClosure:

@@ -290,6 +290,11 @@ class TestRobustSearch:
         assert rep.psi_k <= Fraction(len(rep.error_set), comb(8, 4))
         assert len(rep.error_set) == 2
 
+    def test_unreachable_target_raises(self):
+        inst = SliceDistinguishInstance(n=6, p=3, k=2, K=4)
+        with pytest.raises(ValueError):
+            robust_search(inst, Fraction(0), target_psi_K=Fraction(3, 4))
+
     def test_expected_psi_interval(self):
         inst = SliceDistinguishInstance(n=8, p=2, k=4, K=6)
         rep = robust_search(inst, Fraction(0), seed=0, confirm_samples=0)

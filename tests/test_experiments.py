@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from slicedeg import cli
+from slicedeg.config import DEFAULT_CAPS
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
                                   list_experiments, run)
 
@@ -103,6 +105,20 @@ class TestCli:
         res = _cli("stringlemma", "--maxlen", "8", "--out", str(path))
         assert res.returncode == 0
         assert json.loads(path.read_text())["all_passed"] is True
+
+    def test_cap_overrides_reach_caps(self, monkeypatch):
+        seen = []
+
+        def fake_run(spec, caps):
+            seen.append(caps)
+            return run(spec, caps=caps)
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert cli.main(["stringlemma", "--maxlen", "6",
+                         "--max-slice-points", "1234",
+                         "--max-terms", "5678"]) == 0
+        assert seen == [DEFAULT_CAPS.with_overrides(max_slice_points=1234,
+                                                    max_terms=5678)]
 
     def test_seed_changes_sampled_run(self):
         a = _cli("claimA1", "--samples", "300", "--seed", "1")

@@ -2,12 +2,16 @@
 
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from slicedeg.linalg import (FieldMatrix, PrimeField, RankOracle, is_prime,
+from slicedeg.closure import evaluation_bool_matrix
+from slicedeg.cube import slice_masks
+from slicedeg.linalg import (FieldMatrix, PrimeField, RankOracle, _growth_bound,
+                             _rref_array, _work_dtype, is_prime,
                              nullspace_basis, rref, solve)
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -257,3 +261,120 @@ class TestRankOracle:
             v = o.nullspace_vector(f)
             inner = sum(a * b for a, b in zip(probe, v)) % 3
             assert inner == res[f]
+
+
+def reference_rref(rows, p):
+    """Plain Python-int RREF with the kernel's pivot rule: the reduced rows
+    and (rank, pivot_cols, pivot_src_rows, dependents)."""
+    a = [[x % p for x in row] for row in rows]
+    orig = list(range(len(a)))
+    pivots, srcs, deps = [], [], {}
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        if r >= len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        orig[r], orig[piv] = orig[piv], orig[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        touched = [i for i in range(len(a)) if i != r and a[i][c]]
+        for i in touched:
+            f = a[i][c]
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        deps[c] = len(touched)
+        pivots.append(c)
+        srcs.append(orig[r])
+        r += 1
+    return a, (r, pivots, srcs, deps)
+
+
+class TestRrefKernel:
+    """The narrow work type and delayed reduction at every type boundary."""
+
+    WIDTH = 40
+    # p -> work type at WIDTH: 29 is the largest int16 prime and 7321 the
+    # largest int32 prime; the next prime after each moves up one type
+    PRIMES = {3: np.int16, 29: np.int16, 31: np.int32, 1009: np.int32,
+              7321: np.int32, 7331: np.int64, 1073741789: np.int64,
+              2**31 - 1: np.int64}
+
+    @staticmethod
+    def block(p, rows, inner, seed):
+        """rows x WIDTH with rank <= inner, a zero column, a dependent
+        column and a repeated row."""
+        rng = random.Random(seed)
+        width = TestRrefKernel.WIDTH
+        b = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+        c = [[rng.randrange(p) for _ in range(width)] for _ in range(inner)]
+        for row in c:
+            row[0] = 0
+            row[5] = (2 * row[3] + row[1]) % p
+        a = [[sum(x * y for x, y in zip(brow, col)) % p for col in zip(*c)]
+             for brow in b]
+        a[-1] = a[1][:]
+        return a
+
+    @pytest.mark.parametrize("p", sorted(PRIMES))
+    @pytest.mark.parametrize("rows,inner", [(64, 30), (24, 24)])
+    def test_matches_python_int_reference(self, p, rows, inner):
+        assert _work_dtype(p, self.WIDTH) is self.PRIMES[p]
+        data = self.block(p, rows, inner, seed=p + rows)
+        a = np.array(data, dtype=np.int64)
+        got = _rref_array(a, p, track_dependents=True)
+        want_rows, want = reference_rref(data, p)
+        assert got == want
+        assert a.dtype == np.int64 and a.tolist() == want_rows
+        # the pivot rows are scaled after earlier updates left them unreduced
+        assert want[0] >= 3 and any(row[c] not in (0, 1)
+                                    for row, c in zip(data, want[1]))
+        if p > 2**29:
+            # the block outgrows the bound and is reduced between steps
+            assert _growth_bound(np.int64, p) < want[0]
+
+    def test_narrow_types_never_reduce_the_block(self):
+        for p, dtype in self.PRIMES.items():
+            if dtype is not np.int64:
+                assert _growth_bound(dtype, p) >= self.WIDTH
+
+
+def wilson_rank(p, n, k, t):
+    """Rank over F_p of the t-subset / k-subset inclusion matrix for
+    t <= min(k, n - k) (Wilson, Europ. J. Combin. 11, 1990)."""
+    return sum(comb(n, i) - (comb(n, i - 1) if i else 0)
+               for i in range(t + 1) if comb(k - i, t - i) % p)
+
+
+# keeps each odd-p elimination under a second; k = t always fits
+WILSON_CELLS = 4_000_000
+
+
+@st.composite
+def wilson_instances(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 16))
+    t = draw(st.integers(0, min(n // 2, 4)))
+    k = draw(st.sampled_from(
+        [k for k in range(t, n - t + 1)
+         if comb(n, k) * comb(n, t) <= WILSON_CELLS]))
+    return p, n, k, t
+
+
+class TestWilsonRank:
+    """Both elimination backends against Wilson's inclusion-matrix rank at
+    sizes brute force cannot reach."""
+
+    @given(wilson_instances())
+    @example((2, 16, 8, 4))  # 12,870 x 1,820: rank C(16, 4) - 1
+    @example((3, 16, 8, 3))  # 12,870 x 560: rank 441 of 560
+    @example((5, 13, 5, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_degree_t_slice_rank(self, instance):
+        p, n, k, t = instance
+        # rows: the k-slice; columns: the degree-exactly-t monomials
+        block = evaluation_bool_matrix(list(slice_masks(n, t)),
+                                       list(slice_masks(n, k)))
+        oracle = RankOracle.from_rows(PrimeField(p), block)
+        assert oracle.rank == wilson_rank(p, n, k, t)
