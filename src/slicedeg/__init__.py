@@ -14,7 +14,7 @@ from .config import Caps, CapExceeded, DEFAULT_CAPS
 from .linalg import FieldMatrix, PrimeField, RankOracle, nullspace_basis, rref
 from .cube import (CubePoint, MultilinearPoly, SliceStats, SubstitutionMap,
                    apply_substitution, elementary_symmetric, enumerate_slice,
-                   eval_poly, multilinearize_product, slice_stats,
+                   multilinearize_product, slice_stats,
                    symmetric_value_table)
 
 __version__ = "0.1.0"

@@ -31,13 +31,13 @@ def _as_masks(points: Iterable) -> list[Mask]:
 
 
 def evaluation_bool_matrix(monomials: Sequence[Mask],
-                           point_masks: Sequence[Mask]) -> np.ndarray:
+                           point_masks: Iterable[Mask]) -> np.ndarray:
     """0/1 matrix: entry (i, j) = 1 iff monomial j is supported inside point i."""
     monos = np.array(monomials, dtype=np.uint64)
-    out = np.empty((len(point_masks), len(monomials)), dtype=np.uint8)
-    if len(point_masks) == 0 or len(monomials) == 0:
+    pts = np.fromiter(point_masks, dtype=np.uint64)
+    out = np.empty((len(pts), len(monomials)), dtype=np.uint8)
+    if len(pts) == 0 or len(monomials) == 0:
         return out
-    pts = np.array(point_masks, dtype=np.uint64)
     chunk = max(1, 40_000_000 // max(1, len(monomials)))
     for lo in range(0, len(pts), chunk):
         sub = pts[lo:lo + chunk]
@@ -296,7 +296,6 @@ class IdealSampler:
         basis_vals = np.mod(self.basis_matrix @ row, self.field.p)
         p = self.field.p
         vals = []
-        coeffs = [0] * self.dim
         total = p ** self.dim
         for idx in range(total):
             t = idx

@@ -50,7 +50,7 @@ def lucas_poly(n: int, i: int, q: int, p: int,
     coeffs = [0] * (pl + 1)
     coeffs[0] = (-digit) % p
     coeffs[pl] = 1
-    return MultilinearPoly.from_sym(n, field, coeffs, caps=caps)
+    return MultilinearPoly.from_sym(n, field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,7 @@ class IntegerSymPoly:
 
     def reduce_mod(self, field: PrimeField,
                    caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-        return MultilinearPoly.from_sym(self.n, field, list(self.ecoeffs),
-                                        caps=caps)
+        return MultilinearPoly.from_sym(self.n, field, list(self.ecoeffs))
 
 
 def _binom_neg(a: int, m: int) -> int:

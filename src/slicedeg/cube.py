@@ -8,8 +8,9 @@ functions built multilinearly always have identical term maps.
 Symmetric polynomials admit a compact second representation: a coefficient
 vector over the elementary symmetric basis (P = sum_j c_j e_j), which doubles
 as a weight -> value certificate table.  Constructors that produce symmetric
-polynomials attach this certificate so evaluation and slice statistics stay
-exact at variable counts where term maps cannot be materialized.
+polynomials store only this certificate; evaluation, slice statistics,
+degree and equality read it directly, and the term map is materialized on
+demand by ``terms_map`` (under ``Caps.max_terms``).
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ class MultilinearPoly:
     """Sparse multilinear polynomial over F_p on n Boolean variables.
 
     ``terms`` maps monomial masks to nonzero residues.  A certified-symmetric
-    polynomial additionally (or, above the materialization cap, exclusively)
-    carries ``sym``: its coefficients over the elementary symmetric basis.
+    polynomial carries ``sym``, its coefficients over the elementary
+    symmetric basis; its term map is built on the first ``terms_map`` call.
     """
 
     __slots__ = ("n", "field", "_terms", "_sym")
@@ -183,12 +184,12 @@ class MultilinearPoly:
         return cls(n, field, terms={0: c}, sym=(c,))
 
     @classmethod
-    def from_sym(cls, n: int, field: PrimeField, ecoeffs: Sequence[int],
-                 caps: Caps = DEFAULT_CAPS) -> "MultilinearPoly":
+    def from_sym(cls, n: int, field: PrimeField,
+                 ecoeffs: Sequence[int]) -> "MultilinearPoly":
         """Symmetric polynomial sum_j ecoeffs[j] * e_j.
 
-        Term maps are materialized only when they fit under the cap; the
-        symmetric certificate always stays attached.
+        Only the symmetric certificate is stored; ``terms_map`` materializes
+        the term map on demand.
         """
         p = field.p
         coeffs = [c % p for c in ecoeffs]
@@ -196,16 +197,7 @@ class MultilinearPoly:
             coeffs.pop()
         if len(coeffs) > n + 1:
             raise ValueError("ecoeffs longer than n+1")
-        sym = tuple(coeffs)
-        total = sum(comb(n, j) for j, c in enumerate(coeffs) if c)
-        terms = None
-        if total <= min(caps.max_terms, 200_000):
-            terms = {}
-            for j, c in enumerate(coeffs):
-                if c:
-                    for m in slice_masks(n, j):
-                        terms[m] = c
-        return cls(n, field, terms=terms, sym=sym)
+        return cls(n, field, sym=tuple(coeffs))
 
     # -- basic structure --------------------------------------------------
     @property
@@ -316,11 +308,6 @@ class MultilinearPoly:
 # operations
 # ---------------------------------------------------------------------------
 
-def eval_poly(poly: MultilinearPoly, a: CubePoint) -> int:
-    """P(a) = sum of coefficients of monomials supported inside a."""
-    return poly.evaluate(a)
-
-
 def multilinearize_product(P: MultilinearPoly, Q: MultilinearPoly,
                            caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
     """The unique multilinear polynomial equal to P*Q pointwise on {0,1}^n.
@@ -334,7 +321,7 @@ def multilinearize_product(P: MultilinearPoly, Q: MultilinearPoly,
     if P.is_symmetric_certified and Q.is_symmetric_certified:
         vals = [(a * b) % p for a, b in zip(P.weight_values(), Q.weight_values())]
         return MultilinearPoly.from_sym(
-            P.n, P.field, ecoeffs_from_weight_values(vals, p), caps=caps)
+            P.n, P.field, ecoeffs_from_weight_values(vals, p))
     tp, tq = P.terms_map(caps), Q.terms_map(caps)
     if len(tp) * len(tq) > 10 * caps.max_terms:
         raise CapExceeded(
@@ -491,7 +478,7 @@ def elementary_symmetric(n: int, j: int, field: PrimeField,
     if not (0 <= j <= n):
         raise ValueError(f"need 0 <= j <= n, got j={j}")
     coeffs = [0] * j + [1]
-    return MultilinearPoly.from_sym(n, field, coeffs, caps=caps)
+    return MultilinearPoly.from_sym(n, field, coeffs)
 
 
 # ---------------------------------------------------------------------------

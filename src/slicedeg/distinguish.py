@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -100,16 +101,8 @@ class RobustThresholds:
     eps1_main: mp.mpf
     eps0_ext: mp.mpf
     eps1_ext: mp.mpf
-    special_eps_lo: mp.mpf       # 2^(-n/100)
-    special_eps_hi: mp.mpf       # e^(-200)
-    special_ell_lo: int          # 100
     main_side_ok: bool       # 100 q < k < n - 100 q
     ext_side_ok: bool        # 200 q < k < n - 200 q
-
-    def special_ell_hi(self, eps) -> mp.mpf:
-        """Upper end of the valid ell range: ln(1/eps)/2."""
-        with mp.workdps(DPS):
-            return -mp.log(mp.mpf(eps)) / 2
 
 
 def thresholds(inst: SliceDistinguishInstance) -> RobustThresholds:
@@ -125,13 +118,10 @@ def thresholds(inst: SliceDistinguishInstance) -> RobustThresholds:
         eps1_main = mp.e ** (-base / 100)
         eps0_ext = min(mp.e ** (-1000 * base_s), mp.mpf(1) / 2000)
         eps1_ext = mp.e ** (-base_s / 1000)
-        special_eps_lo = mp.mpf(2) ** (-mp.mpf(inst.n) / 100)
-        special_eps_hi = mp.e ** (-200)
     q, k, n = inst.q, inst.k, inst.n
     return RobustThresholds(
         eps0_main=eps0_main, eps1_main=eps1_main,
         eps0_ext=eps0_ext, eps1_ext=eps1_ext,
-        special_eps_lo=special_eps_lo, special_eps_hi=special_eps_hi, special_ell_lo=100,
         main_side_ok=(100 * q < k < n - 100 * q),
         ext_side_ok=(200 * q < k < n - 200 * q),
     )
@@ -179,10 +169,25 @@ class DistinguishReport:
         return d
 
 
+# the current slice's degree ladder: {(field, n, k, caps): {d: (ev, oracle)}}
+_ladder: dict[tuple, dict[int, tuple[EvaluationMatrix, RankOracle]]] = {}
+
+
 def _slice_oracle(field: PrimeField, n: int, k: int, d: int,
-                  caps: Caps, labels: bool = False):
-    ev = EvaluationMatrix(field, n, d, slice_masks(n, k), caps)
-    return ev, ev.oracle(labels=labels)
+                  caps: Caps) -> tuple[EvaluationMatrix, RankOracle]:
+    """Evaluation matrix and labelled frozen oracle of the full slice k at
+    degree d, the only builder of full-slice oracles.  The degree ladder of
+    the last slice requested is kept until another slice is requested.
+    Results are shared, so callers never ``absorb`` or ``extend`` into them.
+    """
+    rungs = _ladder.get((field, n, k, caps))
+    if rungs is None:
+        _ladder.clear()
+        rungs = _ladder[field, n, k, caps] = {}
+    if d not in rungs:
+        ev = EvaluationMatrix(field, n, d, slice_masks(n, k), caps)
+        rungs[d] = (ev, ev.oracle(labels=True))
+    return rungs[d]
 
 
 def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
@@ -397,28 +402,27 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
         rng = random.Random(rs)
         per_degree: dict[int, int] = {}
         for d in range(n + 1):
-            ev = EvaluationMatrix(field, n, d, k_masks, caps)
-            if removals == 0:
-                error_set: list[Mask] = []
-            elif strategy == "uniform":
-                error_set = sorted(rng.sample(k_masks, removals))
-            else:
-                full_oracle = ev.oracle(labels=True)
-                deps = full_oracle.pivot_dependents
-                owners = full_oracle.pivot_owner
-                order = sorted(owners, key=lambda c: (deps.get(c, 0), c))
-                error_set = sorted(owners[c] for c in order[:removals])
-            error = set(error_set)
-            keep = [m for m in k_masks if m not in error]
-            sub_ev = EvaluationMatrix(field, n, d, keep, caps)
-            oracle = sub_ev.oracle()
             if removals == 0:
                 # full slice: escape at one representative settles the orbit
-                row = sub_ev.row_for_oracle(K_masks[0])
+                error_set: list[Mask] = []
+                keep = k_masks
+                ev, oracle = _slice_oracle(field, n, k, d, caps)
+                row = ev.row_for_oracle(K_masks[0])
                 outside = 0 if oracle.member(row) else size_K
             else:
+                if strategy == "uniform":
+                    error_set = sorted(rng.sample(k_masks, removals))
+                else:
+                    full_oracle = _slice_oracle(field, n, k, d, caps)[1]
+                    deps = full_oracle.pivot_dependents
+                    owners = full_oracle.pivot_owner
+                    order = sorted(owners, key=lambda c: (deps.get(c, 0), c))
+                    error_set = sorted(owners[c] for c in order[:removals])
+                error = set(error_set)
+                keep = [m for m in k_masks if m not in error]
+                sub_ev = EvaluationMatrix(field, n, d, keep, caps)
                 rows = evaluation_bool_matrix(sub_ev.monomials, K_masks)
-                outside = oracle.members(rows).count(False)
+                outside = sub_ev.oracle().members(rows).count(False)
             per_degree[d] = outside
             expected = Fraction(p - 1, p) * Fraction(outside, size_K)
             hit = outside >= 1 if target_psi_K is None else expected >= target_psi_K
@@ -491,6 +495,16 @@ class MidsliceConsistencyReport:
         }
 
 
+@lru_cache(maxsize=64)
+def _midslice_bounds(n: int, t: int) -> tuple:
+    """(ell >= 100, 2^(-n/100), min(e^(-200), e^(-2 ell)), e^(-ell/2)) for
+    ell = t^2/n at the working precision: the witness-free thresholds."""
+    with mp.workdps(DPS):
+        ell_f = mpf_fraction(Fraction(t * t, n))
+        return (bool(ell_f >= 100), mp.mpf(2) ** (-mp.mpf(n) / 100),
+                min(mp.e ** (-200), mp.e ** (-2 * ell_f)), mp.e ** (-ell_f / 2))
+
+
 def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
                     caps: Caps = DEFAULT_CAPS) -> MidsliceConsistencyReport:
     """Check a candidate against the special-case hypotheses and degree bound.
@@ -511,13 +525,11 @@ def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
     ell = Fraction(t * t, n)
     psi_low = slice_stats(witness, m - t, caps).psi
     psi_mid = slice_stats(witness, m, caps).psi
+    ell_in_range, eps_floor, eps_hi, psi_mid_floor = _midslice_bounds(n, t)
     with mp.workdps(DPS):
-        ell_f = mpf_fraction(ell)
-        eps_lo = max(mpf_fraction(psi_low), mp.mpf(2) ** (-mp.mpf(n) / 100))
-        eps_hi = min(mp.e ** (-200), mp.e ** (-2 * ell_f))
-        ell_in_range = bool(ell_f >= 100)
+        eps_lo = max(mpf_fraction(psi_low), eps_floor)
         eps_window_nonempty = bool(eps_lo <= eps_hi)
-        psi_mid_ok = bool(mpf_fraction(psi_mid) >= mp.e ** (-ell_f / 2))
+        psi_mid_ok = bool(mpf_fraction(psi_mid) >= psi_mid_floor)
     hypotheses = ell_in_range and eps_window_nonempty and psi_mid_ok
     threshold = Fraction(t, 25)
     degree = witness.degree

@@ -724,7 +724,7 @@ def _frontier(params, seed, caps):
         else:
             deg = rng.randrange(0, 2 * t + 1)
             coeffs = [rng.randrange(2) for _ in range(deg + 1)]
-            cand = MultilinearPoly.from_sym(n, field, coeffs, caps=caps)
+            cand = MultilinearPoly.from_sym(n, field, coeffs)
         rep = midslice_consistency(n, t, 2, cand, caps)
         if rep.hypotheses_hold:
             hypothesis_hits += 1

@@ -330,4 +330,4 @@ def periodic_exact_poly(n: int, q: int, values: Sequence[int], field: PrimeField
     deg = max((j for j, c in enumerate(ecoeffs) if c), default=0)
     if deg >= q:
         raise AssertionError("digit-basis construction must have degree below q")
-    return MultilinearPoly.from_sym(n, field, ecoeffs, caps=caps)
+    return MultilinearPoly.from_sym(n, field, ecoeffs)

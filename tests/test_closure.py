@@ -6,15 +6,17 @@ import sys
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
-                              ball_fact_check, closure, hamming_ball,
+                              ball_fact_check, closure,
+                              evaluation_bool_matrix, hamming_ball,
                               ideal_basis, nie_wang_check, sample_ideal)
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import (MultilinearPoly, n_monomials, popcount,
-                           slice_masks)
+from slicedeg.cube import (MultilinearPoly, monomials_upto, n_monomials,
+                           popcount, slice_masks)
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -29,6 +31,19 @@ def closure_by_basis(field, n, points, degree):
         if all(b.evaluate(m) == 0 for b in basis):
             out.append(m)
     return out
+
+
+class TestEvaluationBoolMatrix:
+    @pytest.mark.parametrize("n,k,d", [(6, 3, 2), (7, 0, 3), (5, 5, 1)])
+    def test_generator_of_masks_equals_list(self, n, k, d):
+        monos = list(monomials_upto(n, d))
+        got = evaluation_bool_matrix(monos, slice_masks(n, k))
+        assert np.array_equal(got, evaluation_bool_matrix(
+            monos, list(slice_masks(n, k))))
+        assert got.shape == (comb(n, k), len(monos))
+
+    def test_empty_iterable(self):
+        assert evaluation_bool_matrix([0, 1], iter(())).shape == (0, 2)
 
 
 class TestIdealBasis:

@@ -12,7 +12,7 @@ from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (CubePoint, MultilinearPoly, SubstitutionMap, VAR,
                            NVAR, ONE, ZERO, apply_substitution,
                            ecoeffs_from_weight_values, elementary_symmetric,
-                           enumerate_slice, eval_poly, monomials_upto,
+                           enumerate_slice, monomials_upto,
                            multilinearize_product, poly_from_json_dict,
                            poly_to_json_dict, popcount, slice_masks,
                            slice_stats, symmetric_value_table,
@@ -85,9 +85,9 @@ class TestEval:
 
     def test_product_monomial(self):
         p = MultilinearPoly.from_terms(3, F2, {0b011: 1})
-        assert eval_poly(p, CubePoint(3, 0b011)) == 1
-        assert eval_poly(p, CubePoint(3, 0b001)) == 0
-        assert eval_poly(p, CubePoint(3, 0b111)) == 1
+        assert p.evaluate(CubePoint(3, 0b011)) == 1
+        assert p.evaluate(CubePoint(3, 0b001)) == 0
+        assert p.evaluate(CubePoint(3, 0b111)) == 1
 
     def test_e2_at_weight_three(self):
         e2 = elementary_symmetric(4, 2, F2)
@@ -306,6 +306,32 @@ class TestElementarySymmetric:
 
     def test_e2_table_n4_f2(self):
         assert elementary_symmetric(4, 2, F2).weight_values() == (0, 0, 1, 1, 0)
+
+    @given(st.integers(1, 10), st.sampled_from([2, 3, 5]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_from_sym_is_lazy_and_matches_eager_terms(self, n, p, seed):
+        field = PrimeField(p)
+        rng = random.Random(seed)
+        coeffs = [rng.randrange(p) for _ in range(rng.randrange(n + 2))]
+        # the term map an eager construction builds: c_j on every |m| = j
+        eager = {m: c % p for j, c in enumerate(coeffs) if c % p
+                 for m in slice_masks(n, j)}
+        poly = MultilinearPoly.from_sym(n, field, coeffs)
+        assert poly._terms is None
+        by_terms = MultilinearPoly.from_terms(n, field, eager)
+        masks = list(range(1 << n))
+        assert [poly.evaluate(m) for m in masks] == [by_terms.evaluate(m)
+                                                     for m in masks]
+        assert list(poly.evaluate_many(masks)) == list(
+            by_terms.evaluate_many(masks))
+        assert poly._terms is None
+        if eager:
+            with pytest.raises(CapExceeded):
+                poly.terms_map(Caps(max_terms=len(eager) - 1))
+        assert poly._terms is None
+        assert poly.terms_map(Caps(max_terms=len(eager))) == eager
+        assert poly._terms is not None
+        assert poly.sorted_terms() == by_terms.sorted_terms()
 
     def test_lazy_above_cap(self):
         e = elementary_symmetric(64, 8, F2)

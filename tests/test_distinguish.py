@@ -9,14 +9,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from slicedeg import distinguish
 from slicedeg.closure import Candidates, closure
+from slicedeg.config import DEFAULT_CAPS
 from slicedeg.cube import MultilinearPoly, monomials_upto, slice_masks
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
                                   exact_min_degree, exhaustive_robust,
                                   gap_degree_sweep, p_adic_part, robust_search,
                                   thresholds)
 from slicedeg.constructions import lucas_poly
-from slicedeg.linalg import PrimeField
+from slicedeg.linalg import PrimeField, RankOracle
 
 F2 = PrimeField(2)
 
@@ -319,6 +321,51 @@ class TestRobustSearch:
         assert abs(mean - expect) <= 5 * max(stderr, 1e-9)
 
 
+class TestSliceOracleProvider:
+    def test_exact_after_budget_zero_builds_nothing(self, monkeypatch):
+        inst = SliceDistinguishInstance(n=9, p=3, k=3, K=6)
+        robust_search(inst, Fraction(0), confirm_samples=0)
+        builds = []
+        from_rows = RankOracle.from_rows
+        monkeypatch.setattr(RankOracle, "from_rows", staticmethod(
+            lambda *a, **kw: builds.append(1) or from_rows(*a, **kw)))
+        rep = exact_min_degree(9, 3, 3, 6)
+        assert rep.degree == 3 and rep.witness is not None
+        assert builds == []
+
+    def test_another_slice_clears_the_ladder(self):
+        ladder = distinguish._ladder
+        first = distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS)
+        assert distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS) is first
+        distinguish._slice_oracle(F2, 7, 3, 1, DEFAULT_CAPS)
+        assert {key: set(rungs) for key, rungs in ladder.items()} == {
+            (F2, 7, 3, DEFAULT_CAPS): {1, 2}}
+        distinguish._slice_oracle(F2, 7, 4, 2, DEFAULT_CAPS)
+        assert {key: set(rungs) for key, rungs in ladder.items()} == {
+            (F2, 7, 4, DEFAULT_CAPS): {2}}
+        again = distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS)
+        assert again is not first and list(ladder) == [(F2, 7, 3, DEFAULT_CAPS)]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_shared_oracles_stay_as_built(self, p):
+        n, k, K = 8, 3, 5
+        inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
+        robust_search(inst, Fraction(0), confirm_samples=4)
+        exact_min_degree(n, p, k, K)
+        robust_search(inst, Fraction(3, comb(n, k)), strategy="greedy",
+                      confirm_samples=4)
+        rungs = distinguish._ladder[PrimeField(p), n, k, DEFAULT_CAPS]
+        assert len(rungs) >= 2
+        for d, (ev, oracle) in rungs.items():
+            assert ev.degree == d and ev.points == list(slice_masks(n, k))
+            fresh = RankOracle.from_rows(PrimeField(p), ev.bool_matrix(),
+                                         ev.points)
+            assert oracle.rank == fresh.rank
+            assert oracle.pivot_columns() == fresh.pivot_columns()
+            assert oracle.pivot_dependents == fresh.pivot_dependents
+            assert oracle.pivot_owner == fresh.pivot_owner
+
+
 class TestMidsliceConsistency:
     def test_lucas_witness_in_valid_window(self):
         # n and t chosen so the parameter window is nonempty
@@ -345,6 +392,30 @@ class TestMidsliceConsistency:
     def test_requires_p_power(self):
         with pytest.raises(ValueError):
             midslice_consistency(64, 6, 2, MultilinearPoly.zero(64, F2))
+
+    def test_matches_inline_threshold_expressions(self):
+        rng = random.Random(4)
+        cases = [(40000, 2048, lucas_poly(40000, 20000 - 2048, 2048, 2)),
+                 (64, 8, lucas_poly(64, 24, 8, 2)),
+                 (1024, 512, MultilinearPoly.constant(1024, F2, 1))]
+        cases += [(n, t, MultilinearPoly.from_sym(
+                      n, F2, [rng.randrange(2) for _ in range(2 * t + 1)]))
+                  for n, t in ((64, 8), (64, 16), (12800, 128))
+                  for _ in range(8)]
+        for n, t, poly in cases:
+            rep = midslice_consistency(n, t, 2, poly)
+            # every threshold evaluated in place, per call
+            with mp.workdps(40):
+                ell_f = mp.mpf(t * t) / mp.mpf(n)
+                eps_lo = max(mp.mpf(rep.psi_low.numerator)
+                             / mp.mpf(rep.psi_low.denominator),
+                             mp.mpf(2) ** (-mp.mpf(n) / 100))
+                eps_hi = min(mp.e ** (-200), mp.e ** (-2 * ell_f))
+                psi_mid = (mp.mpf(rep.psi_mid.numerator)
+                           / mp.mpf(rep.psi_mid.denominator))
+                assert rep.ell_in_range == bool(ell_f >= 100)
+                assert rep.eps_window_nonempty == bool(eps_lo <= eps_hi)
+                assert rep.psi_mid_ok == bool(psi_mid >= mp.e ** (-ell_f / 2))
 
     def test_junta_fails_hypotheses(self):
         # the sampled construction has far too much low-slice mass for the
