@@ -6,14 +6,15 @@ Modules:
   closure        vanishing ideals, degree closures, ideal sampling
   distinguish    exact and robust minimum slice-distinguishing degree
   spectra        symmetric-function spectra, periods, decompositions
-  constructions  explicit polynomial constructions and bound checkers
+  constructions  coin, junta and hyperplane constructions with exact error
+                 sums, and bound checkers
   experiments    named, seeded, reproducible experiment harness
 """
 
 from .config import Caps, CapExceeded, DEFAULT_CAPS
 from .linalg import FieldMatrix, PrimeField, RankOracle, nullspace_basis, rref
-from .cube import (CubePoint, MultilinearPoly, SliceStats, SubstitutionMap,
-                   apply_substitution, elementary_symmetric, enumerate_slice,
+from .cube import (CubePoint, MultilinearPoly, SliceStats,
+                   elementary_symmetric, enumerate_slice,
                    multilinearize_product, slice_stats,
                    symmetric_value_table)
 

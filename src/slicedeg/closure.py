@@ -306,10 +306,3 @@ class IdealSampler:
             vals.append(acc % p)
         return vals
 
-
-def sample_ideal(field: PrimeField, n: int, points: Iterable, degree: int,
-                 seed: int, count: int,
-                 caps: Caps = DEFAULT_CAPS) -> list[MultilinearPoly]:
-    """``count`` independent uniform elements of the degree-D ideal of E."""
-    sampler = IdealSampler(field, n, points, degree, seed, caps)
-    return [sampler.sample() for _ in range(count)]

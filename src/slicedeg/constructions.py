@@ -14,14 +14,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
+import numpy as np
 
 from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap
-from .cube import (CubePoint, Mask, MultilinearPoly, NVAR, ONE, VAR, ZERO,
-                   SubstitutionMap, apply_substitution, multilinearize_product,
-                   popcount, slice_masks)
+from .cube import (Mask, MultilinearPoly, multilinearize_product, popcount,
+                   slice_masks)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
 
@@ -34,8 +34,7 @@ C_LADDER = (2, 5, 10, 20, 40)
 # single-gap construction from binomial digit periodicity
 # ---------------------------------------------------------------------------
 
-def lucas_poly(n: int, i: int, q: int, p: int,
-               caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
+def lucas_poly(n: int, i: int, q: int, p: int) -> MultilinearPoly:
     """Degree p^l polynomial vanishing on slice i and nonzero on all of
     slice i+q, where p^l is the largest power of p dividing q.
 
@@ -94,8 +93,8 @@ class IntegerSymPoly:
     def value_at_weight(self, w: int) -> int:
         return sum(c * comb(w, j) for j, c in enumerate(self.ecoeffs) if c)
 
-    def reduce_mod(self, field: PrimeField,
-                   caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
+    def reduce_mod(self, field: PrimeField) -> MultilinearPoly:
+        """The coefficients reduced mod p (with symmetric certificate)."""
         return MultilinearPoly.from_sym(self.n, field, list(self.ecoeffs))
 
 
@@ -133,12 +132,6 @@ def interpolate_window_int(window: WeightWindow) -> IntegerSymPoly:
     while ecoeffs and ecoeffs[-1] == 0:
         ecoeffs.pop()
     return IntegerSymPoly(n=window.n, ecoeffs=tuple(ecoeffs))
-
-
-def interpolate_window(window: WeightWindow, field: PrimeField,
-                       caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """The integer interpolant reduced mod p (with symmetric certificate)."""
-    return interpolate_window_int(window).reduce_mod(field, caps)
 
 
 def _strict_interval_weights(lo: Fraction, hi: Fraction, limit: int):
@@ -288,184 +281,6 @@ def junta_exact_slice_error(j: SampledJunta, weight: int, target: str) -> Fracti
     return Fraction(num, denom)
 
 
-def pick_sampling_constant(n: int, k: int, q: int, eps: float, seed: int,
-                           ladder: Sequence[int] = C_LADDER,
-                           caps: Caps = DEFAULT_CAPS):
-    """Smallest ladder constant whose junta meets the exact error check
-    psi_k <= eps and psi_K >= 1 - eps.  Returns (junta, err_k, err_K) or
-    None when no ladder constant passes."""
-    for C in ladder:
-        try:
-            junta = sampling_poly(n, k, q, eps, C, seed, caps)
-        except CapExceeded:
-            continue
-        err_k = junta_exact_slice_error(junta, k, "zero")
-        err_K = junta_exact_slice_error(junta, k + q, "nonzero")
-        with mp.workdps(DPS):
-            ok = (mp.mpf(err_k.numerator) / err_k.denominator <= eps
-                  and mp.mpf(err_K.numerator) / err_K.denominator <= eps)
-        if ok:
-            return junta, err_k, err_K
-    return None
-
-
-# ---------------------------------------------------------------------------
-# permutation-product error reduction
-# ---------------------------------------------------------------------------
-
-def random_permutation(n: int, rng: random.Random) -> list[int]:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return perm
-
-
-def relabel(P: MultilinearPoly, perm: Sequence[int],
-            caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """P(x_{perm(1)}, ..., x_{perm(n)}) via a permutation substitution."""
-    return apply_substitution(P, SubstitutionMap.permutation(list(perm)), caps)
-
-
-def error_reduce(Q: MultilinearPoly, r: int, seed: int,
-                 caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """Multilinearized product of r independently relabeled copies of Q.
-
-    Degree grows to at most r * deg(Q); the expected nonzero fraction on any
-    slice is the r-th power of Q's.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    rng = random.Random(seed)
-    out = relabel(Q, random_permutation(Q.n, rng), caps)
-    for _ in range(r - 1):
-        nxt = relabel(Q, random_permutation(Q.n, rng), caps)
-        out = multilinearize_product(out, nxt, caps)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# probabilistic polynomials and majority-composition error reduction
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProbabilisticPoly:
-    """A random polynomial: a seeded sampler plus an optional explicit
-    finite support [(poly, probability)] with probabilities summing to 1."""
-
-    n: int
-    field: PrimeField
-    degree_bound: int
-    sampler: Callable[[random.Random], MultilinearPoly]
-    support: Optional[list] = None
-
-    def sample(self, rng: random.Random) -> MultilinearPoly:
-        poly = self.sampler(rng)
-        if poly.degree > self.degree_bound:
-            raise AssertionError("sampler violated its degree bound")
-        return poly
-
-    @classmethod
-    def deterministic(cls, poly: MultilinearPoly) -> "ProbabilisticPoly":
-        return cls(n=poly.n, field=poly.field, degree_bound=poly.degree,
-                   sampler=lambda rng: poly,
-                   support=[(poly, Fraction(1))])
-
-    @classmethod
-    def from_support(cls, support: Sequence) -> "ProbabilisticPoly":
-        support = [(poly, Fraction(pr)) for poly, pr in support]
-        total = sum(pr for _, pr in support)
-        if total != 1:
-            raise ValueError(f"support probabilities sum to {total}, not 1")
-        polys = [poly for poly, _ in support]
-        n, field = polys[0].n, polys[0].field
-        bound = max(poly.degree for poly in polys)
-
-        def sampler(rng: random.Random) -> MultilinearPoly:
-            u = Fraction(rng.randrange(10**9), 10**9)
-            acc = Fraction(0)
-            for poly, pr in support:
-                acc += pr
-                if u < acc:
-                    return poly
-            return support[-1][0]
-
-        return cls(n=n, field=field, degree_bound=bound, sampler=sampler,
-                   support=list(support))
-
-    def per_point_error(self, mask: Mask, f_value: int) -> Fraction:
-        """Exact disagreement probability at one point (finite support only)."""
-        if self.support is None:
-            raise ValueError("per-point error needs an explicit support")
-        p = self.field.p
-        return sum((pr for poly, pr in self.support
-                    if poly.evaluate(mask) != f_value % p), Fraction(0))
-
-
-def majority_poly(ell: int, field: PrimeField,
-                  caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """Exact multilinear polynomial of the ell-variable majority function."""
-    values = tuple(1 if 2 * w > ell else 0 for w in range(ell + 1))
-    window = WeightWindow(n=ell, lo=0, hi=ell, values=values)
-    return interpolate_window(window, field, caps)
-
-
-def _compose_majority(maj: MultilinearPoly, copies: Sequence[MultilinearPoly],
-                      caps: Caps) -> MultilinearPoly:
-    """M(P_1, ..., P_ell): substitute polynomials into the majority terms."""
-    n, field = copies[0].n, copies[0].field
-    acc: dict[Mask, int] = {}
-    p = field.p
-    for mono, coeff in maj.terms_map(caps).items():
-        prod = MultilinearPoly.constant(n, field, coeff)
-        mm = mono
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            prod = multilinearize_product(prod, copies[i], caps)
-        for m, c in prod.terms_map(caps).items():
-            v = (acc.get(m, 0) + c) % p
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-    return MultilinearPoly(n, field, terms=acc)
-
-
-def pp_error_reduce(P: ProbabilisticPoly, eps: float, delta: float,
-                    caps: Caps = DEFAULT_CAPS) -> ProbabilisticPoly:
-    """Error reduction by majority of ell independent copies.
-
-    ell is the smallest odd integer >= 3 log(1/delta) / log(1/eps); the
-    composed degree bound is ell times the input bound.  The error model
-    assumes wrong outputs are Boolean (majority of values, not of events).
-    """
-    if not (0 < delta < eps <= 1 / 3):
-        raise ValueError("need 0 < delta < eps <= 1/3")
-    ratio = 3 * math.log(1 / delta) / math.log(1 / eps)
-    ell = max(1, math.ceil(ratio))
-    if ell % 2 == 0:
-        ell += 1
-    if ell == 1:
-        return P
-    maj = majority_poly(ell, P.field, caps)
-
-    def sampler(rng: random.Random) -> MultilinearPoly:
-        copies = [P.sample(rng) for _ in range(ell)]
-        return _compose_majority(maj, copies, caps)
-
-    support = None
-    if P.support is not None and len(P.support) ** ell <= 4096:
-        from itertools import product as iproduct
-        support = []
-        for combo in iproduct(P.support, repeat=ell):
-            pr = math.prod((c[1] for c in combo), start=Fraction(1))
-            composed = _compose_majority(maj, [c[0] for c in combo], caps)
-            support.append((composed, pr))
-    return ProbabilisticPoly(
-        n=P.n, field=P.field, degree_bound=ell * P.degree_bound,
-        sampler=sampler, support=support,
-    )
-
-
 # ---------------------------------------------------------------------------
 # coin-problem construction and exact error evaluation
 # ---------------------------------------------------------------------------
@@ -532,8 +347,7 @@ class CoinInstance:
         return cls.from_sizing(int(d["p"]), delta, eps, C)
 
 
-def coin_build(inst: CoinInstance,
-               caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
+def coin_build(inst: CoinInstance) -> MultilinearPoly:
     """Window interpolant: 0 strictly inside the biased window, 1 strictly
     inside the unbiased window, reduced mod p, with a weight certificate."""
     zero_w, one_w = inst.zero_weights(), inst.one_weights()
@@ -544,7 +358,7 @@ def coin_build(inst: CoinInstance,
     ones = set(one_w)
     values = tuple(1 if w in ones else 0 for w in range(lo, hi + 1))
     window = WeightWindow(n=inst.n, lo=lo, hi=hi, values=values)
-    return interpolate_window(window, PrimeField(inst.p), caps)
+    return interpolate_window_int(window).reduce_mod(PrimeField(inst.p))
 
 
 def coin_error_exact(table: Sequence[int], alpha: Fraction,
@@ -585,92 +399,6 @@ def coin_verify_errors(inst: CoinInstance, poly: MultilinearPoly):
     err_unbiased = coin_error_exact(table, half, "not-one")
     err_biased = coin_error_exact(table, half - inst.delta, "one")
     return err_unbiased, err_biased
-
-
-def coin_collapse(P: MultilinearPoly, n: int, seed: int,
-                  caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """Replace each of P's variables by a uniformly random one of y_1..y_n."""
-    rng = random.Random(seed)
-    targets = tuple((VAR, rng.randrange(n)) for _ in range(P.n))
-    return apply_substitution(P, SubstitutionMap(P.n, n, targets), caps)
-
-
-def xor_shift(P: MultilinearPoly, y, caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """P(x_1 xor y_1, ..., x_n xor y_n): negate exactly the variables set in y."""
-    mask = y.bits if isinstance(y, CubePoint) else int(y)
-    targets = tuple(
-        (NVAR, i) if (mask >> i) & 1 else (VAR, i) for i in range(P.n)
-    )
-    return apply_substitution(P, SubstitutionMap(P.n, P.n, targets), caps)
-
-
-# ---------------------------------------------------------------------------
-# repetition lift: repeat coordinates, pad, and permute
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RepetitionLift:
-    """Schema of the repeat-s-times / pad / random-permutation substitution
-    that turns an n-variable polynomial into an n'-variable one.
-
-    A weight-w input maps to a (deterministic) weight w*s + r1 image; the
-    random permutation makes the image uniform on its slice.
-    """
-
-    n_prime: int
-    s: int
-    r1: int
-    r2: int
-
-    def __post_init__(self):
-        if self.s < 1 or not (0 <= self.r1 < self.s) or not (0 <= self.r2 < self.s):
-            raise ValueError("need s >= 1 and r1, r2 in [0, s)")
-
-    @property
-    def n(self) -> int:
-        return self.n_prime * self.s + self.s + self.r2
-
-    def base_targets(self) -> list:
-        """Images of the unpermuted coordinates: s copies of each variable,
-        then r1 ones, then s + r2 - r1 zeros."""
-        targets = []
-        for i in range(self.n_prime):
-            targets.extend([(VAR, i)] * self.s)
-        targets.extend([(ONE, None)] * self.r1)
-        targets.extend([(ZERO, None)] * (self.s + self.r2 - self.r1))
-        return targets
-
-    def build(self, seed: int) -> SubstitutionMap:
-        """Seeded substitution for an n-variable source polynomial."""
-        rng = random.Random(seed)
-        base = self.base_targets()
-        perm = random_permutation(self.n, rng)
-        # source variable c of the big polynomial reads position perm[c] of
-        # the assembled string
-        targets = tuple(base[perm[c]] for c in range(self.n))
-        return SubstitutionMap(self.n, self.n_prime, targets)
-
-    def image_weight(self, w: int) -> int:
-        return w * self.s + self.r1
-
-    def image_of(self, x_mask: Mask, seed: int) -> Mask:
-        """The image point of one input under the seeded assembly."""
-        rng = random.Random(seed)
-        bits = []
-        for i in range(self.n_prime):
-            bits.extend([(x_mask >> i) & 1] * self.s)
-        bits.extend([1] * self.r1)
-        bits.extend([0] * (self.s + self.r2 - self.r1))
-        perm = random_permutation(self.n, rng)
-        out = 0
-        for c in range(self.n):
-            if bits[perm[c]]:
-                out |= 1 << c
-        return out
-
-
-def repetition_lift(n_prime: int, s: int, r1: int, r2: int) -> RepetitionLift:
-    return RepetitionLift(n_prime=n_prime, s=s, r1=r1, r2=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -741,14 +469,12 @@ def galvin_tight_family(n: int, eps, C: int) -> GalvinFamily:
                         degenerate=(t >= n // 4), shifted=shifted)
 
 
-def galvin_coverage(F: GalvinFamily, caps: Caps = DEFAULT_CAPS,
-                    monte_carlo: Optional[int] = None,
-                    seed: int = 0):
-    """Fraction of the middle slice covered by some hyperplane.
+def galvin_coverage(F: GalvinFamily,
+                    caps: Caps = DEFAULT_CAPS) -> Fraction:
+    """Exact fraction of the middle slice covered by some hyperplane.
 
-    Exact when all normal vectors coincide (hypergeometric sum) or when the
-    middle slice is enumerable; otherwise requires monte_carlo samples and
-    returns (estimate, 95% CI half-width).
+    A hypergeometric sum when all normal vectors coincide; otherwise the
+    middle slice is enumerated, under ``caps.max_slice_points``.
     """
     n = F.n
     half = n // 2
@@ -759,43 +485,23 @@ def galvin_coverage(F: GalvinFamily, caps: Caps = DEFAULT_CAPS,
         hit_values = {b for _, b in F.items if 0 <= b <= half}
         num = sum(comb(half, x) * comb(half, half - x) for x in hit_values)
         return Fraction(num, comb(n, half))
-    if comb(n, half) <= caps.max_slice_points:
-        import numpy as np
-        covered = 0
-        us = [(u, b) for u, b in F.items]
-        vs = np.fromiter(slice_masks(n, half), dtype=np.uint64,
-                         count=comb(n, half))
-        hit = np.zeros(len(vs), dtype=bool)
-        for u, b in us:
-            if 0 <= b <= half:
-                hit |= np.bitwise_count(vs & np.uint64(u)) == b
-        return Fraction(int(hit.sum()), comb(n, half))
-    if monte_carlo is None:
-        raise CapExceeded(
-            "middle slice too large for exact coverage; pass monte_carlo=N")
-    rng = random.Random(seed)
-    hits = 0
-    positions = list(range(n))
-    for _ in range(monte_carlo):
-        chosen = rng.sample(positions, half)
-        v = 0
-        for i in chosen:
-            v |= 1 << i
-        if any(popcount(v & u) == b for u, b in F.items):
-            hits += 1
-    est = hits / monte_carlo
-    ci = 1.96 * math.sqrt(max(est * (1 - est), 1e-12) / monte_carlo)
-    return est, ci
+    size = comb(n, half)
+    check_cap(size, caps.max_slice_points, f"middle slice C({n},{half})")
+    vs = np.fromiter(slice_masks(n, half), dtype=np.uint64, count=size)
+    hit = np.zeros(size, dtype=bool)
+    for u, b in F.items:
+        if 0 <= b <= half:
+            hit |= np.bitwise_count(vs & np.uint64(u)) == b
+    return Fraction(int(hit.sum()), size)
 
 
 def galvin_poly(F: GalvinFamily, field: PrimeField,
                 balance_filter: bool = False,
                 caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
     """Multilinearized product of (<u_i, x> - b_i) over the (optionally
-    balance-filtered) family, coefficients mod p; degree <= retained count."""
+    balance-filtered) family, coefficients mod p; degree <= retained count.
+    Each partial product is bounded by ``caps.max_terms``."""
     items = F.balanced_items() if balance_filter else list(F.items)
-    if len(items) > 25:
-        raise CapExceeded(f"{len(items)} product factors exceed the cap of 25")
     out = MultilinearPoly.constant(F.n, field, 1)
     for u, b in items:
         terms = {0: (-b) % field.p}
@@ -812,15 +518,6 @@ def galvin_poly(F: GalvinFamily, field: PrimeField,
 # ---------------------------------------------------------------------------
 # numeric bound checkers
 # ---------------------------------------------------------------------------
-
-def bernstein_bound(m: int, q, theta) -> mp.mpf:
-    """Deviation bound 2 exp(-theta^2 / (2 m q (1-q) + 2 theta / 3))."""
-    with mp.workdps(DPS):
-        qf = mp.mpf(Fraction(q).numerator) / Fraction(q).denominator \
-            if not isinstance(q, float) else mp.mpf(q)
-        th = mp.mpf(theta)
-        return 2 * mp.e ** (-(th**2) / (2 * m * qf * (1 - qf) + 2 * th / 3))
-
 
 @dataclass(frozen=True)
 class BinomRatioReport:

@@ -339,101 +339,6 @@ def multilinearize_product(P: MultilinearPoly, Q: MultilinearPoly,
     return MultilinearPoly(P.n, P.field, terms=acc)
 
 
-# substitution targets: constant 0 / constant 1 / variable j / negated variable j
-ZERO = "zero"
-ONE = "one"
-VAR = "var"
-NVAR = "nvar"
-
-
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """Per-source-variable images into an n_out-variable polynomial ring.
-
-    targets[i] is one of ("zero", None), ("one", None), ("var", j),
-    ("nvar", j) describing the image of source variable i.
-    """
-
-    n_in: int
-    n_out: int
-    targets: tuple
-
-    def __post_init__(self):
-        if len(self.targets) != self.n_in:
-            raise ValueError("every source variable needs exactly one image")
-        for kind, j in self.targets:
-            if kind in (VAR, NVAR):
-                if not (0 <= j < self.n_out):
-                    raise ValueError(f"target index {j} out of range")
-            elif kind not in (ZERO, ONE):
-                raise ValueError(f"unknown target kind {kind!r}")
-
-    @classmethod
-    def identity(cls, n: int) -> "SubstitutionMap":
-        return cls(n, n, tuple((VAR, i) for i in range(n)))
-
-    @classmethod
-    def negation(cls, n: int) -> "SubstitutionMap":
-        return cls(n, n, tuple((NVAR, i) for i in range(n)))
-
-    @classmethod
-    def permutation(cls, perm: Sequence[int]) -> "SubstitutionMap":
-        n = len(perm)
-        return cls(n, n, tuple((VAR, perm[i]) for i in range(n)))
-
-
-def apply_substitution(P: MultilinearPoly, sub: SubstitutionMap,
-                       caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """Compose P with affine single-variable images; degree never increases."""
-    if sub.n_in != P.n:
-        raise ValueError(f"substitution covers {sub.n_in} vars, poly has {P.n}")
-    p = P.field.p
-    out_field = P.field
-    acc: dict[Mask, int] = {}
-    for mask, coeff in P.terms_map(caps).items():
-        # expand prod of images as a small polynomial over the target vars
-        cur: dict[Mask, int] = {0: coeff}
-        dead = False
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            kind, j = sub.targets[i]
-            if kind == ZERO:
-                dead = True
-                break
-            if kind == ONE:
-                continue
-            if kind == VAR:
-                bit = 1 << j
-                nxt = {}
-                for mm, cc in cur.items():
-                    key = mm | bit
-                    nxt[key] = (nxt.get(key, 0) + cc) % p
-                cur = {mm: cc for mm, cc in nxt.items() if cc}
-            else:  # NVAR: multiply by (1 - y_j)
-                nxt: dict[Mask, int] = {}
-                bit = 1 << j
-                for mm, cc in cur.items():
-                    nxt[mm] = (nxt.get(mm, 0) + cc) % p
-                    key = mm | bit
-                    nxt[key] = (nxt.get(key, 0) - cc) % p
-                cur = {mm: cc for mm, cc in nxt.items() if cc}
-            if len(cur) > caps.max_terms:
-                raise CapExceeded("substitution expansion exceeds term cap")
-        if dead:
-            continue
-        for mm, cc in cur.items():
-            v = (acc.get(mm, 0) + cc) % p
-            if v:
-                acc[mm] = v
-            elif mm in acc:
-                del acc[mm]
-        if len(acc) > caps.max_terms:
-            raise CapExceeded("substitution result exceeds term cap")
-    return MultilinearPoly(sub.n_out, out_field, terms=acc)
-
-
 def slice_stats(P: MultilinearPoly, m: int, caps: Caps = DEFAULT_CAPS) -> SliceStats:
     """Exact |NZ_m(P)| and psi_m(P) on the weight-m slice."""
     size = comb(P.n, m)

@@ -160,6 +160,30 @@ def _fr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ladder(ladder, attempt, stop_at_pass: bool, miss_detail: str = ""):
+    """Try the constants of ``ladder`` in order; ``attempt(C)`` returns
+    (table row, passes, result).
+
+    Returns (table, chosen, checks): ``chosen`` is (C, result) for the
+    smallest passing constant or None, and ``checks`` holds the
+    ``ladder-has-passing-C`` failure when no constant passes.  With
+    ``stop_at_pass`` the table ends at the first passing constant;
+    otherwise it lists every constant.
+    """
+    table, chosen = [], None
+    for C in ladder:
+        row, passes, result = attempt(C)
+        table.append(row)
+        if passes and chosen is None:
+            chosen = (C, result)
+            if stop_at_pass:
+                break
+    checks = []
+    if chosen is None:
+        checks.append(Check("ladder-has-passing-C", False, miss_detail))
+    return table, chosen, checks
+
+
 # ---------------------------------------------------------------------------
 # degree experiments
 # ---------------------------------------------------------------------------
@@ -401,7 +425,7 @@ def _claimC(params, seed, caps):
             "single-gap slice distinguisher from binomial digits")
 def _lucas(params, seed, caps):
     n, i, q, p = params["n"], params["i"], params["q"], params["p"]
-    poly = lucas_poly(n, i, q, p, caps)
+    poly = lucas_poly(n, i, q, p)
     vals = poly.weight_values()
     checks = [
         Check("vanishes-on-slice-i", vals[i] == 0, f"value={vals[i]}"),
@@ -431,7 +455,7 @@ def _window(params, seed, caps):
     ]
     tables = {"ecoeffs": [{"j": j, "c": c} for j, c in enumerate(ipoly.ecoeffs)]}
     if params["p"]:
-        rpoly = ipoly.reduce_mod(PrimeField(params["p"]), caps)
+        rpoly = ipoly.reduce_mod(PrimeField(params["p"]))
         tables["mod_p"] = [poly_to_json_dict(rpoly, caps)]
     return checks, tables, []
 
@@ -445,33 +469,30 @@ def _window(params, seed, caps):
 def _sample(params, seed, caps):
     n, k, q = params["n"], params["k"], params["q"]
     eps = math.exp(-params["ln_inv_eps"])
-    ladder = (params["C"],) if params["C"] else C_LADDER
-    table = []
-    chosen = None
-    for C in ladder:
+
+    def attempt(C):
         try:
             junta = sampling_poly(n, k, q, eps, C, seed, caps)
         except CapExceeded as e:
-            table.append({"C": C, "status": f"infeasible: {e}"})
-            continue
+            return {"C": C, "status": f"infeasible: {e}"}, False, None
         err_k = junta_exact_slice_error(junta, k, "zero")
         err_K = junta_exact_slice_error(junta, k + q, "nonzero")
         with mp.workdps(DPS):
             passes = bool(
                 mp.mpf(err_k.numerator) / err_k.denominator <= mp.mpf(eps)
                 and mp.mpf(err_K.numerator) / err_K.denominator <= mp.mpf(eps))
-        table.append({"C": C, "m": junta.m, "degree": junta.degree,
-                      "err_k": float(err_k), "err_K": float(err_K),
-                      "errors_pass": passes})
-        if passes and chosen is None:
-            chosen = (C, junta, err_k, err_K)
-    checks = []
+        row = {"C": C, "m": junta.m, "degree": junta.degree,
+               "err_k": float(err_k), "err_K": float(err_K),
+               "errors_pass": passes}
+        return row, passes, (junta, err_k, err_K)
+
+    ladder = (params["C"],) if params["C"] else C_LADDER
+    table, chosen, checks = _ladder(
+        ladder, attempt, stop_at_pass=False,
+        miss_detail="no ladder constant meets the error target")
     deviations = []
-    if chosen is None:
-        checks.append(Check("ladder-has-passing-C", False,
-                            "no ladder constant meets the error target"))
-    else:
-        C, junta, err_k, err_K = chosen
+    if chosen is not None:
+        C, (junta, err_k, err_K) = chosen
         deviations = list(junta.deviations)
         checks.append(Check("errors-pass", True,
                             f"C={C}, err_k={float(err_k):.3g}, "
@@ -488,7 +509,7 @@ def _sample(params, seed, caps):
 def _coin(params, seed, caps):
     inst = CoinInstance.from_sizing(params["p"], Fraction(params["delta"]),
                                     Fraction(params["eps"]), params["C"])
-    poly = coin_build(inst, caps)
+    poly = coin_build(inst)
     err_u, err_b = coin_verify_errors(inst, poly)
     window_len = len(inst.zero_weights()) + len(inst.one_weights()) + 1
     checks = [
@@ -511,26 +532,22 @@ def _coin(params, seed, caps):
             "coin construction meets its error target at the sizing rule")
 def _coin_verify(params, seed, caps):
     delta, eps = Fraction(params["delta"]), Fraction(params["eps"])
-    table = []
-    chosen = None
-    for C in C_LADDER:
+
+    def attempt(C):
         inst = CoinInstance.from_sizing(params["p"], delta, eps, C)
-        poly = coin_build(inst, caps)
+        poly = coin_build(inst)
         err_u, err_b = coin_verify_errors(inst, poly)
         passes = err_u <= eps and err_b <= eps
         window_len = len(inst.zero_weights()) + len(inst.one_weights()) + 1
-        table.append({"C": C, "n": inst.n, "degree": poly.degree,
-                      "window": window_len,
-                      "err_unbiased": _fr(err_u), "err_biased": _fr(err_b),
-                      "passes": passes})
-        if passes:
-            chosen = (C, inst, poly, err_u, err_b, window_len)
-            break  # the ladder picks the smallest passing constant
-    checks = []
-    if chosen is None:
-        checks.append(Check("ladder-has-passing-C", False, ""))
-    else:
-        C, inst, poly, err_u, err_b, window_len = chosen
+        row = {"C": C, "n": inst.n, "degree": poly.degree,
+               "window": window_len,
+               "err_unbiased": _fr(err_u), "err_biased": _fr(err_b),
+               "passes": passes}
+        return row, passes, (inst, poly, err_u, err_b, window_len)
+
+    table, chosen, checks = _ladder(C_LADDER, attempt, stop_at_pass=True)
+    if chosen is not None:
+        C, (inst, poly, err_u, err_b, window_len) = chosen
         two_delta_n = 2 * float(delta) * inst.n
         checks.extend([
             Check("errors-at-most-eps", True,
@@ -555,7 +572,7 @@ def _galvin(params, seed, caps):
         Check("size-is-2t+1", fam.size == 2 * fam.t + 1,
               f"size={fam.size}, t={fam.t}"),
         Check("coverage", cov >= 1 - Fraction(params["eps"]).limit_denominator(10**6),
-              f"coverage={_fr(cov) if isinstance(cov, Fraction) else cov}"),
+              f"coverage={_fr(cov)}"),
     ]
     dev = ["intercept range exits [0, n/2]; kept and flagged degenerate"] \
         if fam.degenerate else []
@@ -568,23 +585,19 @@ def _galvin(params, seed, caps):
             "polynomial degree")
 def _galvin_verify(params, seed, caps):
     n, eps = params["n"], params["eps"]
-    table = []
-    chosen = None
-    for C in C_LADDER:
+
+    def attempt(C):
         fam = galvin_tight_family(n, eps, C)
         cov = galvin_coverage(fam, caps)
         passes = cov >= 1 - Fraction(eps).limit_denominator(10**6)
-        table.append({"C": C, "t": fam.t, "size": fam.size,
-                      "degenerate": fam.degenerate, "coverage": _fr(cov),
-                      "passes": passes})
-        if passes:
-            chosen = (C, fam, cov)
-            break  # smallest passing ladder constant
-    checks = []
-    if chosen is None:
-        checks.append(Check("ladder-has-passing-C", False, ""))
-    else:
-        C, fam, cov = chosen
+        row = {"C": C, "t": fam.t, "size": fam.size,
+               "degenerate": fam.degenerate, "coverage": _fr(cov),
+               "passes": passes}
+        return row, passes, (fam, cov)
+
+    table, chosen, checks = _ladder(C_LADDER, attempt, stop_at_pass=True)
+    if chosen is not None:
+        C, (fam, cov) = chosen
         checks.append(Check("coverage-at-least-1-eps", True,
                             f"C={C}, coverage={_fr(cov)}"))
         checks.append(Check("size-is-2t+1", fam.size == 2 * fam.t + 1,
@@ -716,7 +729,7 @@ def _frontier(params, seed, caps):
     hypothesis_hits = 0
     for idx in range(params["candidates"]):
         if idx == 0:
-            cand = lucas_poly(n, n // 2 - t, t, 2, caps)
+            cand = lucas_poly(n, n // 2 - t, t, 2)
         elif idx == 1:
             cand = periodic_exact_poly(
                 n, t, [1 if r == (n // 2) % t else 0 for r in range(t)],

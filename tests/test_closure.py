@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               ball_fact_check, closure,
                               evaluation_bool_matrix, hamming_ball,
-                              ideal_basis, nie_wang_check, sample_ideal)
+                              ideal_basis, nie_wang_check)
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, monomials_upto, n_monomials,
                            popcount, slice_masks)
@@ -238,8 +238,7 @@ class TestIdealSampler:
         # full cube at degree n: only the zero polynomial vanishes everywhere
         sampler = IdealSampler(F2, 3, list(range(8)), 3, seed=1)
         assert sampler.dim == 0
-        assert all(s.is_zero for s in sample_ideal(F2, 3, list(range(8)), 3,
-                                                   seed=1, count=5))
+        assert all(sampler.sample().is_zero for _ in range(5))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_exhaustive_fraction_exact(self, p):
@@ -259,7 +258,8 @@ class TestIdealSampler:
 
     def test_samples_vanish_on_points(self):
         pts = list(slice_masks(5, 2))
-        for poly in sample_ideal(F3, 5, pts, 2, seed=9, count=10):
+        sampler = IdealSampler(F3, 5, pts, 2, seed=9)
+        for poly in (sampler.sample() for _ in range(10)):
             assert all(poly.evaluate(m) == 0 for m in pts)
             assert poly.degree <= 2
 

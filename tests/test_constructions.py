@@ -3,26 +3,21 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
-import mpmath as mp
 import pytest
 
-from slicedeg.config import CapExceeded
+from slicedeg.config import CapExceeded, Caps
 from slicedeg.constructions import (CoinInstance, GalvinFamily, IntegerSymPoly,
-                                    ProbabilisticPoly, WeightWindow,
-                                    bernstein_bound, binom_ratio_check,
-                                    coin_build, coin_collapse,
-                                    coin_error_exact, coin_verify_errors,
-                                    error_reduce, galvin_coverage, galvin_poly,
-                                    galvin_tight_family, hyper_ratio_check,
-                                    interpolate_window, interpolate_window_int,
+                                    WeightWindow, binom_ratio_check,
+                                    coin_build, coin_error_exact,
+                                    coin_verify_errors, galvin_coverage,
+                                    galvin_poly, galvin_tight_family,
+                                    hyper_ratio_check, interpolate_window_int,
                                     junta_exact_slice_error, lucas_poly,
-                                    majority_poly, pp_error_reduce, relabel,
-                                    repetition_lift, sampling_poly, xor_shift)
-from slicedeg.cube import (MultilinearPoly, apply_substitution, popcount,
-                           slice_masks, slice_stats)
+                                    sampling_poly)
+from slicedeg.cube import popcount, slice_masks
+from slicedeg.experiments import ExperimentSpec, run
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -96,16 +91,26 @@ class TestInterpolation:
     def test_mod_p_reduction_keeps_window_values(self):
         win = WeightWindow(10, 3, 7, (1, 0, 1, 1, 0))
         for field in (F2, F3, F5):
-            poly = interpolate_window(win, field)
+            poly = interpolate_window_int(win).reduce_mod(field)
             for w in range(3, 8):
                 assert poly.weight_value(w) == win.values[w - 3] % field.p
 
     def test_pointwise_on_cube(self):
         win = WeightWindow(8, 2, 5, (1, 0, 0, 1))
-        poly = interpolate_window(win, F3)
+        poly = interpolate_window_int(win).reduce_mod(F3)
         for w in range(2, 6):
             for m in list(slice_masks(8, w))[:5]:
                 assert poly.evaluate(m) == win.values[w - 2]
+
+    def test_majority_window_exact(self):
+        # the full window [0, ell] interpolates the ell-variable majority
+        for ell in (1, 3, 5):
+            values = tuple(1 if 2 * w > ell else 0 for w in range(ell + 1))
+            win = WeightWindow(ell, 0, ell, values)
+            maj = interpolate_window_int(win).reduce_mod(F3)
+            for m in range(1 << ell):
+                want = 1 if 2 * popcount(m) > ell else 0
+                assert maj.evaluate(m) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,136 +163,14 @@ class TestSampledJunta:
         assert any("without replacement" in d for d in junta.deviations)
 
     def test_ladder_picks_smallest_passing_constant(self):
-        from slicedeg.constructions import pick_sampling_constant
-        got = pick_sampling_constant(64, 32, 16, 0.2, seed=1)
-        assert got is not None
-        junta, err_k, err_K = got
-        assert junta.C == 2
-        assert float(err_k) <= 0.2 and float(err_K) <= 0.2
-
-
-class TestErrorReduce:
-    def test_degree_bound(self):
-        rng = random.Random(0)
-        q = MultilinearPoly.from_terms(5, F2, {0b00011: 1, 0b10100: 1})
-        out = error_reduce(q, 3, seed=4)
-        assert out.degree <= 3 * q.degree
-
-    def test_r1_is_single_relabel(self):
-        q = MultilinearPoly.from_terms(4, F3, {0b0011: 2})
-        out = error_reduce(q, 1, seed=8)
-        # a relabeling of a single monomial stays a single monomial
-        terms = out.terms_map()
-        assert len(terms) == 1 and list(terms.values()) == [2]
-
-    def test_symmetric_fixed_point(self):
-        # symmetric polynomials are constant per slice: psi is 0/1 and is
-        # preserved by products of relabelings
-        from slicedeg.cube import elementary_symmetric
-        q = elementary_symmetric(5, 2, F2)
-        qt = MultilinearPoly.from_terms(5, F2, q.terms_map())
-        out = error_reduce(qt, 2, seed=1)
-        for m in range(6):
-            psi_q = slice_stats(qt, m).psi
-            psi_o = slice_stats(out, m).psi
-            assert psi_q in (0, 1) and psi_o == psi_q ** 2
-
-    def test_exact_expectation_over_all_permutation_pairs(self):
-        # brute force over S_4 x S_4: E[psi_m(product)] = psi_m(Q)^2
-        rng = random.Random(7)
-        q = MultilinearPoly.from_terms(
-            4, F2, {rng.randrange(16): 1 for _ in range(4)})
-        from slicedeg.cube import SubstitutionMap, multilinearize_product
-        for m in range(5):
-            psi = slice_stats(q, m).psi
-            acc = Fraction(0)
-            count = 0
-            for p1 in permutations(range(4)):
-                q1 = relabel(q, list(p1))
-                for p2 in permutations(range(4)):
-                    q2 = relabel(q, list(p2))
-                    prod = multilinearize_product(q1, q2)
-                    acc += slice_stats(prod, m).psi
-                    count += 1
-            assert acc / count == psi * psi
-
-    def test_single_relabel_expectation(self):
-        rng = random.Random(3)
-        q = MultilinearPoly.from_terms(
-            4, F3, {rng.randrange(16): rng.randrange(1, 3) for _ in range(3)})
-        for m in range(5):
-            psi = slice_stats(q, m).psi
-            acc = Fraction(0)
-            for perm in permutations(range(4)):
-                acc += slice_stats(relabel(q, list(perm)), m).psi
-            assert acc / 24 == psi
-
-    def test_statistical_expectation_n8(self):
-        # sampled mean of psi_m over seeded runs within 3 sigma of psi^2
-        rng = random.Random(21)
-        q = MultilinearPoly.from_terms(
-            8, F2, {rng.randrange(256): 1 for _ in range(6)})
-        m = 4
-        psi = float(slice_stats(q, m).psi)
-        samples = [float(slice_stats(error_reduce(q, 2, seed=s), m).psi)
-                   for s in range(250)]
-        mean = sum(samples) / len(samples)
-        var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
-        stderr = (var / len(samples)) ** 0.5
-        assert abs(mean - psi**2) <= 3 * max(stderr, 1e-9)
-
-
-class TestPpErrorReduce:
-    def make_bernoulli(self, p_wrong):
-        one = MultilinearPoly.constant(2, F2, 1)
-        zero = MultilinearPoly.zero(2, F2)
-        return ProbabilisticPoly.from_support(
-            [(one, 1 - p_wrong), (zero, p_wrong)])
-
-    def test_majority_poly_exact(self):
-        for ell in (1, 3, 5):
-            maj = majority_poly(ell, F3)
-            for m in range(1 << ell):
-                want = 1 if 2 * popcount(m) > ell else 0
-                assert maj.evaluate(m) == want
-
-    def test_copy_count_odd_and_minimal(self):
-        # with delta < eps the copy count is always an odd integer >= 5
-        p = self.make_bernoulli(Fraction(1, 4))
-        out = pp_error_reduce(p, eps=1 / 4, delta=1 / 10)
-        assert out.degree_bound == 5 * p.degree_bound
-        assert len(out.support) == 2 ** 5
-
-    def test_rejects_bad_error_pair(self):
-        p = self.make_bernoulli(Fraction(1, 4))
-        with pytest.raises(ValueError):
-            pp_error_reduce(p, eps=1 / 2, delta=1 / 10)  # eps > 1/3
-        with pytest.raises(ValueError):
-            pp_error_reduce(p, eps=1 / 4, delta=1 / 3)  # delta >= eps
-
-    def test_exact_binomial_tail(self):
-        p = self.make_bernoulli(Fraction(1, 4))
-        out = pp_error_reduce(p, eps=1 / 4, delta=1 / 10)  # ell = 5
-        assert out.per_point_error(0, 1) == Fraction(53, 512)
-
-    def test_deterministic_correct_stays_correct(self):
-        f_poly = MultilinearPoly.from_terms(3, F2, {0b011: 1})
-        p = ProbabilisticPoly.deterministic(f_poly)
-        out = pp_error_reduce(p, eps=1 / 4, delta=1 / 50)
-        for m in range(8):
-            assert out.per_point_error(m, f_poly.evaluate(m)) == 0
-
-    def test_support_probabilities_validated(self):
-        one = MultilinearPoly.constant(2, F2, 1)
-        with pytest.raises(ValueError):
-            ProbabilisticPoly.from_support([(one, Fraction(1, 2))])
-
-    def test_sampler_respects_degree_bound(self):
-        p = self.make_bernoulli(Fraction(1, 4))
-        out = pp_error_reduce(p, eps=1 / 4, delta=1 / 10)
-        rng = random.Random(0)
-        for _ in range(5):
-            assert out.sample(rng).degree <= out.degree_bound
+        spec = ExperimentSpec("construct-sample", {
+            "n": 64, "k": 32, "q": 16, "ln_inv_eps": math.log(1 / 0.2)}, 1)
+        rep = run(spec)
+        passing = [row for row in rep.tables["ladder"] if row.get("errors_pass")]
+        assert passing[0]["C"] == 2
+        assert passing[0]["err_k"] <= 0.2 and passing[0]["err_K"] <= 0.2
+        chosen = next(c for c in rep.checks if c.name == "errors-pass")
+        assert chosen.details.startswith("C=2,")
 
 
 class TestCoin:
@@ -352,115 +235,6 @@ class TestCoin:
             prev = errs
 
 
-class TestCollapseAndShift:
-    def test_collapse_parity_to_one_var(self):
-        p = MultilinearPoly.from_terms(2, F2, {0b01: 1, 0b10: 1})
-        assert coin_collapse(p, 1, seed=0).is_zero
-
-    def test_collapse_degree_monotone(self):
-        rng = random.Random(2)
-        p = MultilinearPoly.from_terms(5, F3,
-                                       {rng.randrange(32): 1 for _ in range(4)})
-        for seed in range(10):
-            out = coin_collapse(p, 5, seed=seed)
-            assert out.degree <= p.degree
-
-    def test_collapse_pointwise_semantics(self):
-        # C(y) must equal P at the pulled-back point x_i = y_{map(i)}
-        rng = random.Random(14)
-        n_src, n_dst = 6, 3
-        p = MultilinearPoly.from_terms(
-            n_src, F3,
-            {rng.randrange(1 << n_src): rng.randrange(1, 3) for _ in range(5)})
-        for seed in (0, 1, 2, 3):
-            out = coin_collapse(p, n_dst, seed=seed)
-            replay = random.Random(seed)
-            mapping = [replay.randrange(n_dst) for _ in range(n_src)]
-            for y in range(1 << n_dst):
-                x = 0
-                for i, j in enumerate(mapping):
-                    if (y >> j) & 1:
-                        x |= 1 << i
-                assert out.evaluate(y) == p.evaluate(x)
-
-    def test_xor_shift_identity(self):
-        rng = random.Random(1)
-        p = MultilinearPoly.from_terms(4, F3,
-                                       {rng.randrange(16): 2 for _ in range(3)})
-        assert xor_shift(p, 0) == p
-
-    def test_xor_shift_full_negation(self):
-        p = MultilinearPoly.from_terms(2, F2, {0b11: 1})
-        shifted = xor_shift(p, 0b11)
-        # (1-x1)(1-x2): value 1 only at 00
-        assert [shifted.evaluate(m) for m in range(4)] == [1, 0, 0, 0]
-
-    def test_double_shift_identity_exhaustive(self):
-        rng = random.Random(8)
-        for n in range(1, 8):
-            p = MultilinearPoly.from_terms(
-                n, F2, {rng.randrange(1 << n): 1 for _ in range(3)})
-            y = rng.randrange(1 << n)
-            assert xor_shift(xor_shift(p, y), y) == p
-
-    def test_shift_semantics(self):
-        rng = random.Random(9)
-        n = 6
-        p = MultilinearPoly.from_terms(
-            n, F3, {rng.randrange(1 << n): rng.randrange(1, 3)
-                    for _ in range(5)})
-        y = rng.randrange(1 << n)
-        shifted = xor_shift(p, y)
-        for m in range(1 << n):
-            assert shifted.evaluate(m) == p.evaluate(m ^ y)
-
-
-class TestRepetitionLift:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            repetition_lift(3, 2, 2, 1)  # r1 >= s
-
-    def test_plain_padding(self):
-        lift = repetition_lift(3, 1, 0, 0)
-        assert lift.n == 4
-        sub = lift.build(seed=0)
-        assert sub.n_in == 4 and sub.n_out == 3
-
-    def test_image_weight_deterministic(self):
-        lift = repetition_lift(4, 2, 1, 0)
-        for seed in range(5):
-            for mask in range(16):
-                img = lift.image_of(mask, seed)
-                assert popcount(img) == lift.image_weight(popcount(mask))
-
-    def test_substitution_matches_image(self):
-        lift = repetition_lift(3, 2, 1, 1)
-        sub = lift.build(seed=11)
-        rng = random.Random(12)
-        q = MultilinearPoly.from_terms(
-            lift.n, F3, {rng.randrange(1 << lift.n): 1 for _ in range(4)})
-        lifted = apply_substitution(q, sub)
-        for x in range(8):
-            assert lifted.evaluate(x) == q.evaluate(lift.image_of(x, seed=11))
-
-    def test_image_uniform_on_slice(self):
-        # chi-square goodness of fit for the image distribution on its slice
-        lift = repetition_lift(4, 2, 0, 0)
-        x = 0b0011  # weight 2 -> image weight 4
-        n, w_img = lift.n, lift.image_weight(2)
-        cells = {m: 0 for m in slice_masks(n, w_img)}
-        samples = 20000
-        for seed in range(samples):
-            cells[lift.image_of(x, seed=seed)] += 1
-        k = len(cells)
-        expect = samples / k
-        chi2 = sum((c - expect) ** 2 / expect for c in cells.values())
-        with mp.workdps(30):
-            pval = mp.gammainc((k - 1) / 2, chi2 / 2, mp.inf,
-                               regularized=True)
-        assert float(pval) > 0.001
-
-
 class TestGalvin:
     def test_tight_family_shape(self):
         fam = galvin_tight_family(64, 0.05, 2)
@@ -490,6 +264,13 @@ class TestGalvin:
                 hits += 1
         assert cov == Fraction(hits, len(pts))
 
+    def test_mixed_u_coverage_past_slice_cap(self):
+        fam = GalvinFamily(8, ((0b00001111, 2), (0b10101010, 1)))
+        with pytest.raises(CapExceeded):
+            galvin_coverage(fam, Caps(max_slice_points=comb(8, 4) - 1))
+        assert isinstance(galvin_coverage(fam, Caps(max_slice_points=comb(8, 4))),
+                          Fraction)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             GalvinFamily(8, ((0b00000111, 2),))
@@ -515,6 +296,32 @@ class TestGalvin:
             vanish = any((popcount(v & u) - b) % 5 == 0 for u, b in fam.items)
             assert (poly.evaluate(v) == 0) == vanish
 
+    @staticmethod
+    def random_family(n, size, seed):
+        rng = random.Random(seed)
+        items = []
+        for _ in range(size):
+            u = 0
+            for i in rng.sample(range(n), n // 2):
+                u |= 1 << i
+            items.append((u, rng.randrange(n // 2 + 1)))
+        return GalvinFamily(n, tuple(items))
+
+    def test_poly_beyond_25_factors(self):
+        # the product size is bounded by Caps, not by a factor count
+        fam = self.random_family(12, 26, seed=3)
+        field = PrimeField(7)
+        poly = galvin_poly(fam, field)
+        vals = poly.evaluate_many(list(range(1 << 12)))
+        for v in range(1 << 12):
+            vanish = any((popcount(v & u) - b) % 7 == 0 for u, b in fam.items)
+            assert (vals[v] == 0) == vanish
+
+    def test_poly_term_cap(self):
+        fam = self.random_family(12, 20, seed=3)
+        with pytest.raises(CapExceeded):
+            galvin_poly(fam, PrimeField(7), caps=Caps(max_terms=100))
+
     def test_poly_degree_generic(self):
         fam = GalvinFamily(8, tuple((0b00001111, b) for b in (1, 2, 3, 5)))
         assert galvin_poly(fam, F5).degree == 4
@@ -532,12 +339,6 @@ class TestGalvin:
 
 
 class TestBoundCheckers:
-    def test_bernstein_value(self):
-        got = bernstein_bound(100, Fraction(1, 2), 20)
-        with mp.workdps(30):
-            want = 2 * mp.e ** (-mp.mpf(400) / (50 + mp.mpf(40) / 3))
-            assert mp.almosteq(got, want, rel_eps=mp.mpf("1e-25"))
-
     def test_binom_ratio_example(self):
         rep = binom_ratio_check(40, 2, 6)
         assert rep.holds and not rep.printed_holds

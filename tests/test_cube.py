@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import (CubePoint, MultilinearPoly, SubstitutionMap, VAR,
-                           NVAR, ONE, ZERO, apply_substitution,
+from slicedeg.cube import (CubePoint, MultilinearPoly,
                            ecoeffs_from_weight_values, elementary_symmetric,
                            enumerate_slice, monomials_upto,
                            multilinearize_product, poly_from_json_dict,
@@ -159,69 +158,6 @@ class TestProduct:
             MultilinearPoly.from_terms(6, F3, e1.terms_map()),
             MultilinearPoly.from_terms(6, F3, e2.terms_map()))
         assert prod.terms_map() == by_terms.terms_map()
-
-
-class TestSubstitution:
-    def test_identity(self):
-        rng = random.Random(2)
-        p = random_poly(5, F3, rng)
-        assert apply_substitution(p, SubstitutionMap.identity(5)) == p
-
-    def test_constant_one(self):
-        p = MultilinearPoly.from_terms(2, F2, {0b01: 1, 0b10: 1})
-        s = SubstitutionMap(2, 2, ((VAR, 0), (ONE, None)))
-        assert apply_substitution(p, s).terms_map() == {0b01: 1, 0: 1}
-
-    def test_collapse_square(self):
-        p = MultilinearPoly.from_terms(2, F3, {0b11: 1})
-        s = SubstitutionMap(2, 1, ((VAR, 0), (VAR, 0)))
-        assert apply_substitution(p, s).terms_map() == {0b1: 1}
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            SubstitutionMap(1, 1, ((VAR, 3),))
-
-    def test_wrong_cover(self):
-        p = MultilinearPoly.from_terms(2, F2, {0b11: 1})
-        with pytest.raises(ValueError):
-            apply_substitution(p, SubstitutionMap.identity(3))
-
-    @given(st.integers(1, 6), st.sampled_from([2, 3]), st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_degree_never_increases_and_negation_involutive(self, n, p, seed):
-        field = PrimeField(p)
-        rng = random.Random(seed)
-        poly = random_poly(n, field, rng)
-        neg = SubstitutionMap.negation(n)
-        once = apply_substitution(poly, neg)
-        assert once.degree <= max(poly.degree, 0)
-        assert apply_substitution(once, neg) == poly
-
-    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([2, 3]),
-           st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_pointwise_semantics(self, n_in, n_out, p, seed):
-        field = PrimeField(p)
-        rng = random.Random(seed)
-        poly = random_poly(n_in, field, rng)
-        kinds = [ZERO, ONE, VAR, NVAR]
-        targets = []
-        for _ in range(n_in):
-            kind = rng.choice(kinds)
-            j = rng.randrange(n_out) if kind in (VAR, NVAR) else None
-            targets.append((kind, j))
-        sub = SubstitutionMap(n_in, n_out, tuple(targets))
-        image = apply_substitution(poly, sub)
-        for y in range(1 << n_out):
-            x = 0
-            for i, (kind, j) in enumerate(targets):
-                if kind == ONE:
-                    x |= 1 << i
-                elif kind == VAR and (y >> j) & 1:
-                    x |= 1 << i
-                elif kind == NVAR and not (y >> j) & 1:
-                    x |= 1 << i
-            assert image.evaluate(y) == poly.evaluate(x)
 
 
 class TestSliceStats:

@@ -1,6 +1,7 @@
 """Experiment registry, report determinism, and the CLI surface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from slicedeg import cli
 from slicedeg.config import DEFAULT_CAPS
+from slicedeg.constructions import C_LADDER
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
                                   list_experiments, run)
 
@@ -70,6 +72,27 @@ class TestChecksShape:
                                  params={"family": "0101010101010"}))
         assert rep.all_passed
         assert rep.tables["analysis"][0]["period"] == 2
+
+    def test_ladder_stop_rules(self):
+        # construct-sample tabulates every constant, coin-verify stops at the
+        # first passing one; both report a ladder with no passing constant
+        sample_params = {"n": 64, "k": 32, "q": 16, "ln_inv_eps": math.log(5)}
+        rep = run(ExperimentSpec("construct-sample", sample_params, 1))
+        table = rep.tables["ladder"]
+        assert [row["C"] for row in table] == list(C_LADDER)
+        assert table[0]["errors_pass"]
+        assert [row["C"] for row in table if "status" in row] == [5, 10, 20, 40]
+        rep = run(ExperimentSpec("coin-verify",
+                                 {"p": 3, "delta": "1/4", "eps": "1/10"}))
+        table = rep.tables["ladder"]
+        assert [row["passes"] for row in table] == [True]
+        assert [c.name for c in rep.checks][0] == "errors-at-most-eps"
+        rep = run(ExperimentSpec("construct-sample",
+                                 dict(sample_params, C=40), 1))
+        assert [row["C"] for row in rep.tables["ladder"]] == [40]
+        assert [c.to_json_dict() for c in rep.checks] == [{
+            "name": "ladder-has-passing-C", "passed": False,
+            "details": "no ladder constant meets the error target"}]
 
 
 def _cli(*args):
