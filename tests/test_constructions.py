@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -16,7 +17,9 @@ from slicedeg.constructions import (CoinInstance, GalvinFamily, IntegerSymPoly,
                                     hyper_ratio_check, interpolate_window_int,
                                     junta_exact_slice_error, lucas_poly,
                                     sampling_poly)
-from slicedeg.cube import popcount, slice_masks
+from slicedeg.cube import (MultilinearPoly, elementary_symmetric,
+                           multilinearize_product, popcount, slice_masks,
+                           slice_stats)
 from slicedeg.experiments import ExperimentSpec, run
 from slicedeg.linalg import PrimeField
 
@@ -171,6 +174,67 @@ class TestSampledJunta:
         assert passing[0]["err_k"] <= 0.2 and passing[0]["err_K"] <= 0.2
         chosen = next(c for c in rep.checks if c.name == "errors-pass")
         assert chosen.details.startswith("C=2,")
+
+
+def _relabel(P, perm):
+    """P(x_{perm(1)}, ..., x_{perm(n)}): monomial bit i moves to bit perm[i]."""
+    terms = {}
+    for mask, c in P.terms_map().items():
+        image = 0
+        for i, j in enumerate(perm):
+            if (mask >> i) & 1:
+                image |= 1 << j
+        terms[image] = c
+    return MultilinearPoly.from_terms(P.n, P.field, terms)
+
+
+class TestErrorReduce:
+    """Slice statistics under relabelings and products of relabelings: the
+    identities behind permutation error reduction, E[psi_m(Q o pi)] = psi_m
+    and E[psi_m((Q o pi1)(Q o pi2))] = psi_m^2."""
+
+    def test_symmetric_fixed_point(self):
+        # symmetric polynomials are constant per slice: psi is 0/1 and is
+        # preserved by products of relabelings
+        q = elementary_symmetric(5, 2, F2)
+        qt = MultilinearPoly.from_terms(5, F2, q.terms_map())
+        rng = random.Random(1)
+        perms = [rng.sample(range(5), 5) for _ in range(2)]
+        out = multilinearize_product(_relabel(qt, perms[0]),
+                                     _relabel(qt, perms[1]))
+        for m in range(6):
+            psi_q = slice_stats(qt, m).psi
+            psi_o = slice_stats(out, m).psi
+            assert psi_q in (0, 1) and psi_o == psi_q ** 2
+
+    def test_exact_expectation_over_all_permutation_pairs(self):
+        # brute force over S_4 x S_4: E[psi_m(product)] = psi_m(Q)^2
+        rng = random.Random(7)
+        q = MultilinearPoly.from_terms(
+            4, F2, {rng.randrange(16): 1 for _ in range(4)})
+        for m in range(5):
+            psi = slice_stats(q, m).psi
+            acc = Fraction(0)
+            count = 0
+            for p1 in permutations(range(4)):
+                q1 = _relabel(q, list(p1))
+                for p2 in permutations(range(4)):
+                    q2 = _relabel(q, list(p2))
+                    prod = multilinearize_product(q1, q2)
+                    acc += slice_stats(prod, m).psi
+                    count += 1
+            assert acc / count == psi * psi
+
+    def test_single_relabel_expectation(self):
+        rng = random.Random(3)
+        q = MultilinearPoly.from_terms(
+            4, F3, {rng.randrange(16): rng.randrange(1, 3) for _ in range(3)})
+        for m in range(5):
+            psi = slice_stats(q, m).psi
+            acc = Fraction(0)
+            for perm in permutations(range(4)):
+                acc += slice_stats(_relabel(q, list(perm)), m).psi
+            assert acc / 24 == psi
 
 
 class TestCoin:
