@@ -1,7 +1,7 @@
 """slicedeg: exact degree analysis of slice-distinguishing polynomials over F_p.
 
 Modules:
-  linalg         exact F_p linear algebra (RREF, nullspace, rank oracle)
+  linalg         exact F_p rank oracle (rank, nullspace, membership)
   cube           Boolean cube, multilinear polynomials, slice statistics
   closure        vanishing ideals, degree closures, ideal sampling
   distinguish    exact and robust minimum slice-distinguishing degree
@@ -12,7 +12,7 @@ Modules:
 """
 
 from .config import Caps, CapExceeded, DEFAULT_CAPS
-from .linalg import FieldMatrix, PrimeField, RankOracle, nullspace_basis, rref
+from .linalg import PrimeField, RankOracle
 from .cube import (CubePoint, MultilinearPoly, SliceStats,
                    elementary_symmetric, enumerate_slice,
                    multilinearize_product, slice_stats,

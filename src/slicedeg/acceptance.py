@@ -91,8 +91,7 @@ def criterion_05_interpolation(windows: int = 100) -> CriterionResult:
         poly = interpolate_window_int(win)
         ok = (all(isinstance(c, int) for c in poly.ecoeffs)
               and poly.degree <= L - 1
-              and all(poly.value_at_weight(w) == vals[w - lo]
-                      for w in range(lo, lo + L)))
+              and tuple(poly.weight_values()[lo:lo + L]) == vals)
         if not ok:
             bad += 1
     return CriterionResult(

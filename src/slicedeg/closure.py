@@ -290,19 +290,13 @@ class IdealSampler:
         return out
 
     def exhaustive_values_at(self, mask: Mask) -> list[int]:
-        """Values at one point of every ideal element (all p^dim of them)."""
-        check_cap(self.field.p ** self.dim, 10**7, "exhaustive ideal enumeration")
-        row = evaluation_bool_matrix(self.monomials, [mask])[0].astype(np.int64)
-        basis_vals = np.mod(self.basis_matrix @ row, self.field.p)
+        """Values at one point of every ideal element (all p^dim of them),
+        the first basis coefficient varying fastest."""
         p = self.field.p
-        vals = []
-        total = p ** self.dim
-        for idx in range(total):
-            t = idx
-            acc = 0
-            for bv in basis_vals:
-                acc += (t % p) * int(bv)
-                t //= p
-            vals.append(acc % p)
+        check_cap(p ** self.dim, self.caps.max_slice_points,
+                  "exhaustive ideal enumeration")
+        row = evaluation_bool_matrix(self.monomials, [mask])[0].astype(np.int64)
+        vals = [0]
+        for bv in np.mod(self.basis_matrix @ row, p).tolist():
+            vals = [(v + t * bv) % p for t in range(p) for v in vals]
         return vals
-

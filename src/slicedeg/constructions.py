@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap
+from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
+                     mpf_fraction)
 from .cube import (Mask, MultilinearPoly, multilinearize_product, popcount,
-                   slice_masks)
+                   slice_masks, weight_values_from_ecoeffs)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
 
@@ -90,8 +91,9 @@ class IntegerSymPoly:
     def degree(self) -> int:
         return max((j for j, c in enumerate(self.ecoeffs) if c), default=0)
 
-    def value_at_weight(self, w: int) -> int:
-        return sum(c * comb(w, j) for j, c in enumerate(self.ecoeffs) if c)
+    def weight_values(self) -> list[int]:
+        """Integer value at each weight 0..n."""
+        return weight_values_from_ecoeffs(self.n, self.ecoeffs)
 
     def reduce_mod(self, field: PrimeField) -> MultilinearPoly:
         """The coefficients reduced mod p (with symmetric certificate)."""
@@ -243,20 +245,13 @@ def sampling_poly(n: int, k: int, q: int, eps: float, C: int, seed: int,
 
 def _finish_junta(n, k, q, eps, C, m, seed, inner_int, window, zero_w, one_w,
                   p: int = 2) -> SampledJunta:
-    field = PrimeField(p)
-    ecoeffs = tuple(c % p for c in inner_int.ecoeffs)
-    while ecoeffs and ecoeffs[-1] == 0:
-        ecoeffs = ecoeffs[:-1]
-    table = tuple(
-        sum(c * comb(w, j) for j, c in enumerate(ecoeffs) if c) % p
-        for w in range(m + 1)
-    )
-    degree = max((j for j, c in enumerate(ecoeffs) if c), default=0)
+    inner = inner_int.reduce_mod(PrimeField(p))  # on the m sampled variables
     rng = random.Random(seed)
     indices = tuple(sorted(rng.sample(range(n), m)))
     return SampledJunta(
         n=n, k=k, q=q, eps=eps, C=C, m=m, indices=indices,
-        inner_table=table, inner_ecoeffs=ecoeffs, degree=degree, p=p,
+        inner_table=inner.weight_values(), inner_ecoeffs=inner.sym_coeffs,
+        degree=inner.degree, p=p,
         window=window, zero_weights=tuple(zero_w), one_weights=tuple(one_w),
     )
 
@@ -307,8 +302,7 @@ class CoinInstance:
                     C: int) -> "CoinInstance":
         """n from the sizing rule n = ceil(C log(1/eps) / delta^2)."""
         with mp.workdps(DPS):
-            raw = C * mp.log(mp.mpf(eps.denominator) / eps.numerator) \
-                / (mp.mpf(delta.numerator) / delta.denominator) ** 2
+            raw = C * mp.log(mpf_fraction(1 / eps)) / mpf_fraction(delta) ** 2
             n = int(mp.ceil(raw))
         return cls(p=p, delta=delta, eps=eps, C=C, n=n)
 
@@ -548,7 +542,7 @@ def binom_ratio_check(n: int, r: int, s: int) -> BinomRatioReport:
         upper = mp.e ** (mp.mpf(-2 * r * (s - r)) / n)
         printed_lower = mp.e ** (mp.mpf(-8 * s * (r - s)) / n)
         printed_upper = mp.e ** (mp.mpf(-2 * r * (r - s)) / n)
-        rat = mp.mpf(ratio.numerator) / ratio.denominator
+        rat = mpf_fraction(ratio)
         holds = bool(lower <= rat <= upper)
         printed_holds = bool(printed_lower <= rat <= printed_upper)
     return BinomRatioReport(n=n, r=r, s=s, ratio=ratio, lower=lower,
@@ -593,12 +587,11 @@ def hyper_ratio_check(n: int, m: int, k: int, ell: int = 0) -> HyperRatioReport:
             step = Fraction(_paired(n, m, j + 1), _paired(n, m, j))
             if step > 1 - Fraction(2 * j, m):
                 steps_exact = False
-            if mp.mpf(step.numerator) / step.denominator > mp.e ** (mp.mpf(-2 * j) / m):
+            if mpf_fraction(step) > mp.e ** (mp.mpf(-2 * j) / m):
                 steps_exp = False
         ratio = Fraction(_paired(n, m, k), _paired(n, m, ell))
         assembled = mp.e ** (-mp.mpf(k * (k - 1) - ell * (ell - 1)) / m)
-        assembled_ok = bool(
-            mp.mpf(ratio.numerator) / ratio.denominator <= assembled)
+        assembled_ok = bool(mpf_fraction(ratio) <= assembled)
     return HyperRatioReport(n=n, m=m, k=k, ell=ell, ratio=ratio,
                             steps_exact_ok=steps_exact, steps_exp_ok=steps_exp,
                             assembled_bound=assembled, assembled_ok=assembled_ok)

@@ -7,8 +7,11 @@ functions built multilinearly always have identical term maps.
 
 Symmetric polynomials admit a compact second representation: a coefficient
 vector over the elementary symmetric basis (P = sum_j c_j e_j), which doubles
-as a weight -> value certificate table.  Constructors that produce symmetric
-polynomials store only this certificate; evaluation, slice statistics,
+as a weight -> value certificate table: c_j is the j-th forward difference of
+the table at weight 0, and the table is rebuilt from the c_j by repeated
+summation (``ecoeffs_from_weight_values``, ``weight_values_from_ecoeffs``).
+Constructors that produce symmetric polynomials store only this
+certificate; evaluation, slice statistics,
 degree and equality read it directly, and the term map is materialized on
 demand by ``terms_map`` (under ``Caps.max_terms``).
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -100,25 +104,32 @@ def n_monomials(n: int, d: int) -> int:
 
 def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
                                p: Optional[int] = None) -> list[int]:
-    """Value at each weight 0..n of sum_j coeffs[j] * e_j (mod p if given)."""
-    vals = []
-    for w in range(n + 1):
-        v = sum(c * comb(w, j) for j, c in enumerate(coeffs) if c)
-        vals.append(v % p if p else v)
+    """Value at each weight 0..n of sum_j coeffs[j] * e_j (mod p if given).
+
+    The inverse of ``ecoeffs_from_weight_values``: starting from the top
+    coefficient, each pass sums the previous table, g_j(w) = c_j +
+    sum_{u<w} g_{j+1}(u), so that g_0 is the table.  O(n * degree) additions.
+    """
+    vals = [0] * (n + 1)
+    for c in reversed(coeffs):
+        vals = list(accumulate(vals[:n], initial=c))
+        if p:
+            vals = [v % p for v in vals]
     return vals
 
 
 def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
     """Coefficients over the e_j basis matching a weight->value table mod p.
 
-    The evaluation matrix [C(w,j)] is unitriangular, so forward substitution
-    solves exactly; every symmetric function has a unique such expansion.
+    Newton's forward-difference formula f(w) = sum_j (Delta^j f)(0) C(w, j)
+    gives c_j = (Delta^j f)(0); every symmetric function has a unique such
+    expansion.
     """
-    n = len(values) - 1
-    coeffs = [0] * (n + 1)
-    for w in range(n + 1):
-        acc = sum(coeffs[j] * comb(w, j) for j in range(w)) % p
-        coeffs[w] = (values[w] - acc) % p
+    diffs = [v % p for v in values]
+    coeffs = []
+    while diffs:
+        coeffs.append(diffs[0])
+        diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
     return coeffs
 
 
@@ -243,7 +254,10 @@ class MultilinearPoly:
 
     # -- evaluation -------------------------------------------------------
     def weight_value(self, w: int) -> int:
-        """Value on any point of weight w (symmetric polynomials only)."""
+        """Value on any point of weight w (symmetric polynomials only).
+
+        One binomial sum, cheaper than the whole table for a single weight.
+        """
         if self._sym is None:
             raise ValueError("no symmetric certificate attached")
         return sum(c * comb(w, j) for j, c in enumerate(self._sym) if c) % self.field.p
@@ -252,7 +266,7 @@ class MultilinearPoly:
         """Weight -> value table when certified symmetric, else None."""
         if self._sym is None:
             return None
-        return tuple(self.weight_value(w) for w in range(self.n + 1))
+        return tuple(weight_values_from_ecoeffs(self.n, self._sym, self.field.p))
 
     def evaluate(self, point) -> int:
         """Value at a point given as a CubePoint or a raw bitmask."""

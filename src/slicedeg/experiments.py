@@ -21,7 +21,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import __version__
-from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded
+from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, mpf_fraction
 from .closure import (Candidates, IdealSampler, ball_fact_check, closure,
                       hamming_ball, nie_wang_check)
 from .cube import MultilinearPoly, n_monomials, poly_to_json_dict, slice_masks
@@ -446,8 +446,7 @@ def _window(params, seed, caps):
     win = WeightWindow(params["n"], params["lo"],
                        params["lo"] + len(vals) - 1, vals)
     ipoly = interpolate_window_int(win)
-    agree = all(ipoly.value_at_weight(w) == vals[w - win.lo]
-                for w in range(win.lo, win.hi + 1))
+    agree = tuple(ipoly.weight_values()[win.lo:win.hi + 1]) == vals
     checks = [
         Check("degree-bound", ipoly.degree <= win.length - 1,
               f"degree={ipoly.degree}, |I|-1={win.length - 1}"),
@@ -478,9 +477,8 @@ def _sample(params, seed, caps):
         err_k = junta_exact_slice_error(junta, k, "zero")
         err_K = junta_exact_slice_error(junta, k + q, "nonzero")
         with mp.workdps(DPS):
-            passes = bool(
-                mp.mpf(err_k.numerator) / err_k.denominator <= mp.mpf(eps)
-                and mp.mpf(err_K.numerator) / err_K.denominator <= mp.mpf(eps))
+            passes = bool(mpf_fraction(err_k) <= mp.mpf(eps)
+                          and mpf_fraction(err_K) <= mp.mpf(eps))
         row = {"C": C, "m": junta.m, "degree": junta.degree,
                "err_k": float(err_k), "err_K": float(err_K),
                "errors_pass": passes}

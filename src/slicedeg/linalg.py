@@ -1,18 +1,19 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Reduced row echelon form, rank, nullspace, and an incremental rank oracle
-used for row-space membership tests.  Two storage backends sit behind the
-same oracle interface: bit-packed integer rows for p = 2 (XOR elimination,
-64+ columns per machine word via Python ints) and numpy int64 rows for odd
-p.  All output is deterministic: pivots are chosen scanning columns left to
-right, rows top to bottom.
+``RankOracle`` is the one interface: rank, pivots, canonical nullspace and
+row-space membership of a growing set of rows.  Two storage backends sit
+behind it: bit-packed integer rows for p = 2 (XOR elimination, 64+ columns
+per machine word via Python ints) and numpy int64 rows for odd p.  All
+output is deterministic: pivots are chosen scanning columns left to right,
+rows top to bottom.
 
-The batch RREF ``_rref_array`` eliminates with delayed modular reduction
-(after FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008) in the
-narrowest signed type, int16, int32 or else int64, in which ``cols`` updates
-of size (p - 1)^2 fit; the type follows from p and the width alone.  No
-entry takes more than the growth bound (max - p) // (p - 1)^2 of updates
-between two reductions, so every intermediate value is exact.
+Odd-p oracles are built by one batch RREF, ``_rref_array``.  It eliminates
+with delayed modular reduction (after FFLAS-FFPACK, Dumas, Giorgi and
+Pernet, ACM TOMS 2008) in the narrowest signed type, int16, int32 or else
+int64, in which ``cols`` updates of size (p - 1)^2 fit; the type follows
+from p and the width alone.  No entry takes more than the growth bound
+(max - p) // (p - 1)^2 of updates between two reductions, so every
+intermediate value is exact.
 """
 
 from __future__ import annotations
@@ -49,54 +50,6 @@ class PrimeField:
             raise ValueError(f"modulus {self.p} out of supported range [2, 2^31)")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(x, self.p - 2, self.p)
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
-
-class FieldMatrix:
-    """Dense row-major matrix over F_p.  Immutable after construction."""
-
-    __slots__ = ("field", "rows", "cols", "_a")
-
-    def __init__(self, field: PrimeField, data, cols: Optional[int] = None):
-        self.field = field
-        a = np.array(data, dtype=np.int64)
-        if a.size == 0:
-            nrows = len(data) if hasattr(data, "__len__") else 0
-            a = np.zeros((nrows, cols or 0), dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
-        self._a = np.mod(a, field.p)
-        self._a.setflags(write=False)
-        self.rows, self.cols = self._a.shape
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._a
-
-    def row(self, i: int):
-        return self._a[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldMatrix)
-            and self.field.p == other.field.p
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __repr__(self):
-        return f"FieldMatrix(p={self.field.p}, {self.rows}x{self.cols})"
 
 
 def _growth_bound(dtype, p: int) -> int:
@@ -184,53 +137,6 @@ def _rref_array(a: np.ndarray, p: int, track_dependents: bool = False):
         r += 1
     a[...] = np.mod(w, p)
     return r, pivot_cols, pivot_src_row, dependents
-
-
-def rref(m: FieldMatrix):
-    """Reduced row echelon form.
-
-    Returns (R, rank, pivot_cols) where R is the unique RREF of ``m``.
-    """
-    a = m.array.copy()
-    rank, pivot_cols, _, _ = _rref_array(a, m.field.p)
-    return FieldMatrix(m.field, a, cols=m.cols), rank, pivot_cols
-
-
-def nullspace_basis(m: FieldMatrix) -> list[tuple[int, ...]]:
-    """Canonical basis of {v : Mv = 0}.
-
-    One basis vector per free column; the free column's entry is 1 and the
-    pivot columns carry the negated RREF entries.
-    """
-    a = m.array.copy()
-    rank, pivot_cols, _, _ = _rref_array(a, m.field.p)
-    p = m.field.p
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = (-int(a[i, free])) % p
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(m: FieldMatrix, rhs: Sequence[int]) -> Optional[list[int]]:
-    """One solution of Mx = rhs over F_p, or None if inconsistent."""
-    p = m.field.p
-    aug = np.concatenate(
-        [m.array, np.mod(np.array(rhs, dtype=np.int64), p).reshape(-1, 1)], axis=1
-    )
-    rank, pivot_cols, _, _ = _rref_array(aug, p)
-    if m.cols in pivot_cols:
-        return None
-    x = [0] * m.cols
-    for i, pc in enumerate(pivot_cols):
-        x[pc] = int(aug[i, m.cols])
-    return x
 
 
 def pack_bool_rows(rows: np.ndarray) -> list[int]:
@@ -482,12 +388,9 @@ class RankOracle:
     @classmethod
     def from_array(cls, field: PrimeField, a: np.ndarray,
                    row_labels: Optional[Sequence] = None):
-        """Build an oracle from a dense int array.
-
-        Odd p runs one batch RREF; GF(2) absorbs the packed rows in order.
-        """
+        """Build an odd-p oracle from a dense int array with one batch RREF."""
         if field.p == 2:
-            return cls.from_packed_rows(field, a.shape[1], a, row_labels)
+            raise ValueError("GF(2) oracles are built from packed rows")
         o = cls(field, a.shape[1])
         work = np.mod(np.asarray(a, dtype=np.int64), field.p)
         rank, pivot_cols, pivot_src, dependents = _rref_array(

@@ -4,19 +4,19 @@ A symmetric function on n variables is the string Spec f of length n+1 with
 Spec f(w) = value on weight-w inputs.  This module computes periods (border
 method, with brute force kept as a test oracle), boundedness indices, the
 minimal-period middle-window decomposition, named families, the periodic
-exact polynomial construction, and the probabilistic-degree case classifier.
+exact polynomial (the forward differences of its weight table), and the
+probabilistic-degree case classifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .cube import MultilinearPoly, ecoeffs_from_weight_values
-from .linalg import FieldMatrix, PrimeField, solve
-from math import comb
+from .linalg import PrimeField
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,11 @@ def periodic_exact_poly(n: int, q: int, values: Sequence[int], field: PrimeField
                         caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
     """A degree-< q polynomial whose value at weight w is values[w mod q].
 
-    Requires q = p^l.  Solves for coefficients over the basis of products
-    prod_j e_{c_j p^j} (0 <= c_j < p, j < l) on sample weights 0..q-1; by
-    Lucas digit periodicity each basis element is q-periodic in the weight,
-    so exactness extends to every weight 0..n.
+    Requires q = p^l.  The polynomial is the e-basis expansion of the
+    periodic table, whose coefficients are its forward differences at 0.
+    Lucas periodicity bounds the degree: over F_p, (E - 1)^q = E^q - 1 for
+    the shift E, so the q-th and later differences of a q-periodic table
+    vanish.
     """
     p = field.p
     if not _is_p_power(q, p) and q != 1:
@@ -291,43 +292,8 @@ def periodic_exact_poly(n: int, q: int, values: Sequence[int], field: PrimeField
         raise ValueError(f"need q <= n, got q={q}, n={n}")
     if len(values) != q:
         raise ValueError(f"value table must have length q={q}")
-    ell = 0
-    t = q
-    while t > 1:
-        t //= p
-        ell += 1
-    digit_vectors = []
-    for c in range(q):
-        digits, t = [], c
-        for _ in range(ell):
-            digits.append(t % p)
-            t //= p
-        digit_vectors.append(tuple(digits))
-
-    def basis_table(digits, upto):
-        # value at weight w of prod_j e_{digits[j] * p^j}, reduced mod p
-        return [
-            math.prod(comb(w, d * (p ** j)) for j, d in enumerate(digits)) % p
-            for w in range(upto + 1)
-        ]
-
-    # solve on weights 0..q-1
-    a = [[0] * q for _ in range(q)]
-    for c, digits in enumerate(digit_vectors):
-        col = basis_table(digits, q - 1)
-        for w in range(q):
-            a[w][c] = col[w]
-    x = solve(FieldMatrix(field, a), [v % p for v in values])
-    if x is None:
-        raise AssertionError("digit basis spans all q-periodic weight functions")
-
-    full = [0] * (n + 1)
-    for c, digits in enumerate(digit_vectors):
-        if x[c]:
-            for w, v in enumerate(basis_table(digits, n)):
-                full[w] = (full[w] + x[c] * v) % p
-    ecoeffs = ecoeffs_from_weight_values(full, p)
-    deg = max((j for j, c in enumerate(ecoeffs) if c), default=0)
-    if deg >= q:
-        raise AssertionError("digit-basis construction must have degree below q")
-    return MultilinearPoly.from_sym(n, field, ecoeffs)
+    poly = MultilinearPoly.from_sym(n, field, ecoeffs_from_weight_values(
+        [values[w % q] for w in range(n + 1)], p))
+    if poly.degree >= q:
+        raise AssertionError("a q-periodic weight table must have degree below q")
+    return poly

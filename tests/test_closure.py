@@ -249,6 +249,32 @@ class TestIdealSampler:
         frac = Fraction(sum(1 for v in vals if v), len(vals))
         assert frac == Fraction(p - 1, p)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_exhaustive_order_matches_digit_decoding(self, p):
+        # element idx has base-p digits t_i (t_0 least significant) as its
+        # coefficients on the basis
+        sampler = IdealSampler(PrimeField(p), 4, list(slice_masks(4, 2)), 2,
+                               seed=0)
+        assert sampler.dim >= 2
+        row = evaluation_bool_matrix(sampler.monomials, [0b1011])[0]
+        basis_vals = [int(v) % p for v in sampler.basis_matrix @ row]
+        want = []
+        for idx in range(p ** sampler.dim):
+            digits = [(idx // p ** i) % p for i in range(sampler.dim)]
+            want.append(sum(t * b for t, b in zip(digits, basis_vals)) % p)
+        assert sampler.exhaustive_values_at(0b1011) == want
+
+    def test_exhaustive_respects_slice_point_cap(self):
+        pts = list(slice_masks(4, 2))
+        dim = IdealSampler(F3, 4, pts, 2, seed=0).dim
+        tight = IdealSampler(F3, 4, pts, 2, seed=0,
+                             caps=Caps(max_slice_points=3 ** dim))
+        assert len(tight.exhaustive_values_at(0)) == 3 ** dim
+        over = IdealSampler(F3, 4, pts, 2, seed=0,
+                            caps=Caps(max_slice_points=3 ** dim - 1))
+        with pytest.raises(CapExceeded):
+            over.exhaustive_values_at(0)
+
     def test_empirical_frequency(self):
         pts = list(slice_masks(4, 2))
         sampler = IdealSampler(F2, 4, pts, 2, seed=42)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (CubePoint, MultilinearPoly,
@@ -230,6 +230,45 @@ class TestSymmetricTable:
             vals = weight_values_from_ecoeffs(n, coeffs, p)
             back = ecoeffs_from_weight_values(vals, p)
             assert back == [c % p for c in coeffs]
+
+
+def comb_table(n, coeffs):
+    """Reference: sum_j coeffs[j] C(w, j) at every weight, term by term."""
+    return [sum(c * comb(w, j) for j, c in enumerate(coeffs))
+            for w in range(n + 1)]
+
+
+def comb_ecoeffs(values, p):
+    """Reference: forward substitution through the unitriangular [C(w, j)]."""
+    coeffs = []
+    for w, v in enumerate(values):
+        acc = sum(c * comb(w, j) for j, c in enumerate(coeffs))
+        coeffs.append((v - acc) % p)
+    return coeffs
+
+
+class TestForwardDifferenceTransforms:
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 300),
+           st.integers(0, 10**6))
+    @example(7, 300, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_both_directions_match_binomial_sums(self, p, n, seed):
+        rng = random.Random(seed)
+        values = [rng.randrange(-p, 2 * p) for _ in range(n + 1)]
+        coeffs = ecoeffs_from_weight_values(values, p)
+        assert coeffs == comb_ecoeffs(values, p)
+        assert weight_values_from_ecoeffs(n, coeffs, p) == [v % p for v in values]
+        deg = rng.randrange(n + 3)
+        raw = [rng.randrange(-p, 2 * p) for _ in range(deg)]
+        assert weight_values_from_ecoeffs(n, raw, p) == [
+            v % p for v in comb_table(n, raw)]
+
+    @given(st.integers(0, 300), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_integer_mode_is_exact(self, n, seed):
+        rng = random.Random(seed)
+        raw = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(n + 3))]
+        assert weight_values_from_ecoeffs(n, raw) == comb_table(n, raw)
 
 
 class TestElementarySymmetric:

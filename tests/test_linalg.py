@@ -1,4 +1,4 @@
-"""Exact F_p linear algebra: RREF, nullspace, and the rank oracle."""
+"""Exact F_p linear algebra: the batch RREF kernel and the rank oracle."""
 
 import itertools
 import random
@@ -10,11 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from slicedeg.closure import evaluation_bool_matrix
 from slicedeg.cube import slice_masks
-from slicedeg.linalg import (FieldMatrix, PrimeField, RankOracle, _growth_bound,
-                             _rref_array, _work_dtype, is_prime,
-                             nullspace_basis, rref, solve)
+from slicedeg.linalg import (PrimeField, RankOracle, _growth_bound,
+                             _rref_array, _work_dtype, is_prime)
 
-F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
 
 def brute_rank(field, rows):
@@ -32,6 +31,61 @@ def brute_rank(field, rows):
     return rank
 
 
+def reference_rref(rows, p):
+    """Plain Python-int RREF with the kernel's pivot rule: the reduced rows
+    and (rank, pivot_cols, pivot_src_rows, dependents)."""
+    a = [[x % p for x in row] for row in rows]
+    orig = list(range(len(a)))
+    pivots, srcs, deps = [], [], {}
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        if r >= len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        orig[r], orig[piv] = orig[piv], orig[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        touched = [i for i in range(len(a)) if i != r and a[i][c]]
+        for i in touched:
+            f = a[i][c]
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        deps[c] = len(touched)
+        pivots.append(c)
+        srcs.append(orig[r])
+        r += 1
+    return a, (r, pivots, srcs, deps)
+
+
+def rref_rows(rows, p):
+    """``_rref_array`` on a list of rows: (reduced rows, rank, pivot_cols)."""
+    a = np.array(rows, dtype=np.int64)
+    rank, pivots, _, _ = _rref_array(a, p)
+    return a.tolist(), rank, pivots
+
+
+def canonical_nullspace(reduced, pivots, cols, p):
+    """One basis vector per free column of an RREF: 1 in the free column
+    and the negated RREF entries in the pivot columns."""
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [0] * cols
+        v[free] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-reduced[i][free]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def nullspace(rows, p):
+    reduced, _, pivots = rref_rows(rows, p)
+    return canonical_nullspace(reduced, pivots, len(rows[0]), p)
+
+
 class TestPrimeField:
     def test_primality_check(self):
         for p in (2, 3, 5, 7, 11, 101, 65537):
@@ -41,56 +95,44 @@ class TestPrimeField:
             with pytest.raises(ValueError):
                 PrimeField(bad)
 
-    def test_inverse(self):
-        for x in range(1, 7):
-            assert (F7.inv(x) * x) % 7 == 1
-        with pytest.raises(ZeroDivisionError):
-            F7.inv(0)
-
 
 class TestRref:
     def test_identity_f5(self):
-        m = FieldMatrix(F5, np.eye(3, dtype=int))
-        r, rank, pivots = rref(m)
+        eye = np.eye(3, dtype=int).tolist()
+        r, rank, pivots = rref_rows(eye, 5)
         assert rank == 3
         assert pivots == [0, 1, 2]
-        assert r == m
+        assert r == eye
 
     def test_zero_f2(self):
-        m = FieldMatrix(F2, [[0, 0], [0, 0]])
-        _, rank, _ = rref(m)
+        _, rank, _ = rref_rows([[0, 0], [0, 0]], 2)
         assert rank == 0
 
     def test_dependent_rows_f2(self):
         rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-        m = FieldMatrix(F2, rows)
-        _, rank, _ = rref(m)
+        _, rank, _ = rref_rows(rows, 2)
         assert rank == 2 == brute_rank(F2, rows)
 
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(1, 5),
            st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_rref_idempotent(self, p, rows, cols, seed):
-        field = PrimeField(p)
         rng = random.Random(seed)
-        m = FieldMatrix(field,
-                        [[rng.randrange(p) for _ in range(cols)]
-                         for _ in range(rows)])
-        r1, rank1, piv1 = rref(m)
-        r2, rank2, piv2 = rref(r1)
+        data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        r1, rank1, piv1 = rref_rows(data, p)
+        r2, rank2, piv2 = rref_rows(r1, p)
         assert r1 == r2 and rank1 == rank2 and piv1 == piv2
+        want_rows, want = reference_rref(data, p)
+        assert r1 == want_rows and (rank1, piv1) == want[:2]
 
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 8), st.integers(1, 64),
            st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_rank_nullity(self, p, rows, cols, seed):
-        field = PrimeField(p)
         rng = random.Random(seed)
-        m = FieldMatrix(field,
-                        [[rng.randrange(p) for _ in range(cols)]
-                         for _ in range(rows)])
-        _, rank, _ = rref(m)
-        basis = nullspace_basis(m)
+        data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        _, rank, _ = rref_rows(data, p)
+        basis = nullspace(data, p)
         assert rank <= min(rows, cols)
         assert len(basis) + rank == cols
 
@@ -101,41 +143,30 @@ class TestRref:
         field = PrimeField(p)
         rng = random.Random(seed)
         data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        _, rank, _ = rref(FieldMatrix(field, data))
+        _, rank, _ = rref_rows(data, p)
         assert rank == brute_rank(field, data)
 
 
 class TestNullspace:
     def test_identity_empty(self):
-        assert nullspace_basis(FieldMatrix(F3, np.eye(4, dtype=int))) == []
+        assert nullspace(np.eye(4, dtype=int).tolist(), 3) == []
 
     def test_single_row_f3(self):
-        assert nullspace_basis(FieldMatrix(F3, [[1, 1]])) == [(2, 1)]
+        assert nullspace([[1, 1]], 3) == [(2, 1)]
 
     def test_zero_row(self):
-        basis = nullspace_basis(FieldMatrix(F2, [[0, 0, 0]]))
-        assert len(basis) == 3
+        assert len(nullspace([[0, 0, 0]], 2)) == 3
 
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(1, 8),
            st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_basis_vectors_in_kernel(self, p, rows, cols, seed):
-        field = PrimeField(p)
         rng = random.Random(seed)
-        m = FieldMatrix(field,
-                        [[rng.randrange(p) for _ in range(cols)]
-                         for _ in range(rows)])
-        for v in nullspace_basis(m):
-            prod = m.array @ np.array(v, dtype=np.int64)
+        data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        m = np.array(data, dtype=np.int64)
+        for v in nullspace(data, p):
+            prod = m @ np.array(v, dtype=np.int64)
             assert not np.any(prod % p)
-
-    def test_solve(self):
-        m = FieldMatrix(F5, [[1, 2], [3, 4]])
-        x = solve(m, [1, 0])
-        assert x is not None
-        assert [(v % 5) for v in (m.array @ np.array(x))] == [1, 0]
-        inconsistent = FieldMatrix(F2, [[1, 1], [1, 1]])
-        assert solve(inconsistent, [0, 1]) is None
 
 
 class TestRankOracle:
@@ -186,7 +217,7 @@ class TestRankOracle:
         field = PrimeField(p)
         rng = random.Random(seed)
         data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        _, batch_rank, _ = rref(FieldMatrix(field, data))
+        _, (batch_rank, _, _, _) = reference_rref(data, p)
         for _ in range(3):
             shuffled = data[:]
             rng.shuffle(shuffled)
@@ -202,11 +233,12 @@ class TestRankOracle:
         field = PrimeField(p)
         rng = random.Random(seed)
         data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        m = FieldMatrix(field, data)
-        o = RankOracle.from_array(field, m.array)
-        assert sorted(o.nullspace()) == sorted(nullspace_basis(m))
+        o = RankOracle.from_rows(field, np.array(data))
+        want_rows, (_, pivots, _, _) = reference_rref(data, p)
+        assert sorted(o.nullspace()) == sorted(
+            canonical_nullspace(want_rows, pivots, cols, p))
         for v in o.nullspace():
-            assert not np.any((m.array @ np.array(v, dtype=np.int64)) % p)
+            assert not np.any((np.array(data) @ np.array(v)) % p)
 
     def test_from_array_matches_incremental(self):
         rng = random.Random(1)
@@ -214,7 +246,7 @@ class TestRankOracle:
             field = PrimeField(p)
             data = np.array([[rng.randrange(p) for _ in range(9)]
                              for _ in range(7)])
-            batch = RankOracle.from_array(field, data)
+            batch = RankOracle.from_rows(field, data)
             inc = RankOracle(field, 9)
             for row in data:
                 inc.absorb(list(row))
@@ -238,12 +270,21 @@ class TestRankOracle:
         inc = RankOracle(field, cols)
         for row in data:
             inc.absorb(row)
-        for o in (RankOracle.from_array(field, np.array(data)), inc):
+        for o in (RankOracle.from_rows(field, np.array(data)), inc):
             block = np.array(probes, dtype=np.uint8)
             for form in (block, probes, o.rows(block)):
                 assert o.members(form) == expect
                 assert [o.member(r) for r in form] == expect
                 assert [not any(o.residue(r)) for r in form] == expect
+
+    def test_batch_builders_check_the_field(self):
+        data = np.array([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(ValueError):
+            RankOracle.from_array(F2, data)
+        with pytest.raises(ValueError):
+            RankOracle.from_packed_rows(F3, 3, data)
+        for field in (F2, F3):
+            assert RankOracle.from_rows(field, data).rank == 2
 
     def test_residue_indexes_witnesses(self):
         # residue entry f equals the inner product with the free-column-f
@@ -261,34 +302,6 @@ class TestRankOracle:
             v = o.nullspace_vector(f)
             inner = sum(a * b for a, b in zip(probe, v)) % 3
             assert inner == res[f]
-
-
-def reference_rref(rows, p):
-    """Plain Python-int RREF with the kernel's pivot rule: the reduced rows
-    and (rank, pivot_cols, pivot_src_rows, dependents)."""
-    a = [[x % p for x in row] for row in rows]
-    orig = list(range(len(a)))
-    pivots, srcs, deps = [], [], {}
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        if r >= len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        orig[r], orig[piv] = orig[piv], orig[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        touched = [i for i in range(len(a)) if i != r and a[i][c]]
-        for i in touched:
-            f = a[i][c]
-            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        deps[c] = len(touched)
-        pivots.append(c)
-        srcs.append(orig[r])
-        r += 1
-    return a, (r, pivots, srcs, deps)
 
 
 class TestRrefKernel:

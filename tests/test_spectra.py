@@ -264,7 +264,25 @@ class TestClassifier:
             classify_pdeg(mod_spectrum(12, 2), 2, 2.0 ** -13)
 
 
+@st.composite
+def periodic_tables(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = p ** draw(st.integers(0, 6).filter(lambda l: p ** l <= 80))
+    n = draw(st.integers(max(q, 1), 80))
+    values = draw(st.lists(st.integers(-p, 2 * p), min_size=q, max_size=q))
+    return p, q, n, values
+
+
 class TestPeriodicExactPoly:
+    @given(periodic_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_periodic_values_below_q(self, instance):
+        p, q, n, values = instance
+        poly = periodic_exact_poly(n, q, values, PrimeField(p))
+        assert poly.degree < q
+        assert all(poly.weight_value(w) == values[w % q] % p
+                   for w in range(n + 1))
+
     def test_constant_table(self):
         poly = periodic_exact_poly(8, 2, [1, 1], F2)
         assert poly.sym_coeffs == (1,)
