@@ -4,7 +4,9 @@ Everything here is exact where it matters: probability computations on
 acceptance paths use big rationals (never floats), weight-window
 interpolation is done over the integers via Newton forward differences, and
 symmetric constructions carry weight -> value certificates so error sums
-stay exact at variable counts far beyond term materialization.
+stay exact at variable counts far beyond term materialization.  The
+binomials of those sums come as rows (``cube.binomial_row``: one ``comb``,
+then an exact recurrence), not one large ``comb`` per term.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -21,8 +25,8 @@ import numpy as np
 
 from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
                      mpf_fraction)
-from .cube import (Mask, MultilinearPoly, multilinearize_product, popcount,
-                   slice_masks, weight_values_from_ecoeffs)
+from .cube import (Mask, MultilinearPoly, binomial_row, multilinearize_product,
+                   popcount, slice_masks, weight_values_from_ecoeffs)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
 
@@ -100,37 +104,22 @@ class IntegerSymPoly:
         return MultilinearPoly.from_sym(self.n, field, list(self.ecoeffs))
 
 
-def _binom_neg(a: int, m: int) -> int:
-    """C(-a, m) over the integers: (-1)^m C(a+m-1, m)."""
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    if a == 0:
-        return 0
-    return (-1) ** m * comb(a + m - 1, m)
-
-
 def interpolate_window_int(window: WeightWindow) -> IntegerSymPoly:
     """Integer-coefficient symmetric polynomial of degree <= |I|-1 matching
     the window targets at every point whose weight lies in I.
 
     Built from Newton forward differences in the falling basis C(w - lo, j),
-    expanded over the elementary symmetric basis by Vandermonde convolution;
-    all coefficients stay integers.
+    expanded over the elementary symmetric basis by Vandermonde convolution,
+    C(w - lo, j) = sum_i C(-lo, j - i) C(w, i); all coefficients stay
+    integers.
     """
-    a, vals = window.lo, list(window.values)
-    L = len(vals)
-    diffs = list(vals)
-    deltas = [diffs[0]]
-    for _ in range(1, L):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
+    diffs, deltas = list(window.values), []
+    while diffs:
         deltas.append(diffs[0])
-    ecoeffs = [0] * L
-    for idx in range(L):
-        ecoeffs[idx] = sum(
-            deltas[j] * _binom_neg(a, j - idx) for j in range(idx, L)
-        )
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    shift = binomial_row(-window.lo, 0, window.length - 1)  # C(-lo, m)
+    ecoeffs = [sum(d * b for d, b in zip(deltas[idx:], shift))
+               for idx in range(window.length)]
     while ecoeffs and ecoeffs[-1] == 0:
         ecoeffs.pop()
     return IntegerSymPoly(n=window.n, ecoeffs=tuple(ecoeffs))
@@ -239,20 +228,14 @@ def sampling_poly(n: int, k: int, q: int, eps: float, C: int, seed: int,
     else:
         lo = hi = 0
         inner_int = IntegerSymPoly(n=m, ecoeffs=())
-    return _finish_junta(n, k, q, eps, C, m, seed, inner_int, (lo, hi),
-                         zero_w, one_w)
-
-
-def _finish_junta(n, k, q, eps, C, m, seed, inner_int, window, zero_w, one_w,
-                  p: int = 2) -> SampledJunta:
-    inner = inner_int.reduce_mod(PrimeField(p))  # on the m sampled variables
+    inner = inner_int.reduce_mod(PrimeField(2))  # on the m sampled variables
     rng = random.Random(seed)
     indices = tuple(sorted(rng.sample(range(n), m)))
     return SampledJunta(
         n=n, k=k, q=q, eps=eps, C=C, m=m, indices=indices,
         inner_table=inner.weight_values(), inner_ecoeffs=inner.sym_coeffs,
-        degree=inner.degree, p=p,
-        window=window, zero_weights=tuple(zero_w), one_weights=tuple(one_w),
+        degree=inner.degree, p=2,
+        window=(lo, hi), zero_weights=zero_w, one_weights=one_w,
     )
 
 
@@ -266,14 +249,14 @@ def junta_exact_slice_error(j: SampledJunta, weight: int, target: str) -> Fracti
     if target not in ("zero", "nonzero"):
         raise ValueError("target must be 'zero' or 'nonzero'")
     n, m, w = j.n, j.m, weight
-    denom = comb(n, w)
+    lo, hi = max(0, w - (n - m)), min(m, w)
+    inside = binomial_row(m, lo, hi)                # C(m, jj)
+    outside = binomial_row(n - m, w - hi, w - lo)   # C(n-m, w-jj), reversed
     num = 0
-    for jj in range(max(0, w - (n - m)), min(m, w) + 1):
-        val = j.inner_table[jj]
-        miss = (val != 0) if target == "zero" else (val == 0)
-        if miss:
-            num += comb(m, jj) * comb(n - m, w - jj)
-    return Fraction(num, denom)
+    for val, a, b in zip(j.inner_table[lo:hi + 1], inside, reversed(outside)):
+        if (val != 0) if target == "zero" else (val == 0):
+            num += a * b
+    return Fraction(num, comb(n, w))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +341,8 @@ def coin_build(inst: CoinInstance) -> MultilinearPoly:
 def coin_error_exact(table: Sequence[int], alpha: Fraction,
                      accept_side: str = "one") -> Fraction:
     """Exact Pr over the alpha-biased product measure that the table value
-    counts as acceptance: sum of C(n,w) a^w (1-a)^(n-w) over those weights.
+    counts as acceptance: sum of C(n,w) a^w (1-a)^(n-w) over those weights,
+    summed as one integer numerator over s^n for a = r/s.
 
     accept_side selects the acceptance predicate on values: "one" (== 1),
     "nonzero" (!= 0), "zero" (== 0), or "not-one" (!= 1).
@@ -374,11 +358,14 @@ def coin_error_exact(table: Sequence[int], alpha: Fraction,
     pred = preds[accept_side]
     n = len(table) - 1
     a = Fraction(alpha)
-    total = Fraction(0)
-    for w, v in enumerate(table):
+    r, s = a.numerator, a.denominator
+    rest = list(accumulate([s - r] * n, mul, initial=1))  # (s-r)^0..(s-r)^n
+    num, rw = 0, 1
+    for w, (v, c) in enumerate(zip(table, binomial_row(n, 0, n))):
         if pred(v):
-            total += comb(n, w) * a**w * (1 - a) ** (n - w)
-    return total
+            num += c * rw * rest[n - w]
+        rw *= r
+    return Fraction(num, s**n)
 
 
 def coin_verify_errors(inst: CoinInstance, poly: MultilinearPoly):

@@ -133,6 +133,19 @@ def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
     return coeffs
 
 
+def binomial_row(top: int, lo: int, hi: int) -> list[int]:
+    """[C(top, j) for j in lo..hi], 0 <= lo, by one ``comb`` and the exact
+    recurrence C(top, j+1) = C(top, j) (top - j) / (j + 1).  A negative
+    ``top`` gives the generalized binomial C(-a, j) = (-1)^j C(a+j-1, j).
+    """
+    c = comb(top, lo) if top >= 0 else (-1) ** lo * comb(lo - top - 1, lo)
+    row = []
+    for j in range(lo, hi + 1):
+        row.append(c)
+        c = c * (top - j) // (j + 1)
+    return row
+
+
 @dataclass(frozen=True)
 class SliceStats:
     """Nonvanishing count and fraction of a polynomial on one weight slice."""
@@ -391,8 +404,7 @@ def symmetric_value_table(P: MultilinearPoly,
     return tuple(table)
 
 
-def elementary_symmetric(n: int, j: int, field: PrimeField,
-                         caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
+def elementary_symmetric(n: int, j: int, field: PrimeField) -> MultilinearPoly:
     """e_j on n variables; evaluates to C(w, j) mod p at weight-w points."""
     if not (0 <= j <= n):
         raise ValueError(f"need 0 <= j <= n, got j={j}")

@@ -249,7 +249,8 @@ def _closure(params, seed, caps):
         cand = Candidates.slices(n, [int(w) for w in params["cand"].split(",")])
     res = closure(field, n, points, D, cand, caps)
     member_set = set(res.member_masks)
-    e_in_cand = [m for m in points if m in set(cand.masks(caps))]
+    cand_set = set(cand.masks(caps))
+    e_in_cand = [m for m in points if m in cand_set]
     checks = [Check("E-inside-its-closure",
                     all(m in member_set for m in e_in_cand),
                     f"|E|={len(points)}, closure={res.closure_count}")]
@@ -731,7 +732,7 @@ def _frontier(params, seed, caps):
         elif idx == 1:
             cand = periodic_exact_poly(
                 n, t, [1 if r == (n // 2) % t else 0 for r in range(t)],
-                field, caps)
+                field)
         else:
             deg = rng.randrange(0, 2 * t + 1)
             coeffs = [rng.randrange(2) for _ in range(deg + 1)]

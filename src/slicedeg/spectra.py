@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import DEFAULT_CAPS, Caps
 from .cube import MultilinearPoly, ecoeffs_from_weight_values
 from .linalg import PrimeField
 
@@ -275,8 +274,8 @@ def classify_pdeg(spec: Spectrum, p: int, eps: float) -> PdegCase:
 # exact polynomial for p-power-periodic weight functions
 # ---------------------------------------------------------------------------
 
-def periodic_exact_poly(n: int, q: int, values: Sequence[int], field: PrimeField,
-                        caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
+def periodic_exact_poly(n: int, q: int, values: Sequence[int],
+                        field: PrimeField) -> MultilinearPoly:
     """A degree-< q polynomial whose value at weight w is values[w mod q].
 
     Requires q = p^l.  The polynomial is the e-basis expansion of the

@@ -8,8 +8,6 @@ target with composed degree strictly below the gap) and criterion 12b
 verified alongside with zero violations).
 """
 
-import pytest
-
 from slicedeg import acceptance
 
 

@@ -15,8 +15,7 @@ from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               evaluation_bool_matrix, hamming_ball,
                               ideal_basis, nie_wang_check)
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import (MultilinearPoly, monomials_upto, n_monomials,
-                           popcount, slice_masks)
+from slicedeg.cube import monomials_upto, n_monomials, popcount, slice_masks
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)

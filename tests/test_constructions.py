@@ -1,5 +1,6 @@
 """Explicit constructions and their exact evaluators."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,15 +10,15 @@ from math import comb
 import pytest
 
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.constructions import (CoinInstance, GalvinFamily, IntegerSymPoly,
-                                    WeightWindow, binom_ratio_check,
-                                    coin_build, coin_error_exact,
-                                    coin_verify_errors, galvin_coverage,
-                                    galvin_poly, galvin_tight_family,
-                                    hyper_ratio_check, interpolate_window_int,
+from slicedeg.constructions import (CoinInstance, GalvinFamily, WeightWindow,
+                                    binom_ratio_check, coin_build,
+                                    coin_error_exact, coin_verify_errors,
+                                    galvin_coverage, galvin_poly,
+                                    galvin_tight_family, hyper_ratio_check,
+                                    interpolate_window_int,
                                     junta_exact_slice_error, lucas_poly,
                                     sampling_poly)
-from slicedeg.cube import (MultilinearPoly, elementary_symmetric,
+from slicedeg.cube import (MultilinearPoly, binomial_row, elementary_symmetric,
                            multilinearize_product, popcount, slice_masks,
                            slice_stats)
 from slicedeg.experiments import ExperimentSpec, run
@@ -296,6 +297,111 @@ class TestCoin:
             if prev is not None:
                 assert errs[0] < prev[0] and errs[1] < prev[1]
             prev = errs
+
+
+def _ref_binom(top, j):
+    """C(top, j) by one ``comb``, for any integer top and j >= 0."""
+    return comb(top, j) if top >= 0 else (-1) ** j * comb(j - top - 1, j)
+
+
+def _ref_interpolate(window):
+    """Per-term Vandermonde expansion of the Newton differences."""
+    vals = list(window.values)
+    deltas = []
+    while vals:
+        deltas.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    L = len(deltas)
+    ecoeffs = [sum(deltas[j] * _ref_binom(-window.lo, j - i)
+                   for j in range(i, L)) for i in range(L)]
+    while ecoeffs and ecoeffs[-1] == 0:
+        ecoeffs.pop()
+    return tuple(ecoeffs)
+
+
+def _ref_coin_error(table, alpha, pred):
+    n = len(table) - 1
+    return sum((comb(n, w) * alpha**w * (1 - alpha) ** (n - w)
+                for w, v in enumerate(table) if pred(v)), Fraction(0))
+
+
+def _ref_junta_error(n, m, table, w, target):
+    num = sum(comb(m, j) * comb(n - m, w - j)
+              for j in range(max(0, w - (n - m)), min(m, w) + 1)
+              if ((table[j] != 0) if target == "zero" else (table[j] == 0)))
+    return Fraction(num, comb(n, w))
+
+
+_COIN_PREDS = {"one": lambda v: v == 1, "nonzero": lambda v: v != 0,
+               "zero": lambda v: v == 0, "not-one": lambda v: v != 1}
+
+
+class TestExactSumsAgainstComb:
+    """The binomial-row sums equal per-term ``math.comb`` references."""
+
+    def test_binomial_row(self):
+        rng = random.Random(11)
+        for top in list(range(-12, 13)) + [rng.randrange(-300, 301)
+                                           for _ in range(40)]:
+            for lo, hi in ((0, 0), (0, 20), (0, abs(top) + 3),
+                           (abs(top), abs(top) + 2), (5, 4),
+                           (rng.randrange(0, 300), rng.randrange(0, 300))):
+                assert binomial_row(top, lo, hi) == [
+                    _ref_binom(top, j) for j in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_interpolation(self, p):
+        rng = random.Random(p)
+        field = PrimeField(p)
+        for trial in range(40):
+            n = rng.randrange(1, 301)
+            L = rng.randrange(1, min(n + 1, 40) + 1)
+            lo = 0 if trial % 4 == 0 else rng.randrange(0, n - L + 2)
+            win = WeightWindow(n, lo, lo + L - 1,
+                               tuple(rng.randrange(2) for _ in range(L)))
+            want = _ref_interpolate(win)
+            got = interpolate_window_int(win)
+            assert got.ecoeffs == want
+            assert got.reduce_mod(field).sym_coeffs == \
+                MultilinearPoly.from_sym(n, field, list(want)).sym_coeffs
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_coin_error(self, p):
+        rng = random.Random(100 + p)
+        for n in (0, 1, 2, 7, 50, rng.randrange(100, 301), 300):
+            table = [rng.randrange(p) for _ in range(n + 1)]
+            alphas = (Fraction(0), Fraction(1, 2), Fraction(1),
+                      Fraction(rng.randrange(1, 10), 10), Fraction(1, 3))
+            for alpha in alphas:
+                for side, pred in _COIN_PREDS.items():
+                    got = coin_error_exact(table, alpha, side)
+                    assert type(got) is Fraction
+                    assert got == _ref_coin_error(table, alpha, pred)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_coin_error_on_built_tables(self, p):
+        inst = CoinInstance(p=p, delta=Fraction(1, 8), eps=Fraction(1, 100),
+                            C=2, n=200 + 20 * p)
+        table = coin_build(inst).weight_values()
+        for alpha, side in ((Fraction(1, 2), "not-one"),
+                            (Fraction(3, 8), "one")):
+            assert coin_error_exact(table, alpha, side) == \
+                _ref_coin_error(table, alpha, _COIN_PREDS[side])
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_junta_error(self, p):
+        rng = random.Random(200 + p)
+        junta = sampling_poly(300, 150, 75, 0.3, 1, seed=p)
+        for m in (junta.m, 1, 149, 299, 300):  # m = n included
+            table = tuple(rng.randrange(p) for _ in range(m + 1))
+            if m == junta.m:
+                table = junta.inner_table
+            j = dataclasses.replace(junta, m=m, inner_table=table)
+            weights = {0, 1, m, 300 - m, 299, 300, rng.randrange(301)}
+            for w in weights:
+                for target in ("zero", "nonzero"):
+                    assert junta_exact_slice_error(j, w, target) == \
+                        _ref_junta_error(300, m, table, w, target)
 
 
 class TestGalvin:

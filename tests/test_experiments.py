@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from slicedeg import cli
+from slicedeg.closure import Candidates
 from slicedeg.config import DEFAULT_CAPS
 from slicedeg.constructions import C_LADDER
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
@@ -93,6 +94,24 @@ class TestChecksShape:
         assert [c.to_json_dict() for c in rep.checks] == [{
             "name": "ladder-has-passing-C", "passed": False,
             "details": "no ladder constant meets the error target"}]
+
+    def test_closure_builds_candidate_set_once(self, monkeypatch):
+        # the experiment's E-inside-closure check reads one candidate set,
+        # not one per point of E
+        calls = []
+        masks = Candidates.masks
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return masks(self, *args, **kwargs)
+
+        monkeypatch.setattr(Candidates, "masks", counted)
+        for cand in ("full", "2,3,4"):
+            calls.clear()
+            rep = run(ExperimentSpec("closure", {
+                "n": 8, "p": 3, "D": 2, "e_slices": "2,4", "cand": cand}))
+            assert rep.all_passed
+            assert len(calls) <= 2
 
 
 def _cli(*args):

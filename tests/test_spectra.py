@@ -1,15 +1,13 @@
 """Spectra: periods, boundedness, decomposition, families, classifier."""
 
 import random
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicedeg.cube import slice_masks
 from slicedeg.linalg import PrimeField
 from slicedeg.spectra import (CASE_APERIODIC, CASE_MIXED, CASE_P_POWER,
-                              PdegCase, Spectrum, bounded_index, classify_pdeg,
+                              Spectrum, bounded_index, classify_pdeg,
                               decomposition_window, ethr_spectrum,
                               maj_spectrum, make_family, mod_spectrum, period,
                               periodic_exact_poly, primitive_root,
@@ -242,7 +240,6 @@ class TestClassifier:
 
     def test_decision_table(self):
         # (period class, bounded part) -> branch, on crafted spectra
-        import math
         cases = [
             (mod_spectrum(12, 3), 2, CASE_APERIODIC),      # non-p-power, B=0
             (mod_spectrum(12, 2), 2, CASE_P_POWER),        # p-power, B=0
