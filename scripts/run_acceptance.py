@@ -5,8 +5,6 @@ Exit code is the number of failing criteria.  Two known-red lines (06 and
 12b) are documented in the README.
 """
 
-import sys
-
 from slicedeg.acceptance import run_all
 
 

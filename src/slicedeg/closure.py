@@ -3,13 +3,15 @@
 The degree-D ideal of a point set E is the nullspace of its monomial
 evaluation matrix; a point lies in the degree-D closure of E exactly when
 its evaluation row lies in the row space of that matrix.  Membership is
-answered by one frozen RankOracle per (E, D), one row reduction per
-candidate, instead of evaluating a possibly huge ideal basis.
+answered by one frozen RankOracle per (E, D), instead of evaluating a
+possibly huge ideal basis: one row reduction per candidate, or, when E is a
+union of full weight slices, one per candidate weight.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -18,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps, check_cap
-from .cube import (CubePoint, Mask, MultilinearPoly, monomials_upto,
-                   n_monomials, popcount, slice_masks)
+from .cube import (CHUNK_CELLS, CubePoint, Mask, MultilinearPoly,
+                   monomials_upto, n_monomials, popcount, slice_masks)
 from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
 
 
@@ -38,7 +40,7 @@ def evaluation_bool_matrix(monomials: Sequence[Mask],
     out = np.empty((len(pts), len(monomials)), dtype=np.uint8)
     if len(pts) == 0 or len(monomials) == 0:
         return out
-    chunk = max(1, 40_000_000 // max(1, len(monomials)))
+    chunk = max(1, CHUNK_CELLS // max(1, len(monomials)))
     for lo in range(0, len(pts), chunk):
         sub = pts[lo:lo + chunk]
         out[lo:lo + chunk] = ((monos[None, :] & ~sub[:, None]) == 0)
@@ -183,21 +185,40 @@ class ClosureResult:
         }
 
 
+def _is_slice_union(n: int, masks: Sequence[Mask]) -> bool:
+    """True iff the distinct masks are exactly a union of full weight slices
+    of the n-cube."""
+    distinct = set(masks)
+    counts = Counter(popcount(m) for m in distinct)
+    return (not any(m >> n for m in distinct)
+            and all(c == comb(n, w) for w, c in counts.items()))
+
+
 def closure(field: PrimeField, n: int, points: Iterable, degree: int,
             candidates: Candidates, caps: Caps = DEFAULT_CAPS) -> ClosureResult:
     """cl_D(E) restricted to an explicit candidate set.
 
     A candidate is in the closure iff its evaluation row reduces to zero
-    against the frozen row space of E's evaluation matrix.
+    against the frozen row space of E's evaluation matrix.  When E is a
+    union of full weight slices, its closure is permutation-invariant, so
+    only the representative (1 << w) - 1 of each candidate weight w is
+    reduced; otherwise every candidate row is.
     """
     ev = EvaluationMatrix(field, n, degree, points, caps)
     oracle = ev.oracle()
     cand_masks = candidates.masks(caps)
     members = []
     if cand_masks:
-        rows = evaluation_bool_matrix(ev.monomials, cand_masks)
-        flags = batch_member(oracle, rows)
-        members = [m for m, ok in zip(cand_masks, flags) if ok]
+        if _is_slice_union(n, ev.points):
+            weights = sorted({popcount(m) for m in cand_masks})
+            flags = batch_member(oracle, evaluation_bool_matrix(
+                ev.monomials, [(1 << w) - 1 for w in weights]))
+            inside = {w for w, ok in zip(weights, flags) if ok}
+            members = [m for m in cand_masks if popcount(m) in inside]
+        else:
+            rows = evaluation_bool_matrix(ev.monomials, cand_masks)
+            flags = batch_member(oracle, rows)
+            members = [m for m, ok in zip(cand_masks, flags) if ok]
     return ClosureResult(
         n=n, p=field.p, degree=degree, e_size=len(ev.points),
         rank=oracle.rank, n_d=ev.n_d, candidates=candidates,

@@ -30,6 +30,7 @@ from .config import DEFAULT_CAPS, Caps, CapExceeded, check_cap
 from .linalg import PrimeField
 
 Mask = int  # monomial / point bitmask
+CHUNK_CELLS = 1 << 18  # points x monomials per evaluation chunk: 2 MB uint64
 
 
 def popcount(x: int) -> int:
@@ -307,8 +308,7 @@ class MultilinearPoly:
         coeffs = np.array(list(terms.values()), dtype=np.int64)
         pts = np.array(masks, dtype=np.uint64)
         out = np.empty(len(masks), dtype=np.int64)
-        # chunk points so the bool matrix stays small
-        chunk = max(1, 8_000_000 // max(1, len(terms)))
+        chunk = max(1, CHUNK_CELLS // max(1, len(terms)))
         for lo in range(0, len(masks), chunk):
             sub = pts[lo:lo + chunk, None]
             hit = (monos[None, :] & ~sub) == 0

@@ -326,7 +326,8 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     field = PrimeField(p)
     size_k = comb(n, k)
     total_sets = sum(comb(size_k, j) for j in range(max_removals + 1))
-    check_cap(total_sets * size_k, 10**8, "exhaustive robust work")
+    check_cap(total_sets * size_k, caps.max_slice_points,
+              "exhaustive robust work")
     from itertools import combinations
 
     k_masks = list(slice_masks(n, k))

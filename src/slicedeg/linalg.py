@@ -392,13 +392,13 @@ class RankOracle:
         if field.p == 2:
             raise ValueError("GF(2) oracles are built from packed rows")
         o = cls(field, a.shape[1])
-        work = np.mod(np.asarray(a, dtype=np.int64), field.p)
+        work = a.astype(np.promote_types(a.dtype, np.min_scalar_type(field.p)))
+        work %= field.p  # a 0/1 block stays uint8; only the pivots are int64
         rank, pivot_cols, pivot_src, dependents = _rref_array(
-            work, field.p, track_dependents=True
-        )
+            work, field.p, track_dependents=True)
         impl = o._impl
         for i, c in enumerate(pivot_cols):
-            impl.pivots[c] = work[i].copy()
+            impl.pivots[c] = work[i].astype(np.int64)
         impl.dependents = dependents
         if row_labels is not None:
             o._pivot_owner = {

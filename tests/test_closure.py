@@ -10,15 +10,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slicedeg import closure as closure_mod
 from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               ball_fact_check, closure,
                               evaluation_bool_matrix, hamming_ball,
                               ideal_basis, nie_wang_check)
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import monomials_upto, n_monomials, popcount, slice_masks
-from slicedeg.linalg import PrimeField
+from slicedeg.linalg import PrimeField, RankOracle
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+
+
+def closure_by_all_rows(field, n, points, degree, cand_masks):
+    """Independent route: reduce every candidate row against E's rows."""
+    monos = monomials_upto(n, degree)
+    oracle = RankOracle.from_rows(field, evaluation_bool_matrix(monos, points))
+    flags = oracle.members(evaluation_bool_matrix(monos, cand_masks))
+    return [m for m, ok in zip(cand_masks, flags) if ok]
+
+
+def slice_union_cases(n, rng):
+    """(E, is a union of full slices): one slice, two slices with a
+    duplicated point, and the near misses of a slice minus or plus a point."""
+    k, j = rng.sample(range(1, n), 2)
+    sk = list(slice_masks(n, k))
+    union = sk + list(slice_masks(n, rng.choice([0, j, n])))
+    return [(sk, True), (union + [union[-1]], True),
+            (sk[:-1], False), (sk + [next(slice_masks(n, j))], False)]
 
 
 def closure_by_basis(field, n, points, degree):
@@ -181,6 +200,43 @@ class TestClosure:
             by_weight.setdefault(popcount(m), set()).add(m)
         for w, got in by_weight.items():
             assert len(got) == comb(n, w)  # whole slice or nothing
+
+
+class TestSliceUnionRepresentatives:
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 8), (3, 5), (3, 8),
+                                     (5, 6), (5, 7)])
+    def test_matches_every_candidate_row(self, p, n):
+        field = PrimeField(p)
+        rng = random.Random(100 * p + n)
+        for degree in range(4):
+            for points, _ in slice_union_cases(n, rng):
+                for cand in (Candidates.full_cube(n), Candidates.slices(
+                        n, rng.sample(range(n + 1), 2))):
+                    res = closure(field, n, points, degree, cand)
+                    want = closure_by_all_rows(field, n, points, degree,
+                                               cand.masks())
+                    assert res.member_masks == want
+                    assert res.closure_count == len(want)
+                    assert res.e_size == len(points)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_reduced_row_count(self, p, monkeypatch):
+        shapes = []
+        batch_member = closure_mod.batch_member
+
+        def recording(oracle, rows):
+            shapes.append(rows.shape)
+            return batch_member(oracle, rows)
+
+        monkeypatch.setattr(closure_mod, "batch_member", recording)
+        n, rng = 8, random.Random(p)
+        cases = slice_union_cases(n, rng) + [(rng.sample(range(1 << n), 40),
+                                              False)]
+        for points, is_union in cases:
+            shapes.clear()
+            closure(PrimeField(p), n, points, 2, Candidates.full_cube(n))
+            rows = [r for r, _ in shapes]
+            assert rows == ([n + 1] if is_union else [1 << n])
 
 
 class TestNieWang:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from slicedeg import distinguish
-from slicedeg.closure import Candidates, closure
-from slicedeg.config import DEFAULT_CAPS
+from slicedeg.closure import evaluation_bool_matrix
+from slicedeg.config import DEFAULT_CAPS, CapExceeded, Caps
 from slicedeg.cube import MultilinearPoly, monomials_upto, slice_masks
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
                                   exact_min_degree, exhaustive_robust,
@@ -177,15 +177,19 @@ class TestExactMinDegree:
             assert a == b
 
     def test_outside_count_matches_full_closure(self):
+        # every slice-K row is reduced, not one representative per weight
+        def outside(n, p, k, K, d):
+            monos = monomials_upto(n, d)
+            oracle = RankOracle.from_rows(PrimeField(p), evaluation_bool_matrix(
+                monos, list(slice_masks(n, k))))
+            return oracle.members(evaluation_bool_matrix(
+                monos, list(slice_masks(n, K)))).count(False)
+
         for (n, p, k, K) in ((6, 2, 2, 4), (7, 3, 2, 5), (8, 2, 4, 6)):
             rep = exact_min_degree(n, p, k, K, want_witness=False)
-            res = closure(PrimeField(p), n, list(slice_masks(n, k)),
-                          rep.degree, Candidates.slices(n, [K]))
-            assert rep.outside_count == comb(n, K) - res.closure_count
+            assert rep.outside_count == outside(n, p, k, K, rep.degree)
             if rep.degree > 0:
-                res_prev = closure(PrimeField(p), n, list(slice_masks(n, k)),
-                                   rep.degree - 1, Candidates.slices(n, [K]))
-                assert res_prev.closure_count == comb(n, K)
+                assert outside(n, p, k, K, rep.degree - 1) == 0
 
     def test_witness_vanishes_pointwise(self):
         rep = exact_min_degree(7, 2, 2, 4)
@@ -254,6 +258,14 @@ class TestExhaustiveRobust:
     def test_monotone_in_removals(self):
         degs = [exhaustive_robust(7, 2, 3, 5, r).degree for r in (0, 1, 2)]
         assert degs == sorted(degs, reverse=True)
+
+    def test_work_respects_slice_point_cap(self):
+        # (8, 4) with one removal: (1 + 70) error sets of 70 rows each
+        work = (1 + 70) * 70
+        assert exhaustive_robust(8, 2, 4, 6, 1,
+                                 Caps(max_slice_points=work)).degree == 2
+        with pytest.raises(CapExceeded, match="exhaustive robust work"):
+            exhaustive_robust(8, 2, 4, 6, 1, Caps(max_slice_points=work - 1))
 
 
 class TestRobustSearch:

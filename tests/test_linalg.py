@@ -277,6 +277,27 @@ class TestRankOracle:
                 assert [o.member(r) for r in form] == expect
                 assert [not any(o.residue(r)) for r in form] == expect
 
+    def test_from_array_any_input_dtype(self):
+        # a block is reduced in its own dtype widened to hold p, so narrow
+        # and signed inputs build the same oracle as int64 ones, also when p
+        # does not fit the input's dtype
+        rng = random.Random(4)
+        data = np.array([[rng.randrange(-128, 128) for _ in range(8)]
+                         for _ in range(6)])
+        for p in (3, 257, 2**31 - 1):
+            field = PrimeField(p)
+            want = RankOracle.from_array(field, data)
+            for block in (data.astype(np.int8), data.astype(np.uint8),
+                          data.astype(np.uint8) > 1):
+                got = RankOracle.from_array(field, block)
+                ref = RankOracle.from_array(field, block.astype(np.int64))
+                assert got.pivot_columns() == ref.pivot_columns()
+                assert got.nullspace() == ref.nullspace()
+                assert all(r.dtype == np.int64
+                           for r in got._impl.pivots.values())
+            assert want.nullspace() == RankOracle.from_array(
+                field, data.astype(np.int8)).nullspace()
+
     def test_batch_builders_check_the_field(self):
         data = np.array([[1, 0, 1], [0, 1, 1]])
         with pytest.raises(ValueError):
