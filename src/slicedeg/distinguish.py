@@ -15,6 +15,7 @@ sets (exact oracle at tiny scale).
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from math import comb
 from typing import Optional, Sequence
 
 import mpmath as mp
+import numpy as np
 
 from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
 from .closure import EvaluationMatrix, IdealSampler, evaluation_bool_matrix
@@ -171,14 +173,28 @@ class DistinguishReport:
 
 # the current slice's degree ladder: {(field, n, k, caps): {d: (ev, oracle)}}
 _ladder: dict[tuple, dict[int, tuple[EvaluationMatrix, RankOracle]]] = {}
+_HEAD_MARGIN, _CHUNK = 32, 64  # rows built beyond the bound; rows per later step
+
+
+@lru_cache(maxsize=64)
+def _row_order(size: int) -> np.ndarray:
+    """The fixed pseudo-random order in which a slice's rows are absorbed."""
+    return np.random.default_rng(0).permutation(size)
 
 
 def _slice_oracle(field: PrimeField, n: int, k: int, d: int,
                   caps: Caps) -> tuple[EvaluationMatrix, RankOracle]:
-    """Evaluation matrix and labelled frozen oracle of the full slice k at
-    degree d, the only builder of full-slice oracles.  The degree ladder of
-    the last slice requested is kept until another slice is requested.
-    Results are shared, so callers never ``absorb`` or ``extend`` into them.
+    """Evaluation matrix of the full slice k at degree d and a frozen oracle
+    on its row space, the only builder of full-slice oracles.
+
+    Over Q the matrix has rank C(n, min(d, k, n - k)) (Wilson, Europ. J.
+    Combin. 11, 1990; Filmus, Electron. J. Combin. 23, 2016) and a rank mod
+    p never exceeds it, so rows in ``_row_order`` are absorbed only until the
+    oracle reaches it.  Only the reads its span determines are valid (the
+    RREF, ``member``, ``residue``, ``nullspace_vector``); a rank above the
+    bound raises AssertionError.  The ladder of the last slice requested is
+    kept until another slice is requested; results are shared, so callers
+    never ``absorb`` or ``extend`` into them.
     """
     rungs = _ladder.get((field, n, k, caps))
     if rungs is None:
@@ -186,7 +202,20 @@ def _slice_oracle(field: PrimeField, n: int, k: int, d: int,
         rungs = _ladder[field, n, k, caps] = {}
     if d not in rungs:
         ev = EvaluationMatrix(field, n, d, slice_masks(n, k), caps)
-        rungs[d] = (ev, ev.oracle(labels=True))
+        bound = comb(n, min(d, k, n - k))
+        rows = np.array(ev.points, dtype=np.uint64)[_row_order(len(ev.points))]
+        head = copy.copy(ev)  # the same columns, evaluated at the first rows
+        lo = bound + _HEAD_MARGIN
+        head.points = rows[:lo].tolist()
+        oracle = head.oracle()
+        while oracle.rank < bound and lo < len(rows):
+            block = evaluation_bool_matrix(ev.monomials, rows[lo:lo + _CHUNK])
+            oracle.extend(block[~np.array(oracle.members(block))])
+            lo += _CHUNK
+        if oracle.rank > bound:
+            raise AssertionError(f"rank {oracle.rank} of slice ({n}, {k}) at "
+                                 f"degree {d} exceeds C(n, min(d, k, n - k)) = {bound}")
+        rungs[d] = (ev, oracle)
     return rungs[d]
 
 
@@ -334,17 +363,18 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     K_masks = list(slice_masks(n, K))
     per_degree: dict[int, int] = {}
     for d in range(n + 1):
-        ev = EvaluationMatrix(field, n, d, k_masks, caps)
+        ev, full = _slice_oracle(field, n, k, d, caps)
         convert = RankOracle(field, ev.n_d).rows
         k_rows = convert(ev.bool_matrix())
         K_rows = convert(evaluation_bool_matrix(ev.monomials, K_masks))
         best: Optional[tuple] = None
         for r in range(max_removals + 1):
             for removed in combinations(range(size_k), r):
-                removed_set = set(removed)
-                oracle = RankOracle(field, ev.n_d)
-                oracle.extend([row for i, row in enumerate(k_rows)
-                               if i not in removed_set])
+                oracle = full
+                if removed:
+                    oracle = RankOracle(field, ev.n_d)
+                    oracle.extend([row for i, row in enumerate(k_rows)
+                                   if i not in removed])
                 outside = oracle.members(K_rows).count(False)
                 if outside:
                     best = (removed, outside)
@@ -413,8 +443,9 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
             else:
                 if strategy == "uniform":
                     error_set = sorted(rng.sample(k_masks, removals))
-                else:
-                    full_oracle = _slice_oracle(field, n, k, d, caps)[1]
+                else:  # pivot_dependents and pivot_owner need every row
+                    full_oracle = EvaluationMatrix(
+                        field, n, d, k_masks, caps).oracle(labels=True)
                     deps = full_oracle.pivot_dependents
                     owners = full_oracle.pivot_owner
                     order = sorted(owners, key=lambda c: (deps.get(c, 0), c))

@@ -249,8 +249,8 @@ def _closure(params, seed, caps):
         cand = Candidates.slices(n, [int(w) for w in params["cand"].split(",")])
     res = closure(field, n, points, D, cand, caps)
     member_set = set(res.member_masks)
-    cand_set = set(cand.masks(caps))
-    e_in_cand = [m for m in points if m in cand_set]
+    e_in_cand = [m for m in points
+                 if cand.kind == "full" or m.bit_count() in cand.weights]
     checks = [Check("E-inside-its-closure",
                     all(m in member_set for m in e_in_cand),
                     f"|E|={len(points)}, closure={res.closure_count}")]

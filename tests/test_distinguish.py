@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from slicedeg import distinguish
-from slicedeg.closure import evaluation_bool_matrix
+from slicedeg.closure import EvaluationMatrix, evaluation_bool_matrix
 from slicedeg.config import DEFAULT_CAPS, CapExceeded, Caps
 from slicedeg.cube import MultilinearPoly, monomials_upto, slice_masks
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
@@ -370,12 +372,118 @@ class TestSliceOracleProvider:
         assert len(rungs) >= 2
         for d, (ev, oracle) in rungs.items():
             assert ev.degree == d and ev.points == list(slice_masks(n, k))
-            fresh = RankOracle.from_rows(PrimeField(p), ev.bool_matrix(),
-                                         ev.points)
-            assert oracle.rank == fresh.rank
-            assert oracle.pivot_columns() == fresh.pivot_columns()
-            assert oracle.pivot_dependents == fresh.pivot_dependents
-            assert oracle.pivot_owner == fresh.pivot_owner
+            _assert_same_span(oracle, ev.oracle(), random.Random(d))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_greedy_picks_from_a_labelled_full_build(self, p):
+        n, k, K, removals = 8, 3, 5, 3
+        inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
+        rep = robust_search(inst, Fraction(removals, comb(n, k)),
+                            strategy="greedy", confirm_samples=0)
+        full = EvaluationMatrix(PrimeField(p), n, rep.degree,
+                                list(slice_masks(n, k))).oracle(labels=True)
+        deps, owners = full.pivot_dependents, full.pivot_owner
+        order = sorted(owners, key=lambda c: (deps.get(c, 0), c))
+        assert rep.error_set == sorted(owners[c] for c in order[:removals])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_certificate_equals_full_build(self, p):
+        # every k and d at n <= 9; above, the degrees up to one past
+        # min(k, n - k), to n = 12 over F_2 and n = 10 over F_3 and F_5
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for n in range(1, 13 if p == 2 else 11):
+            for k in range(n + 1):
+                top = n if n <= 9 else min(k, n - k) + 1
+                for d in range(top + 1):
+                    ev, cert = distinguish._slice_oracle(field, n, k, d,
+                                                         DEFAULT_CAPS)
+                    _assert_same_span(cert, ev.oracle(), rng, free_cols=32)
+
+    @pytest.mark.parametrize("p, n, k, d", [(2, 14, 7, 6), (3, 14, 7, 4)])
+    def test_certificate_equals_full_build_at_scale(self, p, n, k, d):
+        field = PrimeField(p)
+        ev, cert = distinguish._slice_oracle(field, n, k, d, DEFAULT_CAPS)
+        _assert_same_span(cert, ev.oracle(), random.Random(n), free_cols=64)
+
+    def test_fallback_past_a_stalled_head(self, monkeypatch):
+        # in slice order the last pivot comes late, so the head stalls
+        field, n, k, d = PrimeField(3), 10, 4, 3
+        bound = comb(n, min(d, k, n - k))
+        masks = list(slice_masks(n, k))
+        head = RankOracle.from_rows(field, evaluation_bool_matrix(
+            monomials_upto(n, d), masks[:bound + distinguish._HEAD_MARGIN]))
+        assert head.rank < bound
+        monkeypatch.setattr(distinguish, "_row_order", np.arange)
+        distinguish._ladder.clear()
+        ev, cert = distinguish._slice_oracle(field, n, k, d, DEFAULT_CAPS)
+        assert cert.rank == bound
+        _assert_same_span(cert, ev.oracle(), random.Random(0))
+
+    def test_rank_above_the_bound_raises(self, monkeypatch):
+        # the bound C(8, 2) = 28 is the only comb _slice_oracle takes
+        monkeypatch.setattr(distinguish, "comb", lambda a, b: comb(a, b) - 1)
+        distinguish._ladder.clear()
+        with pytest.raises(AssertionError, match="exceeds C"):
+            distinguish._slice_oracle(F2, 8, 3, 2, DEFAULT_CAPS)
+
+    def test_rank_above_the_bound_raises_under_python_O(self):
+        code = (
+            "import sys\n"
+            "if __debug__: sys.exit(3)\n"
+            "from slicedeg import distinguish\n"
+            "from slicedeg.config import DEFAULT_CAPS\n"
+            "from slicedeg.linalg import PrimeField\n"
+            "distinguish.comb = lambda a, b: 1\n"
+            "distinguish._slice_oracle(PrimeField(3), 8, 3, 2, DEFAULT_CAPS)\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        assert "AssertionError: rank 28 of slice (8, 3)" in res.stderr
+
+    def test_empty_error_set_takes_the_provider_oracle(self, monkeypatch):
+        n, p, k, K = 8, 2, 4, 6
+        size_k = comb(n, k)
+        absorbed = []
+        extend = RankOracle.extend
+        monkeypatch.setattr(RankOracle, "extend", lambda self, block, labels=None:
+                            absorbed.append(len(block)) or extend(self, block, labels))
+        exhaustive_robust(n, p, k, K, 1)  # fills the degree ladder
+        absorbed.clear()
+        got = exhaustive_robust(n, p, k, K, 1)
+        provider = list(absorbed)
+
+        def absorb_every_row(field, n, k, d, caps):
+            ev = EvaluationMatrix(field, n, d, list(slice_masks(n, k)), caps)
+            oracle = RankOracle(field, ev.n_d)
+            oracle.extend(ev.bool_matrix())
+            return ev, oracle
+
+        monkeypatch.setattr(distinguish, "_slice_oracle", absorb_every_row)
+        absorbed.clear()
+        want = exhaustive_robust(n, p, k, K, 1)
+        assert got.to_json_dict() == want.to_json_dict()
+        # one full-slice absorption fewer per degree, the rest unchanged
+        assert size_k not in provider
+        assert sorted(absorbed) == sorted(provider + [size_k] * (got.degree + 1))
+
+
+def _assert_same_span(got, want, rng, free_cols=None):
+    """Equal RREF: rank, pivots, stored rows, residues, nullspace vectors."""
+    p = want.field.p
+    assert got.rank == want.rank
+    assert got.pivot_columns() == want.pivot_columns()
+    for c in want.pivot_columns():
+        assert np.array_equal(got._impl.pivots[c], want._impl.pivots[c])
+    for _ in range(3):
+        row = [rng.randrange(p) for _ in range(want.cols)]
+        assert got.residue(row) == want.residue(row)
+    free = sorted(set(range(want.cols)) - set(want.pivot_columns()))
+    if free_cols is not None and len(free) > free_cols:
+        free = rng.sample(free, free_cols)
+    for f in free:
+        assert got.nullspace_vector(f) == want.nullspace_vector(f)
 
 
 class TestMidsliceConsistency:

@@ -96,8 +96,8 @@ class TestChecksShape:
             "details": "no ladder constant meets the error target"}]
 
     def test_closure_builds_candidate_set_once(self, monkeypatch):
-        # the experiment's E-inside-closure check reads one candidate set,
-        # not one per point of E
+        # closure enumerates the candidate set once; the experiment's
+        # E-inside-closure check decides candidacy from the weights
         calls = []
         masks = Candidates.masks
 
@@ -111,7 +111,7 @@ class TestChecksShape:
             rep = run(ExperimentSpec("closure", {
                 "n": 8, "p": 3, "D": 2, "e_slices": "2,4", "cand": cand}))
             assert rep.all_passed
-            assert len(calls) <= 2
+            assert len(calls) == 1
 
 
 def _cli(*args):
