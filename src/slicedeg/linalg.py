@@ -7,6 +7,12 @@ per machine word via Python ints) and numpy int64 rows for odd p.  All
 output is deterministic: pivots are chosen scanning columns left to right,
 rows top to bottom.
 
+GF(2) rows are absorbed one at a time by ``extend``, labelled builds and
+builds under ``GF2_BATCH_ROWS`` rows; larger builds run ``_rref_words``, the
+method of Four Russians (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a
+packed uint64 block.  A row space has one RREF, so both keep the same pivot
+rows; ``pivot_owner`` and ``pivot_dependents`` follow the absorb order.
+
 Odd-p oracles are built by one batch RREF, ``_rref_array``.  It eliminates
 with delayed modular reduction (after FFLAS-FFPACK, Dumas, Giorgi and
 Pernet, ACM TOMS 2008) in the narrowest signed type, int16, int32 or else
@@ -139,10 +145,69 @@ def _rref_array(a: np.ndarray, p: int, track_dependents: bool = False):
     return r, pivot_cols, pivot_src_row, dependents
 
 
+# Rows from which an unlabelled GF(2) build runs ``_rref_words``; below it,
+# per-strip overhead makes absorbing faster (crossover in BENCH_11.json).
+GF2_BATCH_ROWS = 100
+
+
+def _pack_words(rows: np.ndarray) -> np.ndarray:
+    """Pack 0/1 rows into a rows x words little-endian uint64 array, bit j of
+    a row = column j (bit j % 64 of word j // 64)."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    out = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
 def pack_bool_rows(rows: np.ndarray) -> list[int]:
     """Pack 0/1 rows into Python ints, bit j = column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return [int.from_bytes(r.tobytes(), "little") for r in _pack_words(rows)]
+
+
+def _rref_words(w: np.ndarray) -> dict[int, int]:
+    """Gauss-Jordan RREF of packed GF(2) rows, in place, by the method of Four
+    Russians; returns pivot column -> reduced pivot row as a Python int.
+
+    Strip s is byte s of every row, columns 8s..8s+7.  Rows without a pivot
+    are zero left of the strip, so a table of all 2^kp sums of the strip's
+    kp pivot rows needs only the words from the strip's own word onward.
+    Every row XORs the one table row that agrees with it on the strip's
+    pivot columns (``lut`` of its byte), which clears them.
+    """
+    rows, words = w.shape
+    strips = w.view(np.uint8)
+    free = np.ones(rows, dtype=bool)  # rows that hold no pivot yet
+    pivot_row: dict[int, int] = {}
+    for s in range(8 * words):
+        byte = strips[:, s]
+        cand = np.flatnonzero(free & (byte != 0))
+        if cand.size == 0:
+            continue
+        basis: dict[int, int] = {}  # lowest set bit -> reduced strip byte
+        chosen = []  # one row per basis byte
+        vals, first = np.unique(byte[cand], return_index=True)
+        for v, row in zip(vals.tolist(), cand[first].tolist()):
+            while v and v & -v in basis:
+                v ^= basis[v & -v]
+            if v:
+                basis[v & -v] = v
+                chosen.append(row)
+                if len(basis) == 8:
+                    break
+        w0, kp = s // 8, len(chosen)
+        table = np.zeros((1 << kp, words - w0), dtype=w.dtype)
+        for i, r in enumerate(chosen):
+            table[1 << i:2 << i] = table[:1 << i] ^ w[r, w0:]
+        bits = sum(basis)
+        lut = np.empty(256, dtype=np.intp)
+        lut[table.view(np.uint8)[:, s % 8] & bits] = np.arange(1 << kp)
+        w[:, w0:] ^= table[lut[byte & bits]]  # the chosen rows become zero
+        for bit, r in zip(basis, chosen):
+            w[r, w0:] = table[lut[bit]]
+            free[r] = False
+            pivot_row[8 * s + bit.bit_length() - 1] = r
+    return {c: int.from_bytes(w[r].tobytes(), "little")
+            for c, r in pivot_row.items()}
 
 
 def _checked_block(a: np.ndarray, cols: int) -> np.ndarray:
@@ -323,7 +388,9 @@ class RankOracle:
 
     @property
     def pivot_dependents(self) -> dict[int, int]:
-        """pivot column -> number of rows reduced against it so far."""
+        """pivot column -> number of rows reduced against it so far, counted
+        on the absorb path only; greedy ``robust_search``'s labelled build
+        is its one reader."""
         return dict(self._impl.dependents)
 
     @property
@@ -366,8 +433,8 @@ class RankOracle:
     @classmethod
     def from_rows(cls, field: PrimeField, rows: np.ndarray,
                   row_labels: Optional[Sequence] = None):
-        """Build an oracle on a 2-D block with the field's one elimination:
-        absorbing packed rows for GF(2), batch RREF for odd p."""
+        """Build an oracle on a 2-D block: ``from_packed_rows`` for GF(2),
+        one batch RREF for odd p."""
         if field.p == 2:
             return cls.from_packed_rows(field, rows.shape[1], rows, row_labels)
         return cls.from_array(field, rows, row_labels)
@@ -375,14 +442,20 @@ class RankOracle:
     @classmethod
     def from_packed_rows(cls, field: PrimeField, cols: int, rows: Sequence,
                          row_labels: Optional[Sequence] = None):
-        """Build a GF(2) oracle by absorbing rows in order.
+        """Build a GF(2) oracle on the packed rows of a 0/1 block.
 
-        ``rows`` are packed integer rows or a 0/1 block, packed first.
+        Unlabelled blocks of ``GF2_BATCH_ROWS`` rows or more are eliminated
+        by ``_rref_words``; other blocks are absorbed row by row, in order.
         """
         if field.p != 2:
             raise ValueError("packed rows are a GF(2) representation")
         o = cls(field, cols)
-        o.extend(rows, row_labels)
+        if row_labels is None and len(rows) >= GF2_BATCH_ROWS:
+            w = _pack_words(_checked_block(np.asarray(rows) % 2, cols))
+            o._impl.pivots = _rref_words(w)
+            o._impl.pivot_mask = sum(1 << c for c in o._impl.pivots)
+        else:
+            o.extend(rows, row_labels)
         return o
 
     @classmethod

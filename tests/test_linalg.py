@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from slicedeg import distinguish, linalg
 from slicedeg.closure import evaluation_bool_matrix
-from slicedeg.cube import slice_masks
-from slicedeg.linalg import (PrimeField, RankOracle, _growth_bound,
-                             _rref_array, _work_dtype, is_prime)
+from slicedeg.cube import monomials_upto, slice_masks
+from slicedeg.linalg import (GF2_BATCH_ROWS, PrimeField, RankOracle,
+                             _growth_bound, _pack_words, _rref_array,
+                             _rref_words, _work_dtype, is_prime)
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -412,3 +414,95 @@ class TestWilsonRank:
                                        list(slice_masks(n, k)))
         oracle = RankOracle.from_rows(PrimeField(p), block)
         assert oracle.rank == wilson_rank(p, n, k, t)
+
+
+def absorb_pivots(block):
+    """Row-by-row reference: the pivot rows ``RankOracle.extend`` keeps."""
+    o = RankOracle(F2, block.shape[1])
+    o.extend(block)
+    return o._impl.pivots
+
+
+def slice_block(n, k, d):
+    return evaluation_bool_matrix(monomials_upto(n, d), list(slice_masks(n, k)))
+
+
+@st.composite
+def gf2_blocks(draw):
+    """0/1 blocks of rank at most ``inner``, at widths around multiples of
+    8 and 64, some with an all-zero strip or a repeated column."""
+    cols = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 127, 128,
+                                           129]), st.integers(1, 200)))
+    rows, inner = draw(st.integers(0, 80)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(0, 2, (rows, inner))
+         @ rng.integers(0, 2, (inner, cols))) % 2
+    s, c = draw(st.integers(0, (cols - 1) // 8)), draw(st.integers(0, cols - 1))
+    if draw(st.booleans()):
+        a[:, 8 * s:8 * s + 8] = 0
+    if draw(st.booleans()):
+        a[:, c] = a[:, 8 * s]  # a strip of rank below its nonzero columns
+    return a.astype(np.uint8)
+
+
+class TestFourRussians:
+    """The batch GF(2) RREF against the row-by-row absorb path."""
+
+    @given(gf2_blocks())
+    @example(np.zeros((0, 9), dtype=np.uint8))
+    @example(np.ones((5, 1), dtype=np.uint8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_absorb(self, block):
+        assert _rref_words(_pack_words(block)) == absorb_pivots(block)
+
+    def test_every_sweep_rung_to_n12(self, monkeypatch):
+        rungs = set()
+        provider = distinguish._slice_oracle
+        monkeypatch.setattr(distinguish, "_slice_oracle",
+                            lambda field, n, k, d, caps: rungs.add((n, k, d))
+                            or provider(field, n, k, d, caps))
+        distinguish.gap_degree_sweep(2, range(6, 13), gaps="all")
+        assert len(rungs) > 100
+        for n, k, d in sorted(rungs):
+            block = slice_block(n, k, d)
+            assert _rref_words(_pack_words(block)) == absorb_pivots(block)
+
+    @pytest.mark.parametrize("n, k, d", [(14, 7, 6), (15, 7, 4)])
+    def test_full_slice_beyond_brute_force(self, n, k, d):
+        # 3,432 x 6,476 of rank C(14, 6) and 6,435 x 1,941 of rank C(15, 4)
+        block = slice_block(n, k, d)
+        want = absorb_pivots(block)
+        assert len(want) == comb(n, d)
+        assert RankOracle.from_rows(F2, block)._impl.pivots == want
+
+    def test_dispatch_on_row_count_and_labels(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "_rref_words",
+                            lambda w: calls.append(len(w)) or _rref_words(w))
+        block = slice_block(9, 4, 2)  # 126 rows
+        assert len(block) >= GF2_BATCH_ROWS
+        for rows, labels in ((block, None), (block[:GF2_BATCH_ROWS - 1], None),
+                             (block, list(range(len(block))))):
+            got = RankOracle.from_rows(F2, rows, labels)
+            assert got._impl.pivots == absorb_pivots(rows)
+            assert got._impl.pivot_mask == sum(1 << c for c in got._impl.pivots)
+        assert calls == [len(block)]
+
+    def test_labelled_build_keeps_absorb_order_reads(self):
+        # greedy robust_search reads both; the absorb order defines them
+        block = slice_block(9, 4, 2)
+        labels = [f"row {i}" for i in range(len(block))]
+        got = RankOracle.from_rows(F2, block, labels)
+        ref = RankOracle(F2, block.shape[1])
+        ref.extend(block, labels)
+        assert got.pivot_owner == ref.pivot_owner
+        assert got.pivot_dependents == ref.pivot_dependents
+        assert any(got.pivot_dependents.values())
+
+    @pytest.mark.parametrize("rows", [3, GF2_BATCH_ROWS])
+    def test_wrong_width_is_rejected_on_both_paths(self, rows):
+        block = np.ones((rows, 5), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            RankOracle.from_packed_rows(F2, 6, block)
+        with pytest.raises(ValueError):
+            RankOracle.from_packed_rows(F2, 5, block.ravel())
