@@ -556,6 +556,12 @@ def _paired(n: int, m: int, j: int) -> int:
     return comb(n // 2, m // 2 - j) * comb(n // 2, (m + 1) // 2 + j)
 
 
+def _paired_step(n: int, m: int, j: int) -> Fraction:
+    """paired(j + 1) / paired(j) in closed form."""
+    h, a, b = n // 2, m // 2, (m + 1) // 2
+    return Fraction((a - j) * (h - b - j), (h - a + j + 1) * (b + j + 1))
+
+
 def hyper_ratio_check(n: int, m: int, k: int, ell: int = 0) -> HyperRatioReport:
     """Verify each telescoping step and the assembled product bound.
 
@@ -571,7 +577,7 @@ def hyper_ratio_check(n: int, m: int, k: int, ell: int = 0) -> HyperRatioReport:
     steps_exp = True
     with mp.workdps(DPS):
         for j in range(ell, k):
-            step = Fraction(_paired(n, m, j + 1), _paired(n, m, j))
+            step = _paired_step(n, m, j)
             if step > 1 - Fraction(2 * j, m):
                 steps_exact = False
             if mpf_fraction(step) > mp.e ** (mp.mpf(-2 * j) / m):

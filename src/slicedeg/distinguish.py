@@ -9,8 +9,9 @@ one representative point settles the whole slice; small-case tests verify
 this against full closure computations.
 
 Robust variants relax the vanishing constraint on an explicit error set,
-either heuristically (upper bound) or by brute force over all small error
-sets (exact oracle at tiny scale).
+either heuristically (upper bound) or exactly over all small error sets,
+from one left kernel G of slice k's rows R per degree: a slice-K row c0 R
+stays in the span of R minus rows E0 iff c0|E0 lies in G|E0.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -343,13 +345,38 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
     return rows, violations
 
 
+def _dependent_sets(field: PrimeField, block: np.ndarray, max_size: int):
+    """Index sets of 1 to ``max_size`` linearly dependent rows of a block, by
+    size in ``combinations`` order.  P + (j,) is dependent iff P is or row j
+    is in the span of the rows P: one ``members`` call per prefix P."""
+    rows = RankOracle(field, block.shape[1]).rows(block)
+    for size in range(1, max_size + 1):
+        for prefix in combinations(range(len(rows)), size - 1):
+            head = RankOracle(field, block.shape[1])
+            start = prefix[-1] + 1 if prefix else 0
+            inside = (head.members(rows[start:])
+                      if all(head.absorb(rows[i]) for i in prefix)
+                      else [True] * (len(rows) - start))
+            for j in (np.flatnonzero(inside) + start).tolist():
+                yield prefix + (j,)
+
+
 def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
                       caps: Caps = DEFAULT_CAPS) -> DistinguishReport:
     """Exact robust minimum degree over ALL error sets of size <= max_removals.
 
-    Brute-force oracle: min over error sets E0 of the least d at which some
-    slice-K point escapes the closure of slice k minus E0.  Practical only
-    for tiny n; raises on combinatorial explosion.
+    The least d at which, for some error set E0, a slice-K point escapes the
+    closure of slice k minus E0.  Sets are tried by size in ``combinations``
+    order; the first with an escape is reported.
+
+    Let X and R be the slice-K and slice-k evaluation matrices, X in span(R).
+    One oracle on the rows of [R^T | X^T] gives, cut to the first |R|
+    entries, a basis G of {c : cR = 0} (free columns of R^T) and for each row
+    x of X a solution c0(x) of c0 R = x (minus the vector of x's column).  So
+    x stays in span(R minus E0) iff c0(x)|E0 is in the span of G's columns
+    E0, and rank(R minus E0) = rank R - |E0| + rank G^T[E0]: only an E0 with
+    dependent rows G^T[E0] is tested, per row x, with width |E0|.  A failed
+    check of G R = 0 or C0 R = X (mod p) raises AssertionError.
     """
     SliceDistinguishInstance(n=n, p=p, k=k, K=K)
     field = PrimeField(p)
@@ -357,34 +384,31 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     total_sets = sum(comb(size_k, j) for j in range(max_removals + 1))
     check_cap(total_sets * size_k, caps.max_slice_points,
               "exhaustive robust work")
-    from itertools import combinations
-
     k_masks = list(slice_masks(n, k))
     K_masks = list(slice_masks(n, K))
     per_degree: dict[int, int] = {}
     for d in range(n + 1):
         ev, full = _slice_oracle(field, n, k, d, caps)
-        convert = RankOracle(field, ev.n_d).rows
-        k_rows = convert(ev.bool_matrix())
-        K_rows = convert(evaluation_bool_matrix(ev.monomials, K_masks))
-        best: Optional[tuple] = None
-        for r in range(max_removals + 1):
-            for removed in combinations(range(size_k), r):
-                oracle = full
-                if removed:
-                    oracle = RankOracle(field, ev.n_d)
-                    oracle.extend([row for i, row in enumerate(k_rows)
-                                   if i not in removed])
-                outside = oracle.members(K_rows).count(False)
+        X = evaluation_bool_matrix(ev.monomials, K_masks)
+        outside, removed = full.members(X).count(False), ()
+        if not outside and max_removals:
+            R = ev.bool_matrix()
+            both = RankOracle.from_rows(field, np.hstack([R.T, X.T]))
+            sol = np.array(both.nullspace(), dtype=np.int64)[:, :size_k]
+            kernel, c0 = sol[:-len(X)], -sol[-len(X):] % p
+            check = np.vstack([kernel, c0]) @ R.astype(np.int64) % p
+            if check[:len(kernel)].any() or (check[len(kernel):] != X).any():
+                raise AssertionError(f"slice ({n}, {k}) at degree {d}: left "
+                                     "kernel fails G R = 0 or C0 R = X mod p")
+            for removed in _dependent_sets(field, kernel.T, max_removals):
+                span = RankOracle(field, len(removed))
+                span.extend(kernel[:, list(removed)])
+                outside = span.members(c0[:, list(removed)]).count(False)
                 if outside:
-                    best = (removed, outside)
                     break
-            if best:
-                break
-        if best is None:
+        if not outside:
             per_degree[d] = 0
             continue
-        removed, outside = best
         per_degree[d] = outside
         return DistinguishReport(
             degree=d, mode="exhaustive", n=n, p=p, k=k, K=K,

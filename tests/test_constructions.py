@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from slicedeg import constructions
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.constructions import (CoinInstance, GalvinFamily, WeightWindow,
                                     binom_ratio_check, coin_build,
@@ -538,6 +539,14 @@ class TestBoundCheckers:
                 rep = hyper_ratio_check(n, m, k, 0)
                 assert rep.steps_exact_ok and rep.steps_exp_ok
                 assert rep.assembled_ok
+
+    def test_hyper_ratio_closed_form_step(self):
+        for n in range(2, 41, 2):
+            for m in range(n // 2 + 1):
+                for j in range(m // 2):
+                    step = Fraction(constructions._paired(n, m, j + 1),
+                                    constructions._paired(n, m, j))
+                    assert constructions._paired_step(n, m, j) == step
 
     def test_hyper_ratio_validation(self):
         with pytest.raises(ValueError):

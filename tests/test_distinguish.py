@@ -92,6 +92,47 @@ def _gf2_rank(a):
     return rank
 
 
+def _exhaustive_by_rebuild(n, p, k, K, max_removals, caps=DEFAULT_CAPS):
+    """Reference for ``exhaustive_robust``: one oracle rebuilt from the
+    remaining slice-k rows for every error set, in the same order."""
+    field = PrimeField(p)
+    size_k = comb(n, k)
+    k_masks = list(slice_masks(n, k))
+    K_masks = list(slice_masks(n, K))
+    per_degree = {}
+    for d in range(n + 1):
+        ev, full = distinguish._slice_oracle(field, n, k, d, caps)
+        convert = RankOracle(field, ev.n_d).rows
+        k_rows = convert(ev.bool_matrix())
+        K_rows = convert(evaluation_bool_matrix(ev.monomials, K_masks))
+        best = None
+        for r in range(max_removals + 1):
+            for removed in itertools.combinations(range(size_k), r):
+                oracle = full
+                if removed:
+                    oracle = RankOracle(field, ev.n_d)
+                    oracle.extend([row for i, row in enumerate(k_rows)
+                                   if i not in removed])
+                outside = oracle.members(K_rows).count(False)
+                if outside:
+                    best = (removed, outside)
+                    break
+            if best:
+                break
+        if best is None:
+            per_degree[d] = 0
+            continue
+        removed, outside = best
+        per_degree[d] = outside
+        return distinguish.DistinguishReport(
+            degree=d, mode="exhaustive", n=n, p=p, k=k, K=K,
+            outside_count=outside, per_degree_outside=per_degree,
+            slice_sizes=(size_k, comb(n, K)),
+            error_set=[k_masks[i] for i in removed],
+        )
+    raise AssertionError("no distinguisher up to degree n")
+
+
 class TestInstance:
     def test_derived_quantities(self):
         inst = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2048 + 384)
@@ -260,6 +301,75 @@ class TestExhaustiveRobust:
     def test_monotone_in_removals(self):
         degs = [exhaustive_robust(7, 2, 3, 5, r).degree for r in (0, 1, 2)]
         assert degs == sorted(degs, reverse=True)
+
+    @pytest.mark.parametrize("p, n_max", [(2, 7), (3, 6), (5, 6)])
+    def test_matches_rebuild_per_error_set(self, p, n_max):
+        # includes the instances whose answer removes rows: a removal that
+        # lowers the rank lets some slice-K rows escape
+        with_errors = 0
+        for n in range(3, n_max + 1):
+            for k in range(1, n):
+                for K in range(n + 1):
+                    if K == k:
+                        continue
+                    for removals in (0, 1, 2):
+                        got = exhaustive_robust(n, p, k, K, removals)
+                        want = _exhaustive_by_rebuild(n, p, k, K, removals)
+                        assert got.to_json_dict() == want.to_json_dict()
+                        with_errors += bool(got.error_set)
+        assert with_errors > 0
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_error_set_may_remove_the_whole_slice(self, p):
+        # over odd p, rebuilding from no rows raised ValueError
+        rep = exhaustive_robust(2, p, 1, 0, 2)
+        assert (rep.degree, rep.error_set, rep.outside_count) == (0, [1, 2], 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dependent_sets_in_combinations_order(self, p):
+        field, rng = PrimeField(p), np.random.default_rng(p)
+        for rows, width in ((9, 3), (7, 5), (5, 0)):
+            block = rng.integers(0, p, (rows, width))
+            block[1], block[4] = 0, block[2]
+            want = [e for r in (1, 2, 3)
+                    for e in itertools.combinations(range(rows), r)
+                    if RankOracle.from_rows(field, block[list(e)]).rank < r]
+            assert list(distinguish._dependent_sets(field, block, 3)) == want
+
+    @pytest.mark.parametrize("n, p, k, K", [(10, 2, 5, 7), (10, 3, 5, 8)])
+    def test_beyond_the_rebuild_path(self, n, p, k, K):
+        # 1 + 252 + 31,626 error sets per degree below the answer
+        inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
+        degrees = []
+        for removals in (0, 1, 2):
+            degree = exhaustive_robust(n, p, k, K, removals).degree
+            budget = Fraction(removals, comb(n, k))
+            for strategy in ("uniform", "greedy"):
+                assert robust_search(inst, budget, strategy=strategy,
+                                     restarts=3, seed=1,
+                                     confirm_samples=0).degree >= degree
+            degrees.append(degree)
+        assert degrees == sorted(degrees, reverse=True)
+
+    def test_corrupt_left_kernel_raises_under_python_O(self):
+        code = (
+            "import sys\n"
+            "if __debug__: sys.exit(3)\n"
+            "from slicedeg import distinguish\n"
+            "from slicedeg.linalg import RankOracle\n"
+            "vector = RankOracle.nullspace_vector\n"
+            "def corrupt(self, free_col):\n"
+            "    v = vector(self, free_col)\n"
+            "    v[0] = (v[0] + 1) % self.field.p\n"
+            "    return v\n"
+            "RankOracle.nullspace_vector = corrupt\n"
+            "distinguish.exhaustive_robust(6, 3, 2, 4, 1)\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        assert ("AssertionError: slice (6, 2) at degree 0: left kernel fails"
+                in res.stderr)
 
     def test_work_respects_slice_point_cap(self):
         # (8, 4) with one removal: (1 + 70) error sets of 70 rows each
@@ -445,13 +555,14 @@ class TestSliceOracleProvider:
     def test_empty_error_set_takes_the_provider_oracle(self, monkeypatch):
         n, p, k, K = 8, 2, 4, 6
         size_k = comb(n, k)
-        absorbed = []
+        absorbed = []  # (oracle width, rows) of every extend
         extend = RankOracle.extend
         monkeypatch.setattr(RankOracle, "extend", lambda self, block, labels=None:
-                            absorbed.append(len(block)) or extend(self, block, labels))
-        exhaustive_robust(n, p, k, K, 1)  # fills the degree ladder
+                            absorbed.append((self.cols, len(block)))
+                            or extend(self, block, labels))
+        exhaustive_robust(n, p, k, K, 2)  # fills the degree ladder
         absorbed.clear()
-        got = exhaustive_robust(n, p, k, K, 1)
+        got = exhaustive_robust(n, p, k, K, 2)
         provider = list(absorbed)
 
         def absorb_every_row(field, n, k, d, caps):
@@ -462,11 +573,14 @@ class TestSliceOracleProvider:
 
         monkeypatch.setattr(distinguish, "_slice_oracle", absorb_every_row)
         absorbed.clear()
-        want = exhaustive_robust(n, p, k, K, 1)
+        want = exhaustive_robust(n, p, k, K, 2)
         assert got.to_json_dict() == want.to_json_dict()
-        # one full-slice absorption fewer per degree, the rest unchanged
-        assert size_k not in provider
-        assert sorted(absorbed) == sorted(provider + [size_k] * (got.degree + 1))
+        # per degree, the ladder's oracle is the one absorption of slice-k
+        # rows: the error sets absorb none, and the rest is unchanged
+        widths = [len(monomials_upto(n, d)) for d in range(got.degree + 1)]
+        assert not [cols for cols, _ in provider if cols in widths]
+        assert sorted(absorbed) == sorted(
+            provider + [(cols, size_k) for cols in widths])
 
 
 def _assert_same_span(got, want, rng, free_cols=None):
