@@ -2,8 +2,10 @@
 
 Modules:
   linalg         exact F_p rank oracle (rank, nullspace, membership)
-  cube           Boolean cube, multilinear polynomials, slice statistics
-  closure        vanishing ideals, degree closures, ideal sampling
+  cube           weight slices as bitmasks, multilinear polynomials, slice
+                 statistics
+  closure        evaluation matrices of uint64 point arrays, vanishing
+                 ideals, degree closures, ideal sampling
   distinguish    exact and robust minimum slice-distinguishing degree
   spectra        symmetric-function spectra, periods, decompositions
   constructions  coin, junta and hyperplane constructions with exact error
@@ -13,8 +15,7 @@ Modules:
 
 from .config import Caps, CapExceeded, DEFAULT_CAPS
 from .linalg import PrimeField, RankOracle
-from .cube import (CubePoint, MultilinearPoly, SliceStats,
-                   elementary_symmetric, enumerate_slice,
+from .cube import (MultilinearPoly, SliceStats, elementary_symmetric,
                    multilinearize_product, slice_stats,
                    symmetric_value_table)
 

@@ -6,6 +6,10 @@ its evaluation row lies in the row space of that matrix.  Membership is
 answered by one frozen RankOracle per (E, D), instead of evaluating a
 possibly huge ideal basis: one row reduction per candidate, or, when E is a
 union of full weight slices, one per candidate weight.
+
+A point set is a 1-D uint64 array of n-bit masks, taken as it is; any other
+iterable of ints is converted once.  Masks leave the array as Python ints
+(``tolist``), so no numpy scalar reaches a report.
 """
 
 from __future__ import annotations
@@ -20,23 +24,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps, check_cap
-from .cube import (CHUNK_CELLS, CubePoint, Mask, MultilinearPoly,
-                   monomials_upto, n_monomials, popcount, slice_masks)
+from .cube import (CHUNK_CELLS, Mask, MultilinearPoly, monomials_upto,
+                   n_monomials, popcount, slice_masks)
 from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
 
 
-def _as_masks(points: Iterable) -> list[Mask]:
-    out = []
-    for a in points:
-        out.append(a.bits if isinstance(a, CubePoint) else int(a))
-    return out
+def _mask_array(masks: Iterable[Mask]) -> np.ndarray:
+    """The masks as a 1-D uint64 array; a uint64 array is taken as it is."""
+    if isinstance(masks, np.ndarray) and masks.dtype == np.uint64:
+        return masks
+    try:
+        return np.fromiter(masks, dtype=np.uint64)
+    except OverflowError as e:
+        raise ValueError(f"a mask is outside [0, 2^64): {e}") from None
 
 
 def evaluation_bool_matrix(monomials: Sequence[Mask],
                            point_masks: Iterable[Mask]) -> np.ndarray:
     """0/1 matrix: entry (i, j) = 1 iff monomial j is supported inside point i."""
     monos = np.array(monomials, dtype=np.uint64)
-    pts = np.fromiter(point_masks, dtype=np.uint64)
+    pts = _mask_array(point_masks)
     out = np.empty((len(pts), len(monomials)), dtype=np.uint8)
     if len(pts) == 0 or len(monomials) == 0:
         return out
@@ -51,7 +58,7 @@ class EvaluationMatrix:
     """Evaluation rows of all monomials of degree <= D at a point set E.
 
     Column order is the canonical monomial order; row i belongs to the i-th
-    point of E.
+    point of E, ``points[i]``.
     """
 
     def __init__(self, field: PrimeField, n: int, degree: int,
@@ -59,9 +66,10 @@ class EvaluationMatrix:
         self.field = field
         self.n = n
         self.degree = degree
-        # points and monomials are held as uint64 masks
         check_cap(n, 64, "evaluation matrix variables n")
-        self.points = _as_masks(points)
+        self.points = _mask_array(points)
+        if len(self.points) and int(self.points.max()) >> n:
+            raise ValueError(f"a point is outside [0, 2^{n})")
         check_cap(len(self.points), caps.max_rows, "evaluation matrix rows")
         self.monomials = monomials_upto(n, degree, caps)
         self.caps = caps
@@ -78,7 +86,7 @@ class EvaluationMatrix:
 
     def oracle(self, labels: bool = False) -> RankOracle:
         """Frozen rank oracle on this matrix's rows."""
-        row_labels = self.points if labels else None
+        row_labels = self.points.tolist() if labels else None
         return RankOracle.from_rows(self.field, self.bool_matrix(), row_labels)
 
     # the oracle takes the 0/1 evaluation row as it is
@@ -105,11 +113,12 @@ def ideal_basis(field: PrimeField, n: int, points: Iterable, degree: int,
     oracle = ev.oracle()
     basis = _polys_from_coeff_vectors(
         oracle.nullspace(), ev.monomials, n, field)
-    if basis and ev.points:
+    if basis and len(ev.points):
         # sampled vanishing check; full verification is quadratic
         rng = random.Random(0xBA5E5)
-        pairs = [(rng.choice(ev.points), rng.choice(basis))
-                 for _ in range(min(1000, len(ev.points) * len(basis)))]
+        pts = ev.points.tolist()
+        pairs = [(rng.choice(pts), rng.choice(basis))
+                 for _ in range(min(1000, len(pts) * len(basis)))]
         if not all(poly.evaluate(pt) == 0 for pt, poly in pairs):
             raise AssertionError("an ideal basis element does not vanish on E")
     return basis
@@ -186,12 +195,10 @@ class ClosureResult:
 
 
 def _is_slice_union(n: int, masks: Sequence[Mask]) -> bool:
-    """True iff the distinct masks are exactly a union of full weight slices
-    of the n-cube."""
-    distinct = set(masks)
-    counts = Counter(popcount(m) for m in distinct)
-    return (not any(m >> n for m in distinct)
-            and all(c == comb(n, w) for w, c in counts.items()))
+    """True iff the distinct masks, all in [0, 2^n), are exactly a union of
+    full weight slices of the n-cube."""
+    counts = Counter(popcount(m) for m in set(masks))
+    return all(c == comb(n, w) for w, c in counts.items())
 
 
 def closure(field: PrimeField, n: int, points: Iterable, degree: int,
@@ -209,7 +216,7 @@ def closure(field: PrimeField, n: int, points: Iterable, degree: int,
     cand_masks = candidates.masks(caps)
     members = []
     if cand_masks:
-        if _is_slice_union(n, ev.points):
+        if _is_slice_union(n, ev.points.tolist()):
             weights = sorted({popcount(m) for m in cand_masks})
             flags = batch_member(oracle, evaluation_bool_matrix(
                 ev.monomials, [(1 << w) - 1 for w in weights]))
@@ -232,10 +239,9 @@ def nie_wang_check(field: PrimeField, n: int, points: Iterable, degree: int,
 
     Returns (lhs, rhs, holds) as exact rationals plus a boolean.
     """
-    pts = _as_masks(points)
-    res = closure(field, n, pts, degree, Candidates.full_cube(n), caps)
+    res = closure(field, n, points, degree, Candidates.full_cube(n), caps)
     lhs = Fraction(res.closure_count, 1 << n)
-    rhs = Fraction(len(pts), n_monomials(n, degree))
+    rhs = Fraction(res.e_size, n_monomials(n, degree))
     return lhs, rhs, lhs <= rhs
 
 

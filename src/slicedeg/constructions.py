@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
                      mpf_fraction)
-from .cube import (Mask, MultilinearPoly, binomial_row, multilinearize_product,
+from .cube import (MultilinearPoly, binomial_row, multilinearize_product,
                    popcount, slice_masks, weight_values_from_ecoeffs)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
@@ -162,35 +162,6 @@ class SampledJunta:
     one_weights: tuple           # inner weights constrained to 1
     deviations: tuple = ("indices sampled without replacement (distinct), "
                          "not i.i.d. uniform",)
-
-    @property
-    def index_mask(self) -> int:
-        mask = 0
-        for i in self.indices:
-            mask |= 1 << i
-        return mask
-
-    def value_at(self, mask: Mask) -> int:
-        return self.inner_table[popcount(mask & self.index_mask)]
-
-    def to_poly(self, caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-        """Materialize as a polynomial on the full n variables."""
-        field = PrimeField(self.p)
-        idx = list(self.indices)
-        total = sum(comb(self.m, j)
-                    for j, c in enumerate(self.inner_ecoeffs) if c)
-        check_cap(total, caps.max_terms, "junta term count")
-        from itertools import combinations
-        terms: dict[Mask, int] = {}
-        for j, c in enumerate(self.inner_ecoeffs):
-            if not c:
-                continue
-            for sub in combinations(idx, j):
-                m = 0
-                for i in sub:
-                    m |= 1 << i
-                terms[m] = c
-        return MultilinearPoly.from_terms(self.n, field, terms)
 
 
 def sampling_poly(n: int, k: int, q: int, eps: float, C: int, seed: int,

@@ -1,9 +1,11 @@
-"""Boolean cube points, weight slices, and multilinear polynomials over F_p.
+"""Weight slices of {0,1}^n and multilinear polynomials over F_p.
 
-A monomial is represented by its variable bitmask (bit i = variable x_{i+1});
-a polynomial is a canonical map monomial-mask -> nonzero coefficient.  Because
-multilinear representations of functions on {0,1}^n are unique, two equal
-functions built multilinearly always have identical term maps.
+A point of {0,1}^n and a monomial are both n-bit masks (bit i = coordinate /
+variable x_{i+1}): a Python int one at a time, a 1-D uint64 array as a set
+(``closure.EvaluationMatrix.points``).  A polynomial is a canonical map
+monomial-mask -> nonzero coefficient.  Because multilinear representations
+of functions on {0,1}^n are unique, two equal functions built multilinearly
+always have identical term maps.
 
 Symmetric polynomials admit a compact second representation: a coefficient
 vector over the elementary symmetric basis (P = sum_j c_j e_j), which doubles
@@ -37,24 +39,6 @@ def popcount(x: int) -> int:
     return x.bit_count()
 
 
-@dataclass(frozen=True)
-class CubePoint:
-    """A point of {0,1}^n as an n-bit mask."""
-
-    n: int
-    bits: Mask
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
-
-    @property
-    def weight(self) -> int:
-        return popcount(self.bits)
-
-
 def slice_masks(n: int, k: int) -> Iterator[Mask]:
     """All weight-k masks of n bits in increasing numeric order (Gosper's hack)."""
     if not (0 <= k <= n):
@@ -69,15 +53,6 @@ def slice_masks(n: int, k: int) -> Iterator[Mask]:
         c = m & -m
         r = m + c
         m = (((r ^ m) >> 2) // c) | r
-
-
-def enumerate_slice(n: int, k: int, caps: Caps = DEFAULT_CAPS) -> Iterator[CubePoint]:
-    """Iterate {0,1}^n_k in canonical (increasing bitmask) order."""
-    if n > 63:
-        raise CapExceeded(f"slice enumeration limited to n <= 63, got n={n}")
-    check_cap(comb(n, k), caps.max_slice_points, f"slice size C({n},{k})")
-    for m in slice_masks(n, k):
-        yield CubePoint(n, m)
 
 
 def monomials_upto(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> list[Mask]:
@@ -226,12 +201,6 @@ class MultilinearPoly:
 
     # -- basic structure --------------------------------------------------
     @property
-    def is_zero(self) -> bool:
-        if self._sym is not None:
-            return len(self._sym) == 0
-        return len(self._terms) == 0
-
-    @property
     def degree(self) -> int:
         """Max term degree; 0 for the zero polynomial by convention."""
         if self._sym is not None:
@@ -282,11 +251,8 @@ class MultilinearPoly:
             return None
         return tuple(weight_values_from_ecoeffs(self.n, self._sym, self.field.p))
 
-    def evaluate(self, point) -> int:
-        """Value at a point given as a CubePoint or a raw bitmask."""
-        mask = point.bits if isinstance(point, CubePoint) else point
-        if isinstance(point, CubePoint) and point.n != self.n:
-            raise ValueError(f"point arity {point.n} != poly arity {self.n}")
+    def evaluate(self, mask: Mask) -> int:
+        """Value at the point with bitmask ``mask``."""
         if self._terms is None:
             return self.weight_value(popcount(mask))
         acc = 0
@@ -424,15 +390,3 @@ def poly_to_json_dict(P: MultilinearPoly, caps: Caps = DEFAULT_CAPS) -> dict:
         "terms": [{"mask": hex(m), "c": c} for m, c in P.sorted_terms(caps)],
     }
 
-
-def poly_from_json_dict(d: dict) -> MultilinearPoly:
-    field = PrimeField(int(d["p"]))
-    n = int(d["n"])
-    terms = {}
-    for t in d["terms"]:
-        m = int(t["mask"], 16)
-        c = int(t["c"])
-        if not (1 <= c < field.p):
-            raise ValueError(f"coefficient {c} outside [1, p)")
-        terms[m] = c
-    return MultilinearPoly.from_terms(n, field, terms)

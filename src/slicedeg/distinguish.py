@@ -173,12 +173,12 @@ class DistinguishReport:
         return d
 
 
-# the current slice's degree ladder: {(field, n, k, caps): {d: (ev, oracle)}}
-_ladder: dict[tuple, dict[int, tuple[EvaluationMatrix, RankOracle]]] = {}
+# the current slice's degree ladder: {(field, n, k, caps): (points in slice
+# order, the same points in _row_order, {d: (ev, oracle)})}
+_ladder: dict[tuple, tuple] = {}
 _HEAD_MARGIN, _CHUNK = 32, 64  # rows built beyond the bound; rows per later step
 
 
-@lru_cache(maxsize=64)
 def _row_order(size: int) -> np.ndarray:
     """The fixed pseudo-random order in which a slice's rows are absorbed."""
     return np.random.default_rng(0).permutation(size)
@@ -195,20 +195,21 @@ def _slice_oracle(field: PrimeField, n: int, k: int, d: int,
     oracle reaches it.  Only the reads its span determines are valid (the
     RREF, ``member``, ``residue``, ``nullspace_vector``); a rank above the
     bound raises AssertionError.  The ladder of the last slice requested is
-    kept until another slice is requested; results are shared, so callers
-    never ``absorb`` or ``extend`` into them.
+    kept until another slice is requested; it enumerates the slice once, and
+    every rung's ``points`` is that one array.  Results are shared, so
+    callers never ``absorb`` or ``extend`` into them.
     """
-    rungs = _ladder.get((field, n, k, caps))
-    if rungs is None:
+    if (field, n, k, caps) not in _ladder:
         _ladder.clear()
-        rungs = _ladder[field, n, k, caps] = {}
+        pts = np.fromiter(slice_masks(n, k), dtype=np.uint64)
+        _ladder[field, n, k, caps] = (pts, pts[_row_order(len(pts))], {})
+    points, rows, rungs = _ladder[field, n, k, caps]
     if d not in rungs:
-        ev = EvaluationMatrix(field, n, d, slice_masks(n, k), caps)
+        ev = EvaluationMatrix(field, n, d, points, caps)
         bound = comb(n, min(d, k, n - k))
-        rows = np.array(ev.points, dtype=np.uint64)[_row_order(len(ev.points))]
         head = copy.copy(ev)  # the same columns, evaluated at the first rows
         lo = bound + _HEAD_MARGIN
-        head.points = rows[:lo].tolist()
+        head.points = rows[:lo]
         oracle = head.oracle()
         while oracle.rank < bound and lo < len(rows):
             block = evaluation_bool_matrix(ev.monomials, rows[lo:lo + _CHUNK])
@@ -251,7 +252,7 @@ def exact_min_degree(n: int, p: int, k: int, K: int,
     field = PrimeField(p)
     check_cap(comb(n, k), caps.max_slice_points, f"slice size C({n},{k})")
     check_cap(comb(n, K), caps.max_slice_points, f"slice size C({n},{K})")
-    rep = next(slice_masks(n, K))
+    rep = (1 << K) - 1
     size_K = comb(n, K)
     per_degree: dict[int, int] = {}
     for d in range(n + 1):
@@ -331,7 +332,7 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
                     break
                 ev, oracle = _slice_oracle(field, n, k, d, caps)
                 for K in list(unresolved):
-                    row = ev.row_for_oracle(next(slice_masks(n, K)))
+                    row = ev.row_for_oracle((1 << K) - 1)
                     if not oracle.member(row):
                         found[K] = d
                         del unresolved[K]
@@ -384,7 +385,6 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     total_sets = sum(comb(size_k, j) for j in range(max_removals + 1))
     check_cap(total_sets * size_k, caps.max_slice_points,
               "exhaustive robust work")
-    k_masks = list(slice_masks(n, k))
     K_masks = list(slice_masks(n, K))
     per_degree: dict[int, int] = {}
     for d in range(n + 1):
@@ -414,7 +414,7 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
             degree=d, mode="exhaustive", n=n, p=p, k=k, K=K,
             outside_count=outside, per_degree_outside=per_degree,
             slice_sizes=(size_k, comb(n, K)),
-            error_set=[k_masks[i] for i in removed],
+            error_set=ev.points[list(removed)].tolist(),
         )
     raise AssertionError("no distinguisher up to degree n; this cannot happen")
 

@@ -281,8 +281,10 @@ class _ArrRankOracle:
         self.dependents: dict[int, int] = {}
 
     def rows(self, block) -> np.ndarray:
-        return _checked_block(
-            np.mod(np.asarray(block, dtype=np.int64), self.p), self.cols)
+        a = np.mod(np.asarray(block, dtype=np.int64), self.p)
+        if a.shape == (0,):  # an empty list is no rows, as on GF(2)
+            a = a.reshape(0, self.cols)
+        return _checked_block(a, self.cols)
 
     def _reduce(self, work: np.ndarray, count: bool = False) -> np.ndarray:
         """Reduce every row of the block ``work`` in place to its residue.

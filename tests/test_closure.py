@@ -16,7 +16,8 @@ from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               evaluation_bool_matrix, hamming_ball,
                               ideal_basis, nie_wang_check)
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import monomials_upto, n_monomials, popcount, slice_masks
+from slicedeg.cube import (MultilinearPoly, monomials_upto, n_monomials,
+                           popcount, slice_masks)
 from slicedeg.linalg import PrimeField, RankOracle
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -104,6 +105,21 @@ class TestIdealBasis:
         # point and monomial masks are uint64, which cannot hold n = 70
         with pytest.raises(CapExceeded):
             EvaluationMatrix(field, 70, 1, [1 << 65]).oracle()
+
+    @pytest.mark.parametrize("point", [0b1000, -1, 1 << 70])
+    def test_points_outside_the_cube_raise(self, point):
+        with pytest.raises(ValueError, match="outside"):
+            EvaluationMatrix(F3, 3, 1, [0b111, point])
+
+    def test_a_uint64_array_is_taken_as_it_is(self):
+        pts = np.arange(8, dtype=np.uint64)
+        ev = EvaluationMatrix(F3, 3, 1, pts)
+        assert ev.points is pts
+        assert np.array_equal(ev.bool_matrix(), EvaluationMatrix(
+            F3, 3, 1, iter(range(8))).bool_matrix())
+        assert ev.oracle(labels=True).pivot_owner == {0: 0, 1: 1, 2: 2, 3: 4}
+        assert all(type(m) is int for m in
+                   ev.oracle(labels=True).pivot_owner.values())
 
     def test_vanishing_check_survives_python_O(self):
         # a basis that fails the sampled check must raise with asserts off
@@ -293,7 +309,8 @@ class TestIdealSampler:
         # full cube at degree n: only the zero polynomial vanishes everywhere
         sampler = IdealSampler(F2, 3, list(range(8)), 3, seed=1)
         assert sampler.dim == 0
-        assert all(sampler.sample().is_zero for _ in range(5))
+        assert all(sampler.sample() == MultilinearPoly.zero(3, F2)
+                   for _ in range(5))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_exhaustive_fraction_exact(self, p):

@@ -4,7 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -26,6 +26,21 @@ from slicedeg.experiments import ExperimentSpec, run
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+
+
+def junta_value(junta, mask):
+    """The junta's inner table at the weight of ``mask`` on its indices."""
+    index_mask = sum(1 << i for i in junta.indices)
+    return junta.inner_table[popcount(mask & index_mask)]
+
+
+def junta_poly(junta):
+    """The junta on all n variables: inner coefficient c_j on every product
+    of j sampled variables."""
+    terms = {sum(1 << i for i in sub): c
+             for j, c in enumerate(junta.inner_ecoeffs) if c
+             for sub in combinations(junta.indices, j)}
+    return MultilinearPoly.from_terms(junta.n, PrimeField(junta.p), terms)
 
 
 class TestLucasPoly:
@@ -128,10 +143,10 @@ class TestSampledJunta:
         # the composed value depends only on the restricted weight
         junta = sampling_poly(16, 8, 4, 0.3, 1, seed=3)
         rng = random.Random(5)
-        poly = junta.to_poly()
+        poly = junta_poly(junta)
         for _ in range(200):
             m = rng.randrange(1 << 16)
-            assert poly.evaluate(m) == junta.value_at(m)
+            assert poly.evaluate(m) == junta_value(junta, m)
 
     def test_m_equals_n_point_mass(self):
         junta = sampling_poly(13, 6, 3, 0.5, 1, seed=2)
@@ -152,7 +167,7 @@ class TestSampledJunta:
             total = 0
             for m in slice_masks(12, w):
                 total += 1
-                v = junta.value_at(m)
+                v = junta_value(junta, m)
                 bad = (v != 0) if target == "zero" else (v == 0)
                 miss += bad
             assert exact == Fraction(miss, total)

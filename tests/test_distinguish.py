@@ -462,13 +462,31 @@ class TestSliceOracleProvider:
         first = distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS)
         assert distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS) is first
         distinguish._slice_oracle(F2, 7, 3, 1, DEFAULT_CAPS)
-        assert {key: set(rungs) for key, rungs in ladder.items()} == {
+        assert {key: set(rungs) for key, (_, _, rungs) in ladder.items()} == {
             (F2, 7, 3, DEFAULT_CAPS): {1, 2}}
         distinguish._slice_oracle(F2, 7, 4, 2, DEFAULT_CAPS)
-        assert {key: set(rungs) for key, rungs in ladder.items()} == {
+        assert {key: set(rungs) for key, (_, _, rungs) in ladder.items()} == {
             (F2, 7, 4, DEFAULT_CAPS): {2}}
+        points, shuffled, _ = ladder[F2, 7, 4, DEFAULT_CAPS]
+        assert points.tolist() == list(slice_masks(7, 4))
+        assert shuffled.tolist() == points[distinguish._row_order(35)].tolist()
         again = distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS)
         assert again is not first and list(ladder) == [(F2, 7, 3, DEFAULT_CAPS)]
+
+    def test_the_ladder_enumerates_each_slice_once(self, monkeypatch):
+        calls = []
+        slice_masks_ = distinguish.slice_masks
+        monkeypatch.setattr(distinguish, "slice_masks", lambda n, k: (
+            calls.append((n, k)) or slice_masks_(n, k)))
+        distinguish._ladder.clear()
+        rows, _ = gap_degree_sweep(2, [12], gaps="all")
+        assert calls == [(12, k) for k in range(1, 12)]
+        # the degrees asked of the last slice all read its one array
+        points, _, rungs = distinguish._ladder[F2, 12, 11, DEFAULT_CAPS]
+        assert len(rungs) == 2
+        assert all(np.shares_memory(ev.points, points)
+                   for ev, _ in rungs.values())
+        assert max(r.degree for r in rows) >= 4
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_shared_oracles_stay_as_built(self, p):
@@ -478,10 +496,13 @@ class TestSliceOracleProvider:
         exact_min_degree(n, p, k, K)
         robust_search(inst, Fraction(3, comb(n, k)), strategy="greedy",
                       confirm_samples=4)
-        rungs = distinguish._ladder[PrimeField(p), n, k, DEFAULT_CAPS]
+        points, shuffled, rungs = distinguish._ladder[PrimeField(p), n, k,
+                                                      DEFAULT_CAPS]
         assert len(rungs) >= 2
+        assert points.tolist() == list(slice_masks(n, k))
+        assert sorted(shuffled.tolist()) == points.tolist()
         for d, (ev, oracle) in rungs.items():
-            assert ev.degree == d and ev.points == list(slice_masks(n, k))
+            assert ev.degree == d and ev.points is points
             _assert_same_span(oracle, ev.oracle(), random.Random(d))
 
     @pytest.mark.parametrize("p", [2, 3])

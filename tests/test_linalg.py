@@ -187,6 +187,19 @@ class TestRankOracle:
         assert o.rank == 0
         assert not o.member([1, 0, 0])
 
+    @pytest.mark.parametrize("field", [F2, F3, F5])
+    def test_empty_list_is_no_rows(self, field):
+        o = RankOracle(field, 4)
+        o.extend([])
+        assert o.rank == 0 and o.members([]) == []
+        o.absorb([1, 0, 0, 0])
+        o.extend([])
+        assert o.rank == 1 and o.members([]) == []
+        with pytest.raises(ValueError):
+            o.extend(np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            o.members([[1, 0, 0]])
+
     def test_dimension_mismatch(self):
         o = RankOracle(F2, 3)
         with pytest.raises(ValueError):

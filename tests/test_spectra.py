@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slicedeg.cube import MultilinearPoly
 from slicedeg.linalg import PrimeField
 from slicedeg.spectra import (CASE_APERIODIC, CASE_MIXED, CASE_P_POWER,
                               Spectrum, bounded_index, classify_pdeg,
@@ -302,7 +303,8 @@ class TestPeriodicExactPoly:
             for _ in range(4):
                 table = [rng.randrange(p) for _ in range(q)]
                 poly = periodic_exact_poly(n, q, table, field)
-                assert poly.degree < q or poly.is_zero
+                assert (poly.degree < q
+                        or poly == MultilinearPoly.zero(n, field))
                 assert all(poly.weight_value(w) == table[w % q]
                            for w in range(n + 1))
 
