@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+
 from .constructions import WeightWindow, interpolate_window_int
 from .experiments import ExperimentSpec, run
 from .linalg import PrimeField
@@ -148,11 +150,19 @@ def criterion_11_galvin() -> CriterionResult:
     return _from_report("11 covering family tightness", report)
 
 
-def criterion_12a_decomposition_core() -> CriterionResult:
-    t0 = time.time()
-    bad = 0
-    total = 0
+@lru_cache(maxsize=1)
+def _decomposition_scan() -> tuple:
+    """One ``standard_decomposition`` of each of the 65,520 spectra with n in
+    [3, 14], the scan criteria 12a and 12b share.
+
+    Returns (spectra, core violations, B(h) > ceil(n/3) count, B(h) >
+    ceil(n/3)+1 count, first B(h) > ceil(n/3) case or None).  A core
+    violation is f != g xor h or, outside the fallback, per(g) > floor(n/3).
+    """
+    total = core_bad = bad = bad_plus_one = 0
+    first = None
     for n in range(3, 15):
+        ceil_third = -(-n // 3)
         for code in range(1 << (n + 1)):
             bits = tuple((code >> i) & 1 for i in range(n + 1))
             spec = Spectrum(n, bits)
@@ -160,9 +170,21 @@ def criterion_12a_decomposition_core() -> CriterionResult:
             total += 1
             if any(g ^ h != f for g, h, f in
                    zip(dec.g.bits, dec.h.bits, spec.bits)):
-                bad += 1
+                core_bad += 1
             elif not dec.fallback and dec.per_g > n // 3:
+                core_bad += 1
+            if dec.B_h > ceil_third:
                 bad += 1
+                if first is None:
+                    first = (n, "".join(map(str, bits)), dec.B_h, ceil_third)
+            if dec.B_h > ceil_third + 1:
+                bad_plus_one += 1
+    return total, core_bad, bad, bad_plus_one, first
+
+
+def criterion_12a_decomposition_core() -> CriterionResult:
+    t0 = time.time()
+    total, bad, _, _, _ = _decomposition_scan()
     return CriterionResult(
         "12a decomposition: f = g xor h and per(g) <= floor(n/3)",
         bad == 0, f"{total} spectra, n in [3,14]; violations={bad}",
@@ -179,22 +201,7 @@ def criterion_12b_bounded_part_bound() -> CriterionResult:
     and reported.
     """
     t0 = time.time()
-    bad = 0
-    bad_plus_one = 0
-    first = None
-    total = 0
-    for n in range(3, 15):
-        ceil_third = -(-n // 3)
-        for code in range(1 << (n + 1)):
-            bits = tuple((code >> i) & 1 for i in range(n + 1))
-            dec = standard_decomposition(Spectrum(n, bits))
-            total += 1
-            if dec.B_h > ceil_third:
-                bad += 1
-                if first is None:
-                    first = (n, "".join(map(str, bits)), dec.B_h, ceil_third)
-            if dec.B_h > ceil_third + 1:
-                bad_plus_one += 1
+    total, _, bad, bad_plus_one, first = _decomposition_scan()
     details = (f"{total} spectra; B(h) <= ceil(n/3) violations={bad}"
                + (f", first at n={first[0]} spectrum={first[1]} "
                   f"B_h={first[2]} > {first[3]}" if first else "")

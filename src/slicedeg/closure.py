@@ -98,12 +98,11 @@ def batch_member(oracle: RankOracle, bool_rows: np.ndarray) -> list[bool]:
     return oracle.members(bool_rows)
 
 
-def _polys_from_coeff_vectors(vectors, monomials, n, field) -> list[MultilinearPoly]:
-    out = []
-    for v in vectors:
-        terms = {monomials[j]: int(c) for j, c in enumerate(v) if c}
-        out.append(MultilinearPoly.from_terms(n, field, terms))
-    return out
+def poly_from_coeffs(n: int, field: PrimeField, monomials: Sequence[Mask],
+                     coeffs) -> MultilinearPoly:
+    """The polynomial with coefficient ``coeffs[j]`` on ``monomials[j]``."""
+    return MultilinearPoly.from_terms(
+        n, field, {m: int(c) for m, c in zip(monomials, coeffs) if c})
 
 
 def ideal_basis(field: PrimeField, n: int, points: Iterable, degree: int,
@@ -111,8 +110,8 @@ def ideal_basis(field: PrimeField, n: int, points: Iterable, degree: int,
     """Basis of the degree-D vanishing ideal of E (size N_D - rank)."""
     ev = EvaluationMatrix(field, n, degree, points, caps)
     oracle = ev.oracle()
-    basis = _polys_from_coeff_vectors(
-        oracle.nullspace(), ev.monomials, n, field)
+    basis = [poly_from_coeffs(n, field, ev.monomials, v)
+             for v in oracle.nullspace()]
     if basis and len(ev.points):
         # sampled vanishing check; full verification is quadratic
         rng = random.Random(0xBA5E5)
@@ -245,13 +244,9 @@ def nie_wang_check(field: PrimeField, n: int, points: Iterable, degree: int,
     return lhs, rhs, lhs <= rhs
 
 
-def hamming_ball(n: int, radius: int, center: Mask = 0) -> list[Mask]:
-    """All points within Hamming distance ``radius`` of ``center``."""
-    out: list[Mask] = []
-    for d in range(radius + 1):
-        for m in slice_masks(n, d):
-            out.append(m ^ center)
-    return out
+def hamming_ball(n: int, radius: int) -> list[Mask]:
+    """All points within Hamming distance ``radius`` of the origin."""
+    return [m for d in range(radius + 1) for m in slice_masks(n, d)]
 
 
 def ball_fact_check(field: PrimeField, n: int, d: int,
@@ -288,33 +283,26 @@ class IdealSampler:
     def dim(self) -> int:
         return self.basis_matrix.shape[0]
 
-    def _coeffs(self) -> np.ndarray:
-        return np.array(
-            [self.rng.randrange(self.field.p) for _ in range(self.dim)],
-            dtype=np.int64,
-        )
-
-    def sample_coeff_vector(self) -> np.ndarray:
-        """Coefficient vector over the monomial columns of one uniform sample."""
-        if self.dim == 0:
-            return np.zeros(len(self.monomials), dtype=np.int64)
-        return np.mod(self._coeffs() @ self.basis_matrix, self.field.p)
+    def _combination(self, vectors) -> list[int]:
+        """One uniform F_p-combination of the ``dim`` rows of ``vectors``,
+        summed in Python ints: dim products of up to (p - 1)^2 wrap int64
+        once p nears 2^31."""
+        p = self.field.p
+        coeffs = [self.rng.randrange(p) for _ in range(self.dim)]
+        return [sum(c * v for c, v in zip(coeffs, col)) % p
+                for col in zip(*vectors)]
 
     def sample(self) -> MultilinearPoly:
-        vec = self.sample_coeff_vector()
-        terms = {self.monomials[j]: int(c) for j, c in enumerate(vec) if c}
-        return MultilinearPoly.from_terms(self.n, self.field, terms)
+        return poly_from_coeffs(self.n, self.field, self.monomials,
+                                self._combination(self.basis_matrix.tolist()))
 
     def sample_values_at(self, mask: Mask, count: int) -> list[int]:
         """Values of ``count`` independent samples at one point (fast path)."""
         row = evaluation_bool_matrix(self.monomials, [mask])[0].astype(np.int64)
         if self.dim == 0:
             return [0] * count
-        basis_vals = np.mod(self.basis_matrix @ row, self.field.p)
-        out = []
-        for _ in range(count):
-            out.append(int(np.mod(self._coeffs() @ basis_vals, self.field.p)))
-        return out
+        basis_vals = np.mod(self.basis_matrix @ row[:, None], self.field.p).tolist()
+        return [self._combination(basis_vals)[0] for _ in range(count)]
 
     def exhaustive_values_at(self, mask: Mask) -> list[int]:
         """Values at one point of every ideal element (all p^dim of them),

@@ -132,6 +132,19 @@ def _strict_interval_weights(lo: Fraction, hi: Fraction, limit: int):
     return range(max(0, start), min(limit, end) + 1)
 
 
+def _window_interpolant(n: int, zero_w: Sequence[int], one_w: Sequence[int]):
+    """(lo, hi, interpolant) of the window [lo, hi] spanning the constrained
+    weights, with target 1 on ``one_w`` and 0 elsewhere (gap weights extend
+    the 0 side); None when no weight is constrained."""
+    constrained = sorted(set(zero_w) | set(one_w))
+    if not constrained:
+        return None
+    lo, hi = constrained[0], constrained[-1]
+    ones = set(one_w)
+    values = tuple(1 if w in ones else 0 for w in range(lo, hi + 1))
+    return lo, hi, interpolate_window_int(WeightWindow(n, lo, hi, values))
+
+
 # ---------------------------------------------------------------------------
 # the sampling junta
 # ---------------------------------------------------------------------------
@@ -187,18 +200,8 @@ def sampling_poly(n: int, k: int, q: int, eps: float, C: int, seed: int,
                                             (alpha + delta / 2) * m, m))
     one_w = tuple(_strict_interval_weights((alpha + delta / 2) * m,
                                            (alpha + 3 * delta / 2) * m, m))
-    constrained = sorted(set(zero_w) | set(one_w))
-    if constrained:
-        lo, hi = constrained[0], constrained[-1]
-        targets = []
-        ones = set(one_w)
-        for w in range(lo, hi + 1):
-            targets.append(1 if w in ones else 0)  # gap weights extend the 0 side
-        window = WeightWindow(n=m, lo=lo, hi=hi, values=tuple(targets))
-        inner_int = interpolate_window_int(window)
-    else:
-        lo = hi = 0
-        inner_int = IntegerSymPoly(n=m, ecoeffs=())
+    lo, hi, inner_int = (_window_interpolant(m, zero_w, one_w)
+                         or (0, 0, IntegerSymPoly(n=m, ecoeffs=())))
     inner = inner_int.reduce_mod(PrimeField(2))  # on the m sampled variables
     rng = random.Random(seed)
     indices = tuple(sorted(rng.sample(range(n), m)))
@@ -285,55 +288,28 @@ class CoinInstance:
             "n": self.n,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CoinInstance":
-        delta = Fraction(d["delta"])
-        eps = Fraction(d["eps"])
-        C = int(d.get("C", 2))
-        if "n" in d:
-            return cls(p=int(d["p"]), delta=delta, eps=eps, C=C, n=int(d["n"]))
-        return cls.from_sizing(int(d["p"]), delta, eps, C)
-
 
 def coin_build(inst: CoinInstance) -> MultilinearPoly:
     """Window interpolant: 0 strictly inside the biased window, 1 strictly
     inside the unbiased window, reduced mod p, with a weight certificate."""
-    zero_w, one_w = inst.zero_weights(), inst.one_weights()
-    constrained = sorted(set(zero_w) | set(one_w))
-    if not constrained:
+    built = _window_interpolant(inst.n, inst.zero_weights(), inst.one_weights())
+    if built is None:
         raise ValueError("both target windows are empty at this n")
-    lo, hi = constrained[0], constrained[-1]
-    ones = set(one_w)
-    values = tuple(1 if w in ones else 0 for w in range(lo, hi + 1))
-    window = WeightWindow(n=inst.n, lo=lo, hi=hi, values=values)
-    return interpolate_window_int(window).reduce_mod(PrimeField(inst.p))
+    return built[2].reduce_mod(PrimeField(inst.p))
 
 
-def coin_error_exact(table: Sequence[int], alpha: Fraction,
-                     accept_side: str = "one") -> Fraction:
+def coin_error_exact(table: Sequence[int], alpha: Fraction) -> Fraction:
     """Exact Pr over the alpha-biased product measure that the table value
-    counts as acceptance: sum of C(n,w) a^w (1-a)^(n-w) over those weights,
-    summed as one integer numerator over s^n for a = r/s.
-
-    accept_side selects the acceptance predicate on values: "one" (== 1),
-    "nonzero" (!= 0), "zero" (== 0), or "not-one" (!= 1).
+    is 1: sum of C(n,w) a^w (1-a)^(n-w) over those weights, summed as one
+    integer numerator over s^n for a = r/s.
     """
-    preds = {
-        "one": lambda v: v == 1,
-        "nonzero": lambda v: v != 0,
-        "zero": lambda v: v == 0,
-        "not-one": lambda v: v != 1,
-    }
-    if accept_side not in preds:
-        raise ValueError(f"unknown accept side {accept_side!r}")
-    pred = preds[accept_side]
     n = len(table) - 1
     a = Fraction(alpha)
     r, s = a.numerator, a.denominator
     rest = list(accumulate([s - r] * n, mul, initial=1))  # (s-r)^0..(s-r)^n
     num, rw = 0, 1
     for w, (v, c) in enumerate(zip(table, binomial_row(n, 0, n))):
-        if pred(v):
+        if v == 1:
             num += c * rw * rest[n - w]
         rw *= r
     return Fraction(num, s**n)
@@ -343,13 +319,13 @@ def coin_verify_errors(inst: CoinInstance, poly: MultilinearPoly):
     """(error under the unbiased measure, error under the biased measure).
 
     The Boolean output accepts exactly on value 1, so the unbiased error is
-    Pr[value != 1] at bias 1/2 and the biased error is Pr[value == 1] at
-    bias 1/2 - delta.  Both are exact rationals.
+    1 - Pr[value == 1] at bias 1/2 and the biased error is Pr[value == 1]
+    at bias 1/2 - delta.  Both are exact rationals.
     """
     table = poly.weight_values()
     half = Fraction(1, 2)
-    err_unbiased = coin_error_exact(table, half, "not-one")
-    err_biased = coin_error_exact(table, half - inst.delta, "one")
+    err_unbiased = 1 - coin_error_exact(table, half)
+    err_biased = coin_error_exact(table, half - inst.delta)
     return err_unbiased, err_biased
 
 
@@ -365,7 +341,6 @@ class GalvinFamily:
     items: tuple                   # ((u_mask, b), ...)
     t: Optional[int] = None        # balance threshold, when known
     degenerate: bool = False       # b-range exits the feasible [0, n/2]
-    shifted: bool = False          # n/4 not integral; centered at floor(n/4)
 
     def __post_init__(self):
         if self.n % 2:
@@ -378,25 +353,12 @@ class GalvinFamily:
     def size(self) -> int:
         return len(self.items)
 
-    def balanced_items(self, t: Optional[int] = None) -> list:
-        """Items with |b - n/4| <= t."""
-        thr = self.t if t is None else t
-        if thr is None:
-            raise ValueError("no balance threshold available")
-        center = Fraction(self.n, 4)
-        return [(u, b) for u, b in self.items if abs(b - center) <= thr]
-
     def to_json_dict(self) -> dict:
         d = {"n": self.n,
              "items": [{"u_mask": hex(u), "b": b} for u, b in self.items]}
         if self.t is not None:
             d["t"] = self.t
         return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GalvinFamily":
-        items = tuple((int(it["u_mask"], 16), int(it["b"])) for it in d["items"])
-        return cls(n=int(d["n"]), items=items, t=d.get("t"))
 
 
 def galvin_tight_family(n: int, eps, C: int) -> GalvinFamily:
@@ -414,11 +376,9 @@ def galvin_tight_family(n: int, eps, C: int) -> GalvinFamily:
         raise ValueError("eps must lie in (0,1)")
     t = math.ceil(C * math.sqrt(n * math.log(1 / eps)))
     base = n // 4
-    shifted = n % 4 != 0
     u = (1 << (n // 2)) - 1
     items = tuple((u, b) for b in range(base - t, base + t + 1))
-    return GalvinFamily(n=n, items=items, t=t,
-                        degenerate=(t >= n // 4), shifted=shifted)
+    return GalvinFamily(n=n, items=items, t=t, degenerate=(t >= n // 4))
 
 
 def galvin_coverage(F: GalvinFamily,
@@ -448,14 +408,12 @@ def galvin_coverage(F: GalvinFamily,
 
 
 def galvin_poly(F: GalvinFamily, field: PrimeField,
-                balance_filter: bool = False,
                 caps: Caps = DEFAULT_CAPS) -> MultilinearPoly:
-    """Multilinearized product of (<u_i, x> - b_i) over the (optionally
-    balance-filtered) family, coefficients mod p; degree <= retained count.
-    Each partial product is bounded by ``caps.max_terms``."""
-    items = F.balanced_items() if balance_filter else list(F.items)
+    """Multilinearized product of (<u_i, x> - b_i) over the family,
+    coefficients mod p; degree <= family size.  Each partial product is
+    bounded by ``caps.max_terms``."""
     out = MultilinearPoly.constant(F.n, field, 1)
-    for u, b in items:
+    for u, b in F.items:
         terms = {0: (-b) % field.p}
         mm = u
         while mm:
@@ -515,11 +473,10 @@ class HyperRatioReport:
     n: int
     m: int
     k: int
-    ell: int
     ratio: Fraction
     steps_exact_ok: bool     # each step ratio <= 1 - 2j/m, exact rationals
     steps_exp_ok: bool       # each step ratio <= exp(-2j/m), high precision
-    assembled_bound: mp.mpf  # exp(-(k(k-1) - ell(ell-1))/m)
+    assembled_bound: mp.mpf  # exp(-k(k-1)/m)
     assembled_ok: bool
 
 
@@ -533,7 +490,7 @@ def _paired_step(n: int, m: int, j: int) -> Fraction:
     return Fraction((a - j) * (h - b - j), (h - a + j + 1) * (b + j + 1))
 
 
-def hyper_ratio_check(n: int, m: int, k: int, ell: int = 0) -> HyperRatioReport:
+def hyper_ratio_check(n: int, m: int, k: int) -> HyperRatioReport:
     """Verify each telescoping step and the assembled product bound.
 
     Step j: paired(j+1)/paired(j) <= 1 - 2j/m <= exp(-2j/m), where
@@ -542,20 +499,20 @@ def hyper_ratio_check(n: int, m: int, k: int, ell: int = 0) -> HyperRatioReport:
     """
     if n % 2 or not (0 <= m <= n // 2):
         raise ValueError("need even n and 0 <= m <= n/2")
-    if not (0 <= ell <= k <= m // 2):
-        raise ValueError("need 0 <= ell <= k <= floor(m/2)")
+    if not (0 <= k <= m // 2):
+        raise ValueError("need 0 <= k <= floor(m/2)")
     steps_exact = True
     steps_exp = True
     with mp.workdps(DPS):
-        for j in range(ell, k):
+        for j in range(k):
             step = _paired_step(n, m, j)
             if step > 1 - Fraction(2 * j, m):
                 steps_exact = False
             if mpf_fraction(step) > mp.e ** (mp.mpf(-2 * j) / m):
                 steps_exp = False
-        ratio = Fraction(_paired(n, m, k), _paired(n, m, ell))
-        assembled = mp.e ** (-mp.mpf(k * (k - 1) - ell * (ell - 1)) / m)
+        ratio = Fraction(_paired(n, m, k), _paired(n, m, 0))
+        assembled = mp.e ** (-mp.mpf(k * (k - 1)) / m)
         assembled_ok = bool(mpf_fraction(ratio) <= assembled)
-    return HyperRatioReport(n=n, m=m, k=k, ell=ell, ratio=ratio,
+    return HyperRatioReport(n=n, m=m, k=k, ratio=ratio,
                             steps_exact_ok=steps_exact, steps_exp_ok=steps_exp,
                             assembled_bound=assembled, assembled_ok=assembled_ok)

@@ -29,7 +29,7 @@ import mpmath as mp
 import numpy as np
 
 from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
-from .closure import EvaluationMatrix, IdealSampler, evaluation_bool_matrix
+from .closure import EvaluationMatrix, evaluation_bool_matrix, poly_from_coeffs
 from .cube import Mask, MultilinearPoly, slice_masks, slice_stats
 from .linalg import PrimeField, RankOracle
 
@@ -47,7 +47,7 @@ def p_adic_part(q: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class SliceDistinguishInstance:
-    """Parameter bundle (n, p, k, K) with the derived gap quantities."""
+    """Validated parameter bundle (n, p, k, K)."""
 
     n: int
     p: int
@@ -61,74 +61,7 @@ class SliceDistinguishInstance:
         if self.k == self.K:
             raise ValueError("k and K must differ")
         if not (0 < self.k < self.n):
-            raise ValueError("k must be strictly inside (0, n) so alpha > 0")
-
-    @property
-    def q(self) -> int:
-        return abs(self.K - self.k)
-
-    @property
-    def alpha(self) -> Fraction:
-        return min(Fraction(self.k, self.n), 1 - Fraction(self.k, self.n))
-
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(self.q, self.n)
-
-    @property
-    def q_prime(self) -> int:
-        return p_adic_part(self.q, self.p)
-
-    @property
-    def s(self) -> int:
-        return self.q // self.q_prime
-
-    @property
-    def t(self) -> Optional[int]:
-        """The gap when it is a p-power, else None."""
-        return self.q if self.q == self.q_prime else None
-
-    @property
-    def ell(self) -> Optional[Fraction]:
-        return Fraction(self.q * self.q, self.n) if self.t is not None else None
-
-
-@dataclass(frozen=True)
-class RobustThresholds:
-    """Numeric thresholds of the robust slice-distinguishing degree bounds.
-
-    All values are high-precision floats (mpmath, >= 30 significant digits);
-    machine doubles underflow on instances like exp(-3200).
-    """
-
-    eps0_main: mp.mpf
-    eps1_main: mp.mpf
-    eps0_ext: mp.mpf
-    eps1_ext: mp.mpf
-    main_side_ok: bool       # 100 q < k < n - 100 q
-    ext_side_ok: bool        # 200 q < k < n - 200 q
-
-
-def thresholds(inst: SliceDistinguishInstance) -> RobustThresholds:
-    """Evaluate every threshold expression of the instance exactly.
-
-    eps0_main = min(e^(-100 d^2 n / a), 1/1000), eps1_main = e^(-d^2 n /(100 a)),
-    and the extension variants with the extra factor s and constants 1000/2000.
-    """
-    with mp.workdps(DPS):
-        base = mpf_fraction(inst.delta ** 2 * inst.n / inst.alpha)
-        base_s = base / inst.s
-        eps0_main = min(mp.e ** (-100 * base), mp.mpf(1) / 1000)
-        eps1_main = mp.e ** (-base / 100)
-        eps0_ext = min(mp.e ** (-1000 * base_s), mp.mpf(1) / 2000)
-        eps1_ext = mp.e ** (-base_s / 1000)
-    q, k, n = inst.q, inst.k, inst.n
-    return RobustThresholds(
-        eps0_main=eps0_main, eps1_main=eps1_main,
-        eps0_ext=eps0_ext, eps1_ext=eps1_ext,
-        main_side_ok=(100 * q < k < n - 100 * q),
-        ext_side_ok=(200 * q < k < n - 200 * q),
-    )
+            raise ValueError("k must be strictly inside (0, n)")
 
 
 @dataclass
@@ -177,6 +110,7 @@ class DistinguishReport:
 # order, the same points in _row_order, {d: (ev, oracle)})}
 _ladder: dict[tuple, tuple] = {}
 _HEAD_MARGIN, _CHUNK = 32, 64  # rows built beyond the bound; rows per later step
+_RESTARTS = 3  # seeded error-set draws of uniform robust search
 
 
 def _row_order(size: int) -> np.ndarray:
@@ -233,9 +167,8 @@ def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
     row = ev.row_for_oracle(outside_mask)
     res = oracle.residue(row)
     free = next(f for f, v in enumerate(res) if v)
-    vec = oracle.nullspace_vector(free)
-    terms = {ev.monomials[j]: c for j, c in enumerate(vec) if c}
-    return MultilinearPoly.from_terms(ev.n, ev.field, terms)
+    return poly_from_coeffs(ev.n, ev.field, ev.monomials,
+                            oracle.nullspace_vector(free))
 
 
 def exact_min_degree(n: int, p: int, k: int, K: int,
@@ -294,16 +227,16 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
     """Exact minimum degree across a grid, compared against the p-adic part
     of the gap.
 
-    gaps: "ppower" sweeps gaps that are powers of p, "composite" the rest,
-    "all" both.  A p-power gap g requires g <= k <= n - g (below k = g the
-    equality genuinely fails, e.g. n=6, k=1, K=5 over F_2 has degree 2, not
-    4); a composite gap g only requires its p-adic part q' <= k and
-    k + g <= n.  Rows share the slice-k rank oracle across all gaps, so each
-    (n, k, degree) is eliminated once.
+    gaps: "ppower" sweeps gaps that are powers of p, "composite" the rest.
+    A p-power gap g requires g <= k <= n - g (below k = g the equality
+    genuinely fails, e.g. n=6, k=1, K=5 over F_2 has degree 2, not 4); a
+    composite gap g only requires its p-adic part q' <= k and k + g <= n.
+    Rows share the slice-k rank oracle across all gaps, so each (n, k,
+    degree) is eliminated once.
 
     Returns (rows, violations).
     """
-    if gaps not in ("ppower", "composite", "all"):
+    if gaps not in ("ppower", "composite"):
         raise ValueError(f"unknown gap class {gaps!r}")
     field = PrimeField(p)
     rows: list[SweepRow] = []
@@ -315,13 +248,8 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
                 qp = p_adic_part(g, p)
                 is_pp = qp == g
                 lo = g if is_pp else max(1, qp)
-                if not (lo <= k <= n - g):
-                    continue
-                if gaps == "ppower" and not is_pp:
-                    continue
-                if gaps == "composite" and is_pp:
-                    continue
-                targets[k + g] = qp
+                if lo <= k <= n - g and is_pp == (gaps == "ppower"):
+                    targets[k + g] = qp
             if not targets:
                 continue
             max_expected = max(targets.values())
@@ -420,27 +348,21 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
 
 
 def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
-                  strategy: str = "uniform", restarts: int = 4, seed: int = 0,
-                  target_psi_K: Optional[Fraction] = None,
-                  confirm_samples: int = 24,
+                  strategy: str = "uniform", seed: int = 0,
                   caps: Caps = DEFAULT_CAPS) -> DistinguishReport:
     """Heuristic upper bound on the robust minimum degree.
 
-    Picks an error set E0 on slice k within the budget (uniform random or
-    greedy removal of rank-critical points), then finds the least d at which
-    the ideal of slice k minus E0 escapes on slice K strongly enough:
-    with no target, one escaping point suffices; with a target psi, the
-    expected nonzero fraction (1 - 1/p) * outside-fraction must reach it.
-    The reported degree is an upper bound on the true robust minimum.
+    Picks an error set E0 on slice k within the budget (uniform random, the
+    best of ``_RESTARTS`` seeded draws, or greedy removal of rank-critical
+    points), then finds the least d at which the ideal of slice k minus E0
+    is nonzero at some point of slice K.  The reported degree is an upper
+    bound on the true robust minimum.
     """
     if strategy not in ("uniform", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if not (0 <= eps0_budget < 1):
         raise ValueError("eps0_budget must lie in [0, 1)")
     n, p, k, K = inst.n, inst.p, inst.k, inst.K
-    if target_psi_K is not None and target_psi_K > Fraction(p - 1, p):
-        # at degree n every point of slice K escapes, which gives (p - 1)/p
-        raise ValueError("target_psi_K above (p - 1)/p is unreachable")
     field = PrimeField(p)
     size_k, size_K = comb(n, k), comb(n, K)
     check_cap(size_k + size_K, caps.max_slice_points, "slice sizes")
@@ -448,7 +370,7 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     k_masks = list(slice_masks(n, k))
     K_masks = list(slice_masks(n, K))
     master = random.Random(seed)
-    restart_seeds = [master.randrange(2**63) for _ in range(restarts)]
+    restart_seeds = [master.randrange(2**63) for _ in range(_RESTARTS)]
     if removals == 0 or strategy == "greedy":
         restart_seeds = restart_seeds[:1]
 
@@ -460,7 +382,6 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
             if removals == 0:
                 # full slice: escape at one representative settles the orbit
                 error_set: list[Mask] = []
-                keep = k_masks
                 ev, oracle = _slice_oracle(field, n, k, d, caps)
                 row = ev.row_for_oracle(K_masks[0])
                 outside = 0 if oracle.member(row) else size_K
@@ -480,30 +401,16 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
                 rows = evaluation_bool_matrix(sub_ev.monomials, K_masks)
                 outside = sub_ev.oracle().members(rows).count(False)
             per_degree[d] = outside
-            expected = Fraction(p - 1, p) * Fraction(outside, size_K)
-            hit = outside >= 1 if target_psi_K is None else expected >= target_psi_K
-            if not hit:
+            if not outside:
                 continue
             report = DistinguishReport(
                 degree=d, mode="exact" if removals == 0 else "heuristic-upper-bound",
                 n=n, p=p, k=k, K=K, outside_count=outside,
                 per_degree_outside=per_degree, slice_sizes=(size_k, size_K),
-                psi_K_expected=expected, psi_K_max=Fraction(outside, size_K),
+                psi_K_expected=Fraction(p - 1, p) * Fraction(outside, size_K),
+                psi_K_max=Fraction(outside, size_K),
                 error_set=error_set, seed=rs,
             )
-            # confirm with sampled ideal elements (exact psi of the best draw)
-            if confirm_samples > 0 and comb(n, K) <= caps.max_slice_points:
-                sampler = IdealSampler(field, n, keep, d, seed=rs, caps=caps)
-                best_poly, best_nz = None, -1
-                for _ in range(confirm_samples):
-                    poly = sampler.sample()
-                    nz = slice_stats(poly, K, caps).nonzero_count
-                    if nz > best_nz:
-                        best_poly, best_nz = poly, nz
-                if best_poly is not None:
-                    report.witness = best_poly
-                    report.psi_k = slice_stats(best_poly, k, caps).psi
-                    report.psi_K = slice_stats(best_poly, K, caps).psi
             break
         else:
             continue
@@ -534,21 +441,6 @@ class MidsliceConsistencyReport:
     degree_threshold: Fraction   # t / 25
     degree_ok: bool
     consistent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "t": self.t, "p": self.p,
-            "ell": f"{self.ell.numerator}/{self.ell.denominator}",
-            "psi_low": f"{self.psi_low.numerator}/{self.psi_low.denominator}",
-            "psi_mid": f"{self.psi_mid.numerator}/{self.psi_mid.denominator}",
-            "ell_in_range": self.ell_in_range,
-            "eps_window_nonempty": self.eps_window_nonempty,
-            "psi_mid_ok": self.psi_mid_ok,
-            "hypotheses_hold": self.hypotheses_hold,
-            "degree": self.degree,
-            "degree_ok": self.degree_ok,
-            "consistent": self.consistent,
-        }
 
 
 @lru_cache(maxsize=64)

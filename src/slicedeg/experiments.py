@@ -48,7 +48,6 @@ TOLERANCES = {
     "lemma33_max_n": 60,
     "claimC_max_n": 40,
     "frontier_candidates": 10**4,
-    "interp_windows": 100,
 }
 
 
@@ -409,7 +408,7 @@ def _claimC(params, seed, caps):
             k = m // 2
             if k < 1:
                 continue
-            rep = hyper_ratio_check(n, m, k, 0)
+            rep = hyper_ratio_check(n, m, k)
             count += 1
             ok &= rep.steps_exact_ok and rep.steps_exp_ok and rep.assembled_ok
     checks = [Check("all-steps-hold", ok, f"{count} (n, m) pairs")]
@@ -683,8 +682,7 @@ def _frontier(params, seed, caps):
             while q <= n // 2:
                 for k in range(q, n - q + 1):
                     inst = SliceDistinguishInstance(n=n, p=p, k=k, K=k + q)
-                    rs = robust_search(inst, Fraction(0), seed=seed,
-                                       confirm_samples=0, caps=caps)
+                    rs = robust_search(inst, Fraction(0), seed=seed, caps=caps)
                     ex = exact_min_degree(n, p, k, k + q, caps,
                                           want_witness=False)
                     count += 1
@@ -704,10 +702,10 @@ def _frontier(params, seed, caps):
         for removals in (0, 1, 2):
             ex = exhaustive_robust(n, p, k, K, removals, caps)
             budget = Fraction(removals, size_k)
-            hs = robust_search(inst, budget, strategy="uniform", restarts=3,
-                               seed=seed, confirm_samples=0, caps=caps)
-            gr = robust_search(inst, budget, strategy="greedy",
-                               seed=seed, confirm_samples=0, caps=caps)
+            hs = robust_search(inst, budget, strategy="uniform", seed=seed,
+                               caps=caps)
+            gr = robust_search(inst, budget, strategy="greedy", seed=seed,
+                               caps=caps)
             frontier_rows.append({
                 "n": n, "p": p, "k": k, "K": K, "removals": removals,
                 "exhaustive": ex.degree, "uniform": hs.degree,

@@ -76,13 +76,12 @@ def _work_dtype(p: int, cols: int):
     return np.int64  # holds (p - 1)^2 + p, one update, for every p < 2^31
 
 
-def _rref_array(a: np.ndarray, p: int, track_dependents: bool = False):
+def _rref_array(a: np.ndarray, p: int):
     """In-place RREF of ``a`` mod p.
 
     Returns (rank, pivot_cols, pivot_src_rows, dependents).  ``pivot_src_rows``
     gives the original row index that supplied each pivot; ``dependents`` maps
-    pivot column -> number of other rows reduced against it (only filled when
-    ``track_dependents``).
+    pivot column -> number of other rows reduced against it.
 
     The elimination runs on a copy in ``_work_dtype(p, cols)`` with delayed
     reduction.  Invariants, with bound = ``_growth_bound(dtype, p)``:
@@ -136,8 +135,7 @@ def _rref_array(a: np.ndarray, p: int, track_dependents: bool = False):
                 pending = 0
             w[touched, c:] -= np.outer(colvals[touched], prow)
             pending += 1
-        if track_dependents:
-            dependents[c] = int(touched.size)
+        dependents[c] = int(touched.size)
         pivot_cols.append(c)
         pivot_src_row.append(orig[r])
         r += 1
@@ -363,9 +361,9 @@ class RankOracle:
         """
         return self._impl.rows(block)
 
-    def absorb(self, row, label=None) -> bool:
+    def absorb(self, row) -> bool:
         rank = self.rank
-        self.extend([row], None if label is None else [label])
+        self.extend([row])
         return self.rank > rank
 
     def extend(self, block, row_labels: Optional[Sequence] = None) -> None:
@@ -391,8 +389,8 @@ class RankOracle:
     @property
     def pivot_dependents(self) -> dict[int, int]:
         """pivot column -> number of rows reduced against it so far, counted
-        on the absorb path only; greedy ``robust_search``'s labelled build
-        is its one reader."""
+        by absorbs and by the odd-p batch RREF, not by ``_rref_words``;
+        greedy ``robust_search``'s labelled build is its one reader."""
         return dict(self._impl.dependents)
 
     @property
@@ -469,8 +467,7 @@ class RankOracle:
         o = cls(field, a.shape[1])
         work = a.astype(np.promote_types(a.dtype, np.min_scalar_type(field.p)))
         work %= field.p  # a 0/1 block stays uint8; only the pivots are int64
-        rank, pivot_cols, pivot_src, dependents = _rref_array(
-            work, field.p, track_dependents=True)
+        rank, pivot_cols, pivot_src, dependents = _rref_array(work, field.p)
         impl = o._impl
         for i, c in enumerate(pivot_cols):
             impl.pivots[c] = work[i].astype(np.int64)

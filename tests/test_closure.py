@@ -369,3 +369,21 @@ class TestIdealSampler:
         vals_slow = [s.evaluate(0b1111) for s in (slow.sample()
                                                   for _ in range(20))]
         assert vals_fast == vals_slow
+
+    def test_largest_prime_combinations_are_exact(self):
+        # dim = 8 products of up to (p - 1)^2 ~ 2^62 wrap an int64 sum
+        field, pts = PrimeField(2**31 - 1), [0b0011, 0b1100, 0b0110]
+        sampler = IdealSampler(field, 4, pts, 2, seed=0)
+        assert sampler.dim == 8
+        for _ in range(50):
+            poly = sampler.sample()
+            assert all(poly.evaluate(m) == 0 for m in pts)
+        # the fast path against the same draws summed in Python ints
+        fast = IdealSampler(field, 4, pts, 2, seed=1)
+        row = evaluation_bool_matrix(fast.monomials, [0b1111])[0]
+        basis_vals = [sum(int(b) for b, r in zip(vec, row) if r)
+                      for vec in fast.basis_matrix]
+        draws = random.Random(1)
+        want = [sum(draws.randrange(field.p) * v for v in basis_vals) % field.p
+                for _ in range(200)]
+        assert fast.sample_values_at(0b1111, 200) == want

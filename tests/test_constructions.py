@@ -1,6 +1,7 @@
 """Explicit constructions and their exact evaluators."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -283,25 +284,28 @@ class TestCoin:
         assert 0 <= err_u <= 1 and 0 <= err_b <= 1
 
     def test_error_exact_examples(self):
-        assert coin_error_exact([1] * 5, Fraction(1, 3), "one") == 1
+        assert coin_error_exact([1] * 5, Fraction(1, 3)) == 1
         parity = [w % 2 for w in range(6)]
-        assert coin_error_exact(parity, Fraction(1, 2), "one") == Fraction(1, 2)
+        assert coin_error_exact(parity, Fraction(1, 2)) == Fraction(1, 2)
         ethr2 = [0, 0, 1, 0, 0]
-        assert coin_error_exact(ethr2, Fraction(1, 2), "one") == Fraction(6, 16)
+        assert coin_error_exact(ethr2, Fraction(1, 2)) == Fraction(6, 16)
 
     def test_error_exact_is_binomial_mass(self):
         rng = random.Random(6)
         n = 7
         table = [rng.randrange(3) for _ in range(n + 1)]
         alpha = Fraction(2, 7)
-        got = coin_error_exact(table, alpha, "nonzero")
+        got = coin_error_exact(table, alpha)
         want = sum(comb(n, w) * alpha**w * (1 - alpha) ** (n - w)
-                   for w in range(n + 1) if table[w] != 0)
+                   for w in range(n + 1) if table[w] == 1)
         assert got == want
 
     def test_json_roundtrip(self):
+        # the report's instance table carries the whole instance
         inst = CoinInstance.from_sizing(2, Fraction(1, 8), Fraction(1, 100), 2)
-        back = CoinInstance.from_json_dict(inst.to_json_dict())
+        d = json.loads(json.dumps(inst.to_json_dict()))
+        back = CoinInstance(p=d["p"], delta=Fraction(d["delta"]),
+                            eps=Fraction(d["eps"]), C=d["C"], n=d["n"])
         assert back == inst
 
     def test_error_decreases_along_n_grid(self):
@@ -348,8 +352,8 @@ def _ref_junta_error(n, m, table, w, target):
     return Fraction(num, comb(n, w))
 
 
-_COIN_PREDS = {"one": lambda v: v == 1, "nonzero": lambda v: v != 0,
-               "zero": lambda v: v == 0, "not-one": lambda v: v != 1}
+def _is_one(v):
+    return v == 1
 
 
 class TestExactSumsAgainstComb:
@@ -389,20 +393,22 @@ class TestExactSumsAgainstComb:
             alphas = (Fraction(0), Fraction(1, 2), Fraction(1),
                       Fraction(rng.randrange(1, 10), 10), Fraction(1, 3))
             for alpha in alphas:
-                for side, pred in _COIN_PREDS.items():
-                    got = coin_error_exact(table, alpha, side)
-                    assert type(got) is Fraction
-                    assert got == _ref_coin_error(table, alpha, pred)
+                got = coin_error_exact(table, alpha)
+                assert type(got) is Fraction
+                assert got == _ref_coin_error(table, alpha, _is_one)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_coin_error_on_built_tables(self, p):
         inst = CoinInstance(p=p, delta=Fraction(1, 8), eps=Fraction(1, 100),
                             C=2, n=200 + 20 * p)
-        table = coin_build(inst).weight_values()
-        for alpha, side in ((Fraction(1, 2), "not-one"),
-                            (Fraction(3, 8), "one")):
-            assert coin_error_exact(table, alpha, side) == \
-                _ref_coin_error(table, alpha, _COIN_PREDS[side])
+        poly = coin_build(inst)
+        table = poly.weight_values()
+        for alpha in (Fraction(1, 2), Fraction(3, 8)):
+            assert coin_error_exact(table, alpha) == \
+                _ref_coin_error(table, alpha, _is_one)
+        assert coin_verify_errors(inst, poly) == (
+            _ref_coin_error(table, Fraction(1, 2), lambda v: v != 1),
+            _ref_coin_error(table, Fraction(3, 8), _is_one))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_junta_error(self, p):
@@ -511,15 +517,12 @@ class TestGalvin:
         fam = GalvinFamily(8, tuple((0b00001111, b) for b in (1, 2, 3, 5)))
         assert galvin_poly(fam, F5).degree == 4
 
-    def test_balanced_filter(self):
-        fam = GalvinFamily(8, ((0b00001111, 2), (0b00001111, 4)), t=1)
-        assert fam.balanced_items() == [(0b00001111, 2)]
-        poly = galvin_poly(fam, F3, balance_filter=True)
-        assert poly.degree == 1
-
     def test_json_roundtrip(self):
+        # the report's family table carries the whole family
         fam = galvin_tight_family(16, 0.2, 2)
-        back = GalvinFamily.from_json_dict(fam.to_json_dict())
+        d = json.loads(json.dumps(fam.to_json_dict()))
+        back = GalvinFamily(n=d["n"], t=d["t"], items=tuple(
+            (int(it["u_mask"], 16), it["b"]) for it in d["items"]))
         assert back.n == fam.n and back.items == fam.items and back.t == fam.t
 
 
@@ -551,7 +554,7 @@ class TestBoundCheckers:
                 k = m // 2
                 if k < 1:
                     continue
-                rep = hyper_ratio_check(n, m, k, 0)
+                rep = hyper_ratio_check(n, m, k)
                 assert rep.steps_exact_ok and rep.steps_exp_ok
                 assert rep.assembled_ok
 
@@ -565,6 +568,6 @@ class TestBoundCheckers:
 
     def test_hyper_ratio_validation(self):
         with pytest.raises(ValueError):
-            hyper_ratio_check(9, 4, 2, 0)
+            hyper_ratio_check(9, 4, 2)
         with pytest.raises(ValueError):
-            hyper_ratio_check(8, 4, 3, 0)
+            hyper_ratio_check(8, 4, 3)

@@ -17,8 +17,7 @@ from slicedeg.config import DEFAULT_CAPS, CapExceeded, Caps
 from slicedeg.cube import MultilinearPoly, monomials_upto, slice_masks
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
                                   exact_min_degree, exhaustive_robust,
-                                  gap_degree_sweep, p_adic_part, robust_search,
-                                  thresholds)
+                                  gap_degree_sweep, p_adic_part, robust_search)
 from slicedeg.constructions import lucas_poly
 from slicedeg.linalg import PrimeField, RankOracle
 
@@ -134,18 +133,6 @@ def _exhaustive_by_rebuild(n, p, k, K, max_removals, caps=DEFAULT_CAPS):
 
 
 class TestInstance:
-    def test_derived_quantities(self):
-        inst = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2048 + 384)
-        assert inst.q == 384
-        assert inst.q_prime == 128 and inst.s == 3
-        assert inst.alpha == Fraction(1, 2)
-        assert inst.delta == Fraction(384, 4096)
-        assert inst.t is None and inst.ell is None
-
-    def test_p_power_gap_special_case(self):
-        inst = SliceDistinguishInstance(n=64, p=2, k=24, K=32)
-        assert inst.t == 8 and inst.ell == Fraction(64, 64)
-
     def test_rejects_equal_slices(self):
         with pytest.raises(ValueError):
             SliceDistinguishInstance(n=8, p=2, k=3, K=3)
@@ -153,39 +140,6 @@ class TestInstance:
     def test_rejects_boundary_k(self):
         with pytest.raises(ValueError):
             SliceDistinguishInstance(n=8, p=2, k=0, K=2)
-
-
-class TestThresholds:
-    def test_main_instance_values(self):
-        inst = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2048 + 256)
-        th = thresholds(inst)
-        with mp.workdps(40):
-            assert mp.almosteq(th.eps0_main, mp.e ** (-3200),
-                               rel_eps=mp.mpf("1e-30"))
-            assert mp.almosteq(th.eps1_main, mp.e ** (-mp.mpf("0.32")),
-                               rel_eps=mp.mpf("1e-30"))
-
-    def test_side_conditions(self):
-        inst = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2048 + 256)
-        th = thresholds(inst)
-        # 100 q = 25600 > k = 2048, so the side condition fails here
-        assert th.main_side_ok == (100 * 256 < 2048 < 4096 - 100 * 256)
-        small = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2052)
-        assert thresholds(small).main_side_ok
-        assert thresholds(small).ext_side_ok
-
-    def test_extension_instance_value(self):
-        inst = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2048 + 384)
-        th = thresholds(inst)
-        with mp.workdps(40):
-            # delta^2 n / alpha = 72; extension divides by 1000 s = 3000
-            assert mp.almosteq(th.eps1_ext, mp.e ** (-mp.mpf(72) / 3000),
-                               rel_eps=mp.mpf("1e-30"))
-
-    def test_precision_survives_underflow(self):
-        inst = SliceDistinguishInstance(n=4096, p=2, k=2048, K=2048 + 256)
-        th = thresholds(inst)
-        assert th.eps0_main > 0  # e^-3200 underflows doubles but not mpf
 
 
 class TestExactMinDegree:
@@ -263,9 +217,11 @@ class TestExactMinDegree:
 
 class TestSweep:
     def test_p2_small_range_no_violations(self):
-        rows, violations = gap_degree_sweep(2, range(6, 11), gaps="all")
-        assert not violations
-        got = {(r.n, r.k, r.K): r.degree for r in rows}
+        got = {}
+        for gaps in ("ppower", "composite"):
+            rows, violations = gap_degree_sweep(2, range(6, 11), gaps=gaps)
+            assert not violations
+            got.update({(r.n, r.k, r.K): r.degree for r in rows})
         assert got[(10, 2, 8)] == 2  # gap 6 = 2 * 3
 
     def test_p3_spot_value(self):
@@ -277,8 +233,10 @@ class TestSweep:
     def test_gap_classes_partition(self):
         pp, _ = gap_degree_sweep(2, [8], gaps="ppower")
         co, _ = gap_degree_sweep(2, [8], gaps="composite")
-        al, _ = gap_degree_sweep(2, [8], gaps="all")
-        assert len(pp) + len(co) == len(al)
+        # together they cover every gap whose p-adic part fits below k, once
+        grid = {(k, k + g) for k in range(1, 8) for g in range(1, 9 - k)
+                if p_adic_part(g, 2) <= k}
+        assert sorted((r.k, r.K) for r in pp + co) == sorted(grid)
         assert all(r.gap == p_adic_part(r.gap, 2) for r in pp)
         assert all(r.gap != p_adic_part(r.gap, 2) for r in co)
 
@@ -346,8 +304,7 @@ class TestExhaustiveRobust:
             budget = Fraction(removals, comb(n, k))
             for strategy in ("uniform", "greedy"):
                 assert robust_search(inst, budget, strategy=strategy,
-                                     restarts=3, seed=1,
-                                     confirm_samples=0).degree >= degree
+                                     seed=1).degree >= degree
             degrees.append(degree)
         assert degrees == sorted(degrees, reverse=True)
 
@@ -392,8 +349,7 @@ class TestRobustSearch:
         degs = []
         for removals in (0, 1, 2, 4):
             budget = Fraction(removals, comb(8, 4))
-            degs.append(robust_search(inst, budget, seed=5,
-                                      confirm_samples=0).degree)
+            degs.append(robust_search(inst, budget, seed=5).degree)
         assert degs == sorted(degs, reverse=True)
 
     def test_never_below_exhaustive(self):
@@ -403,27 +359,12 @@ class TestRobustSearch:
             oracle = exhaustive_robust(8, 2, 4, 6, removals).degree
             for strategy in ("uniform", "greedy"):
                 got = robust_search(inst, budget, strategy=strategy,
-                                    restarts=3, seed=1,
-                                    confirm_samples=0).degree
+                                    seed=1).degree
                 assert got >= oracle
-
-    def test_witness_confirmation(self):
-        inst = SliceDistinguishInstance(n=8, p=2, k=4, K=6)
-        rep = robust_search(inst, Fraction(2, comb(8, 4)), seed=7,
-                            restarts=2, confirm_samples=16)
-        assert rep.witness is not None
-        # the witness may be nonzero only inside the declared error set
-        assert rep.psi_k <= Fraction(len(rep.error_set), comb(8, 4))
-        assert len(rep.error_set) == 2
-
-    def test_unreachable_target_raises(self):
-        inst = SliceDistinguishInstance(n=6, p=3, k=2, K=4)
-        with pytest.raises(ValueError):
-            robust_search(inst, Fraction(0), target_psi_K=Fraction(3, 4))
 
     def test_expected_psi_interval(self):
         inst = SliceDistinguishInstance(n=8, p=2, k=4, K=6)
-        rep = robust_search(inst, Fraction(0), seed=0, confirm_samples=0)
+        rep = robust_search(inst, Fraction(0), seed=0)
         assert rep.psi_K_expected == Fraction(1, 2) * rep.psi_K_max
 
     def test_sampled_mean_matches_expectation(self):
@@ -448,7 +389,7 @@ class TestRobustSearch:
 class TestSliceOracleProvider:
     def test_exact_after_budget_zero_builds_nothing(self, monkeypatch):
         inst = SliceDistinguishInstance(n=9, p=3, k=3, K=6)
-        robust_search(inst, Fraction(0), confirm_samples=0)
+        robust_search(inst, Fraction(0))
         builds = []
         from_rows = RankOracle.from_rows
         monkeypatch.setattr(RankOracle, "from_rows", staticmethod(
@@ -478,24 +419,27 @@ class TestSliceOracleProvider:
         slice_masks_ = distinguish.slice_masks
         monkeypatch.setattr(distinguish, "slice_masks", lambda n, k: (
             calls.append((n, k)) or slice_masks_(n, k)))
-        distinguish._ladder.clear()
-        rows, _ = gap_degree_sweep(2, [12], gaps="all")
-        assert calls == [(12, k) for k in range(1, 12)]
-        # the degrees asked of the last slice all read its one array
-        points, _, rungs = distinguish._ladder[F2, 12, 11, DEFAULT_CAPS]
-        assert len(rungs) == 2
-        assert all(np.shares_memory(ev.points, points)
-                   for ev, _ in rungs.values())
-        assert max(r.degree for r in rows) >= 4
+        degrees = []
+        for gaps, last in (("ppower", 11), ("composite", 9)):
+            calls.clear()
+            distinguish._ladder.clear()
+            rows, _ = gap_degree_sweep(2, [12], gaps=gaps)
+            assert calls == [(12, k) for k in range(1, last + 1)]
+            # the degrees asked of the last slice all read its one array
+            points, _, rungs = distinguish._ladder[F2, 12, last, DEFAULT_CAPS]
+            assert len(rungs) == 2
+            assert all(np.shares_memory(ev.points, points)
+                       for ev, _ in rungs.values())
+            degrees += [r.degree for r in rows]
+        assert max(degrees) >= 4
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_shared_oracles_stay_as_built(self, p):
         n, k, K = 8, 3, 5
         inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
-        robust_search(inst, Fraction(0), confirm_samples=4)
+        robust_search(inst, Fraction(0))
         exact_min_degree(n, p, k, K)
-        robust_search(inst, Fraction(3, comb(n, k)), strategy="greedy",
-                      confirm_samples=4)
+        robust_search(inst, Fraction(3, comb(n, k)), strategy="greedy")
         points, shuffled, rungs = distinguish._ladder[PrimeField(p), n, k,
                                                       DEFAULT_CAPS]
         assert len(rungs) >= 2
@@ -510,7 +454,7 @@ class TestSliceOracleProvider:
         n, k, K, removals = 8, 3, 5, 3
         inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
         rep = robust_search(inst, Fraction(removals, comb(n, k)),
-                            strategy="greedy", confirm_samples=0)
+                            strategy="greedy")
         full = EvaluationMatrix(PrimeField(p), n, rep.degree,
                                 list(slice_masks(n, k))).oracle(labels=True)
         deps, owners = full.pivot_dependents, full.pivot_owner

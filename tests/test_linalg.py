@@ -372,7 +372,7 @@ class TestRrefKernel:
         assert _work_dtype(p, self.WIDTH) is self.PRIMES[p]
         data = self.block(p, rows, inner, seed=p + rows)
         a = np.array(data, dtype=np.int64)
-        got = _rref_array(a, p, track_dependents=True)
+        got = _rref_array(a, p)
         want_rows, want = reference_rref(data, p)
         assert got == want
         assert a.dtype == np.int64 and a.tolist() == want_rows
@@ -474,7 +474,8 @@ class TestFourRussians:
         monkeypatch.setattr(distinguish, "_slice_oracle",
                             lambda field, n, k, d, caps: rungs.add((n, k, d))
                             or provider(field, n, k, d, caps))
-        distinguish.gap_degree_sweep(2, range(6, 13), gaps="all")
+        for gaps in ("ppower", "composite"):
+            distinguish.gap_degree_sweep(2, range(6, 13), gaps=gaps)
         assert len(rungs) > 100
         for n, k, d in sorted(rungs):
             block = slice_block(n, k, d)
