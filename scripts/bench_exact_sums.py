@@ -8,11 +8,13 @@ the benchmark's query stream: coin instances for p in {2, 3} and delta in
 {1/8, 1/10} (eps = 1/100, C = 2, so n = 590 and 922), and sampled juntas
 for n in {1024, 2048, 4096} with k = n/2, q = n/16, eps = e^-4, C = 2.
 Each repeat builds them through ``coin_build``/``coin_verify_errors`` and
-``sampling_poly``/``junta_exact_slice_error``, and the time spent inside
-``interpolate_window_int``, ``coin_error_exact`` and
-``junta_exact_slice_error`` is summed per function.  Prints one JSON line:
-the best time per function and the best repeat total over R repeats, and a
-SHA-256 digest of every output (e-coefficients and exact fractions), so two
+``sampling_poly``/``junta_exact_slice_error``, and the time spent inside the
+mod-p window interpolant (``interpolate_window_mod``), the weight tables
+(``cube.weight_values_from_ecoeffs``) and the exact sums
+(``coin_error_exact``, ``junta_exact_slice_error``) is summed per function.
+Prints one JSON line: the best time per function and the best repeat total
+over R repeats, and a SHA-256 digest of the results (each instance's size,
+the junta's inner e-coefficients and the exact error fractions), so two
 checkouts can be compared for speed and for identical results.
 """
 
@@ -28,8 +30,10 @@ from collections import Counter
 from fractions import Fraction
 
 from slicedeg import constructions as cons
+from slicedeg import cube
 
-TIMED = ("interpolate_window_int", "coin_error_exact", "junta_exact_slice_error")
+TIMED = {"interpolate_window_mod": cons, "weight_values_from_ecoeffs": cube,
+         "coin_error_exact": cons, "junta_exact_slice_error": cons}
 COINS = [(p, Fraction(1, d)) for p in (2, 3) for d in (8, 10)]
 JUNTAS = (1024, 2048, 4096)
 
@@ -47,13 +51,12 @@ def run_once(digest) -> None:
         digest.update(repr((n, junta.m, junta.inner_ecoeffs, errs)).encode())
 
 
-def timed(name, fn, busy: Counter, digest):
+def timed(name, fn, busy: Counter):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
         busy[name] += time.perf_counter() - t0
-        digest.update(repr(getattr(out, "ecoeffs", out)).encode())
         return out
     return wrapper
 
@@ -62,18 +65,18 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
-    originals = {name: getattr(cons, name) for name in TIMED}
+    originals = {name: getattr(mod, name) for name, mod in TIMED.items()}
     best = {name: float("inf") for name in TIMED}
     best_total = float("inf")
     for _ in range(args.repeat):
         busy, digest = Counter(), hashlib.sha256()
         for name, fn in originals.items():
-            setattr(cons, name, timed(name, fn, busy, digest))
+            setattr(TIMED[name], name, timed(name, fn, busy))
         try:
             run_once(digest)
         finally:
             for name, fn in originals.items():
-                setattr(cons, name, fn)
+                setattr(TIMED[name], name, fn)
         best = {name: min(best[name], busy[name]) for name in TIMED}
         best_total = min(best_total, sum(busy.values()))
     print(json.dumps({"repeat": args.repeat,

@@ -25,25 +25,15 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps, check_cap
 from .cube import (CHUNK_CELLS, Mask, MultilinearPoly, monomials_upto,
-                   n_monomials, popcount, slice_masks)
+                   n_monomials, point_array, popcount, slice_masks)
 from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
-
-
-def _mask_array(masks: Iterable[Mask]) -> np.ndarray:
-    """The masks as a 1-D uint64 array; a uint64 array is taken as it is."""
-    if isinstance(masks, np.ndarray) and masks.dtype == np.uint64:
-        return masks
-    try:
-        return np.fromiter(masks, dtype=np.uint64)
-    except OverflowError as e:
-        raise ValueError(f"a mask is outside [0, 2^64): {e}") from None
 
 
 def evaluation_bool_matrix(monomials: Sequence[Mask],
                            point_masks: Iterable[Mask]) -> np.ndarray:
     """0/1 matrix: entry (i, j) = 1 iff monomial j is supported inside point i."""
     monos = np.array(monomials, dtype=np.uint64)
-    pts = _mask_array(point_masks)
+    pts = point_array(point_masks)
     out = np.empty((len(pts), len(monomials)), dtype=np.uint8)
     if len(pts) == 0 or len(monomials) == 0:
         return out
@@ -67,9 +57,7 @@ class EvaluationMatrix:
         self.n = n
         self.degree = degree
         check_cap(n, 64, "evaluation matrix variables n")
-        self.points = _mask_array(points)
-        if len(self.points) and int(self.points.max()) >> n:
-            raise ValueError(f"a point is outside [0, 2^{n})")
+        self.points = point_array(points, n)
         check_cap(len(self.points), caps.max_rows, "evaluation matrix rows")
         self.monomials = monomials_upto(n, degree, caps)
         self.caps = caps

@@ -1,12 +1,19 @@
 """Explicit polynomial constructions paired with exact evaluators.
 
 Everything here is exact where it matters: probability computations on
-acceptance paths use big rationals (never floats), weight-window
-interpolation is done over the integers via Newton forward differences, and
-symmetric constructions carry weight -> value certificates so error sums
-stay exact at variable counts far beyond term materialization.  The
-binomials of those sums come as rows (``cube.binomial_row``: one ``comb``,
-then an exact recurrence), not one large ``comb`` per term.
+acceptance paths use big rationals (never floats), and symmetric
+constructions carry weight -> value certificates so error sums stay exact at
+variable counts far beyond term materialization.  The binomials of those
+sums come as rows (``cube.binomial_row``: one ``comb``, then an exact
+recurrence), not one large ``comb`` per term.
+
+Weight-window interpolation takes Newton forward differences and expands
+them over the e-basis.  The ``window`` experiment does this over the
+integers (``interpolate_window_int``).  The coin and junta constructions use
+the interpolant only mod p and build it mod p (``interpolate_window_mod``):
+the differences and the expansion only add and multiply, and the binomials
+C(-lo, m) are reduced after the exact ``binomial_row``, so the residues equal
+those of the integer result; every int64 sum is bounded below 2^63.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ import numpy as np
 
 from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
                      mpf_fraction)
-from .cube import (MultilinearPoly, binomial_row, multilinearize_product,
-                   popcount, slice_masks, weight_values_from_ecoeffs)
+from .cube import (MultilinearPoly, binomial_row, ecoeffs_from_weight_values,
+                   multilinearize_product, popcount, slice_masks,
+                   weight_values_from_ecoeffs)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
 
@@ -58,7 +66,7 @@ def lucas_poly(n: int, i: int, q: int, p: int) -> MultilinearPoly:
 
 
 # ---------------------------------------------------------------------------
-# weight-window interpolation over the integers
+# weight-window interpolation, over the integers or mod p
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -125,6 +133,26 @@ def interpolate_window_int(window: WeightWindow) -> IntegerSymPoly:
     return IntegerSymPoly(n=window.n, ecoeffs=tuple(ecoeffs))
 
 
+def interpolate_window_mod(window: WeightWindow,
+                           field: PrimeField) -> MultilinearPoly:
+    """``interpolate_window_int(window).reduce_mod(field)``, computed mod p.
+
+    The same construction on residues: the Newton differences are
+    ``ecoeffs_from_weight_values`` of the targets, and the Vandermonde
+    expansion is one ``np.convolve`` of them with C(-lo, m) mod p.  An output
+    coefficient sums at most L = |I| products below (p - 1)^2, so it runs in
+    int64 while L (p - 1)^2 < 2^63 and over Python ints above that.
+    """
+    p, length = field.p, window.length
+    dtype = np.int64 if length * (p - 1) ** 2 < 2**63 else object
+    deltas = np.array(ecoeffs_from_weight_values(window.values, p), dtype=dtype)
+    shift = np.array([c % p for c in binomial_row(-window.lo, 0, length - 1)],
+                     dtype=dtype)
+    # ecoeffs[i] = sum_t deltas[i + t] * shift[t], a reversed convolution
+    ecoeffs = np.convolve(deltas[::-1], shift)[length - 1::-1] % p
+    return MultilinearPoly.from_sym(window.n, field, ecoeffs.tolist())
+
+
 def _strict_interval_weights(lo: Fraction, hi: Fraction, limit: int):
     """Integer weights strictly between lo and hi, clipped to [0, limit]."""
     start = math.floor(lo) + 1
@@ -132,17 +160,18 @@ def _strict_interval_weights(lo: Fraction, hi: Fraction, limit: int):
     return range(max(0, start), min(limit, end) + 1)
 
 
-def _window_interpolant(n: int, zero_w: Sequence[int], one_w: Sequence[int]):
-    """(lo, hi, interpolant) of the window [lo, hi] spanning the constrained
-    weights, with target 1 on ``one_w`` and 0 elsewhere (gap weights extend
-    the 0 side); None when no weight is constrained."""
+def _window_interpolant(n: int, zero_w: Sequence[int], one_w: Sequence[int],
+                        field: PrimeField):
+    """(lo, hi, interpolant mod p) of the window [lo, hi] spanning the
+    constrained weights, with target 1 on ``one_w`` and 0 elsewhere (gap
+    weights extend the 0 side); None when no weight is constrained."""
     constrained = sorted(set(zero_w) | set(one_w))
     if not constrained:
         return None
     lo, hi = constrained[0], constrained[-1]
     ones = set(one_w)
     values = tuple(1 if w in ones else 0 for w in range(lo, hi + 1))
-    return lo, hi, interpolate_window_int(WeightWindow(n, lo, hi, values))
+    return lo, hi, interpolate_window_mod(WeightWindow(n, lo, hi, values), field)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +229,9 @@ def sampling_poly(n: int, k: int, q: int, eps: float, C: int, seed: int,
                                             (alpha + delta / 2) * m, m))
     one_w = tuple(_strict_interval_weights((alpha + delta / 2) * m,
                                            (alpha + 3 * delta / 2) * m, m))
-    lo, hi, inner_int = (_window_interpolant(m, zero_w, one_w)
-                         or (0, 0, IntegerSymPoly(n=m, ecoeffs=())))
-    inner = inner_int.reduce_mod(PrimeField(2))  # on the m sampled variables
+    field = PrimeField(2)  # the inner polynomial, on the m sampled variables
+    lo, hi, inner = (_window_interpolant(m, zero_w, one_w, field)
+                     or (0, 0, MultilinearPoly.zero(m, field)))
     rng = random.Random(seed)
     indices = tuple(sorted(rng.sample(range(n), m)))
     return SampledJunta(
@@ -292,10 +321,11 @@ class CoinInstance:
 def coin_build(inst: CoinInstance) -> MultilinearPoly:
     """Window interpolant: 0 strictly inside the biased window, 1 strictly
     inside the unbiased window, reduced mod p, with a weight certificate."""
-    built = _window_interpolant(inst.n, inst.zero_weights(), inst.one_weights())
+    built = _window_interpolant(inst.n, inst.zero_weights(), inst.one_weights(),
+                                PrimeField(inst.p))
     if built is None:
         raise ValueError("both target windows are empty at this n")
-    return built[2].reduce_mod(PrimeField(inst.p))
+    return built[2]
 
 
 def coin_error_exact(table: Sequence[int], alpha: Fraction) -> Fraction:

@@ -12,6 +12,10 @@ vector over the elementary symmetric basis (P = sum_j c_j e_j), which doubles
 as a weight -> value certificate table: c_j is the j-th forward difference of
 the table at weight 0, and the table is rebuilt from the c_j by repeated
 summation (``ecoeffs_from_weight_values``, ``weight_values_from_ecoeffs``).
+Mod p both run in int64 numpy, one ``np.diff`` or ``np.cumsum`` per order,
+reduced after each: that is exact, since a pass adds at most n + 1 residues
+and (n + 1)(p - 1) < 2^63 for every p < 2^31 and any table that fits in
+memory.  Without p, ``weight_values_from_ecoeffs`` sums Python ints.
 Constructors that produce symmetric polynomials store only this
 certificate; evaluation, slice statistics,
 degree and equality read it directly, and the term map is materialized on
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +41,21 @@ CHUNK_CELLS = 1 << 18  # points x monomials per evaluation chunk: 2 MB uint64
 
 def popcount(x: int) -> int:
     return x.bit_count()
+
+
+def point_array(masks: Iterable[Mask], n: int = 64) -> np.ndarray:
+    """The masks as a 1-D uint64 array (a uint64 array is taken as it is);
+    a mask outside [0, 2^n) raises ``ValueError``."""
+    if isinstance(masks, np.ndarray) and masks.dtype == np.uint64:
+        pts = masks
+    else:
+        try:
+            pts = np.fromiter(masks, dtype=np.uint64)
+        except OverflowError:
+            raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})") from None
+    if len(pts) and int(pts.max()) >> n:
+        raise ValueError(f"a mask is outside [0, 2^{n})")
+    return pts
 
 
 def slice_masks(n: int, k: int) -> Iterator[Mask]:
@@ -86,12 +105,18 @@ def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
     coefficient, each pass sums the previous table, g_j(w) = c_j +
     sum_{u<w} g_{j+1}(u), so that g_0 is the table.  O(n * degree) additions.
     """
-    vals = [0] * (n + 1)
+    if not p:
+        vals = [0] * (n + 1)
+        for c in reversed(coeffs):
+            vals = list(accumulate(vals[:n], initial=c))
+        return vals
+    vals = np.zeros(n + 1, dtype=np.int64)
     for c in reversed(coeffs):
-        vals = list(accumulate(vals[:n], initial=c))
-        if p:
-            vals = [v % p for v in vals]
-    return vals
+        vals[1:] = np.cumsum(vals[:n])
+        vals[0] = 0
+        vals += c % p
+        vals %= p
+    return vals.tolist()
 
 
 def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
@@ -101,12 +126,13 @@ def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
     gives c_j = (Delta^j f)(0); every symmetric function has a unique such
     expansion.
     """
-    diffs = [v % p for v in values]
-    coeffs = []
-    while diffs:
-        coeffs.append(diffs[0])
-        diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
-    return coeffs
+    diffs = np.fromiter((v % p for v in values), dtype=np.int64,
+                        count=len(values))
+    coeffs = np.empty_like(diffs)
+    for j in range(len(coeffs)):
+        coeffs[j] = diffs[0]
+        diffs = np.diff(diffs) % p
+    return coeffs.tolist()
 
 
 def binomial_row(top: int, lo: int, hi: int) -> list[int]:
@@ -253,6 +279,8 @@ class MultilinearPoly:
 
     def evaluate(self, mask: Mask) -> int:
         """Value at the point with bitmask ``mask``."""
+        if mask < 0 or mask >> self.n:
+            raise ValueError(f"a mask is outside [0, 2^{self.n})")
         if self._terms is None:
             return self.weight_value(popcount(mask))
         acc = 0
@@ -261,21 +289,21 @@ class MultilinearPoly:
                 acc += c
         return acc % self.field.p
 
-    def evaluate_many(self, masks: Sequence[int]) -> np.ndarray:
-        """Vectorized evaluation at many point masks (n <= 63)."""
-        if self._terms is None and self._sym is not None:
+    def evaluate_many(self, masks: Iterable[Mask]) -> np.ndarray:
+        """Vectorized evaluation at many point masks (n <= 64)."""
+        check_cap(self.n, 64, "vectorized evaluation variables n")
+        pts = point_array(masks, self.n)
+        if self._terms is None:
             table = np.array(self.weight_values(), dtype=np.int64)
-            weights = np.array([popcount(m) for m in masks], dtype=np.int64)
-            return table[weights]
+            return table[np.bitwise_count(pts)]
         terms = self.terms_map()
         if not terms:
-            return np.zeros(len(masks), dtype=np.int64)
+            return np.zeros(len(pts), dtype=np.int64)
         monos = np.array(list(terms.keys()), dtype=np.uint64)
         coeffs = np.array(list(terms.values()), dtype=np.int64)
-        pts = np.array(masks, dtype=np.uint64)
-        out = np.empty(len(masks), dtype=np.int64)
+        out = np.empty(len(pts), dtype=np.int64)
         chunk = max(1, CHUNK_CELLS // max(1, len(terms)))
-        for lo in range(0, len(masks), chunk):
+        for lo in range(0, len(pts), chunk):
             sub = pts[lo:lo + chunk, None]
             hit = (monos[None, :] & ~sub) == 0
             out[lo:lo + chunk] = hit @ coeffs

@@ -18,6 +18,7 @@ from slicedeg.constructions import (CoinInstance, GalvinFamily, WeightWindow,
                                     galvin_coverage, galvin_poly,
                                     galvin_tight_family, hyper_ratio_check,
                                     interpolate_window_int,
+                                    interpolate_window_mod,
                                     junta_exact_slice_error, lucas_poly,
                                     sampling_poly)
 from slicedeg.cube import (MultilinearPoly, binomial_row, elementary_symmetric,
@@ -132,6 +133,29 @@ class TestInterpolation:
                 want = 1 if 2 * popcount(m) > ell else 0
                 assert maj.evaluate(m) == want
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+    def test_mod_p_interpolant_at_scale(self, p):
+        # windows at lo = 0, touching n, and of the coin (n = 590, 922) and
+        # junta (m = 1024) sizes; the integer interpolant is the reference
+        field = PrimeField(p)
+        rng = random.Random(p)
+        shapes = [(4096, 0, 200), (4096, 3896, 200), (4096, 1900, 200),
+                  (590, 0, 148), (590, 221, 148), (922, 345, 186),
+                  (922, 736, 186), (1024, 0, 1), (1024, 1023, 2),
+                  (1024, 450, 120)]
+        shapes += [(n, rng.randrange(n - L + 2), L) for n, L in
+                   ((rng.randrange(200, 4097), rng.randrange(1, 201))
+                    for _ in range(6))]
+        for n, lo, L in shapes:
+            values = tuple(rng.randrange(2) for _ in range(L))
+            win = WeightWindow(n, lo, lo + L - 1, values)
+            want = interpolate_window_int(win).reduce_mod(field)
+            got = interpolate_window_mod(win, field)
+            assert got == want
+            assert all(type(c) is int for c in got.sym_coeffs)
+            table = got.weight_values()
+            assert table[lo:lo + L] == values
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WeightWindow(4, 3, 2, ())
@@ -177,6 +201,15 @@ class TestSampledJunta:
         junta = sampling_poly(64, 32, 16, 0.2, 1, seed=7)
         union = junta.window
         assert junta.degree <= union[1] - union[0]
+
+    def test_inner_polynomial_equals_integer_interpolant(self):
+        junta = sampling_poly(1024, 512, 64, math.exp(-4), 2, seed=0)
+        lo, hi = junta.window
+        win = WeightWindow(junta.m, lo, hi, tuple(
+            1 if w in junta.one_weights else 0 for w in range(lo, hi + 1)))
+        want = interpolate_window_int(win).reduce_mod(F2)
+        assert junta.inner_ecoeffs == want.sym_coeffs
+        assert junta.inner_table == want.weight_values()
 
     def test_deviation_recorded(self):
         junta = sampling_poly(16, 8, 4, 0.3, 1, seed=3)
@@ -275,6 +308,18 @@ class TestCoin:
         assert err_u <= inst.eps and err_b <= inst.eps
         assert poly.degree <= len(inst.zero_weights()) + \
             len(inst.one_weights()) + 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("delta", [Fraction(1, 8), Fraction(1, 10)])
+    def test_build_equals_integer_interpolant(self, p, delta):
+        # the benchmark's construct-coin instances, n = 590 and 922
+        inst = CoinInstance.from_sizing(p, delta, Fraction(1, 100), 2)
+        zero_w, one_w = inst.zero_weights(), inst.one_weights()
+        lo, hi = zero_w[0], one_w[-1]
+        win = WeightWindow(inst.n, lo, hi, tuple(
+            1 if w in one_w else 0 for w in range(lo, hi + 1)))
+        assert coin_build(inst) == \
+            interpolate_window_int(win).reduce_mod(PrimeField(p))
 
     def test_degenerate_delta_half_tiny_n(self):
         inst = CoinInstance(p=2, delta=Fraction(1, 2), eps=Fraction(1, 4),
@@ -382,8 +427,9 @@ class TestExactSumsAgainstComb:
             want = _ref_interpolate(win)
             got = interpolate_window_int(win)
             assert got.ecoeffs == want
-            assert got.reduce_mod(field).sym_coeffs == \
-                MultilinearPoly.from_sym(n, field, list(want)).sym_coeffs
+            want_mod = MultilinearPoly.from_sym(n, field, list(want)).sym_coeffs
+            assert got.reduce_mod(field).sym_coeffs == want_mod
+            assert interpolate_window_mod(win, field).sym_coeffs == want_mod
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_coin_error(self, p):

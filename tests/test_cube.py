@@ -96,6 +96,22 @@ class TestEval:
         vec = poly.evaluate_many(masks)
         assert [poly.evaluate(m) for m in masks] == list(vec)
 
+    @pytest.mark.parametrize("n", [3, 63, 64])
+    def test_mask_out_of_range_rejected(self, n):
+        sym = elementary_symmetric(n, 1, F2)
+        by_terms = MultilinearPoly.from_terms(n, F2,
+                                              {1 << i: 1 for i in range(n)})
+        for poly in (sym, by_terms):
+            for bad in (1 << n, -1):
+                with pytest.raises(ValueError, match="outside"):
+                    poly.evaluate(bad)
+                with pytest.raises(ValueError, match="outside"):
+                    poly.evaluate_many([0, bad])
+            top = (1 << n) - 1
+            assert poly.evaluate(top) == n % 2
+            assert poly.evaluate_many([0, top]).tolist() == [0, n % 2]
+        assert sym._terms is None
+
 
 class TestUniqueness:
     @given(st.integers(1, 6), st.sampled_from([2, 3, 5]), st.integers(0, 10**6))
@@ -253,6 +269,20 @@ class TestForwardDifferenceTransforms:
         raw = [rng.randrange(-p, 2 * p) for _ in range(deg)]
         assert weight_values_from_ecoeffs(n, raw, p) == [
             v % p for v in comb_table(n, raw)]
+
+    def test_largest_prime_at_n_4096_matches_integer_path(self):
+        # int64 work arrays at p = 2^31 - 1: each pass of either transform
+        # must reduce before its sums could overflow
+        p, n = 2**31 - 1, 4096
+        rng = random.Random(4096)
+        raw = [rng.randrange(-2**70, 2**70) for _ in range(200)]
+        ints = weight_values_from_ecoeffs(n, raw)
+        assert weight_values_from_ecoeffs(n, raw, p) == [v % p for v in ints]
+        assert ecoeffs_from_weight_values(ints, p) == (
+            [c % p for c in raw] + [0] * (n + 1 - len(raw)))
+        values = [rng.randrange(p) for _ in range(n + 1)]
+        coeffs = ecoeffs_from_weight_values(values, p)
+        assert weight_values_from_ecoeffs(n, coeffs, p) == values
 
     @given(st.integers(0, 300), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
