@@ -72,10 +72,9 @@ class EvaluationMatrix:
     def point_row_bool(self, mask: Mask) -> np.ndarray:
         return evaluation_bool_matrix(self.monomials, [mask])[0]
 
-    def oracle(self, labels: bool = False) -> RankOracle:
+    def oracle(self) -> RankOracle:
         """Frozen rank oracle on this matrix's rows."""
-        row_labels = self.points.tolist() if labels else None
-        return RankOracle.from_rows(self.field, self.bool_matrix(), row_labels)
+        return RankOracle.from_rows(self.field, self.bool_matrix())
 
     # the oracle takes the 0/1 evaluation row as it is
     row_for_oracle = point_row_bool

@@ -45,9 +45,16 @@ def popcount(x: int) -> int:
 
 def point_array(masks: Iterable[Mask], n: int = 64) -> np.ndarray:
     """The masks as a 1-D uint64 array (a uint64 array is taken as it is);
-    a mask outside [0, 2^n) raises ``ValueError``."""
+    a mask outside [0, 2^n) or an array of a non-integer dtype raises
+    ``ValueError``."""
     if isinstance(masks, np.ndarray) and masks.dtype == np.uint64:
         pts = masks
+    elif isinstance(masks, np.ndarray):
+        if masks.dtype.kind not in "iu":
+            raise ValueError(f"masks of dtype {masks.dtype} are not integers")
+        if masks.dtype.kind == "i" and masks.size and masks.min() < 0:
+            raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})")
+        pts = masks.astype(np.uint64)
     else:
         try:
             pts = np.fromiter(masks, dtype=np.uint64)

@@ -347,16 +347,40 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     raise AssertionError("no distinguisher up to degree n; this cannot happen")
 
 
+def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[Mask]:
+    """Greedy's error set: the points whose rows create the ``removals``
+    pivots with the fewest dependents when the rows are absorbed in order.
+
+    A row creates the pivot at the first nonzero entry of its residue.  Every
+    stored row is zero in the other pivot columns, so a later row is reduced
+    against pivot c exactly when its own entry at c is nonzero; that count is
+    the pivot's dependents.  Ties go to the lower column.
+    """
+    block = ev.bool_matrix()
+    oracle = RankOracle(ev.field, ev.n_d)
+    owner: dict[int, int] = {}  # pivot column -> index of the row creating it
+    for i, row in enumerate(oracle.rows(block)):
+        if oracle.absorb(row):
+            (c,) = set(oracle.pivot_columns()).difference(owner)
+            owner[c] = i
+    deps = {c: int(np.count_nonzero(block[i + 1:, c])) for c, i in owner.items()}
+    lowest = sorted(owner, key=lambda c: (deps[c], c))[:removals]
+    return sorted(ev.points[[owner[c] for c in lowest]].tolist())
+
+
 def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
                   strategy: str = "uniform", seed: int = 0,
                   caps: Caps = DEFAULT_CAPS) -> DistinguishReport:
     """Heuristic upper bound on the robust minimum degree.
 
-    Picks an error set E0 on slice k within the budget (uniform random, the
-    best of ``_RESTARTS`` seeded draws, or greedy removal of rank-critical
-    points), then finds the least d at which the ideal of slice k minus E0
-    is nonzero at some point of slice K.  The reported degree is an upper
-    bound on the true robust minimum.
+    Picks an error set E0 on slice k within the budget, then finds the
+    least d at which the ideal of slice k minus E0 is nonzero at some point
+    of slice K.  Uniform search reports the best of ``_RESTARTS`` seeded
+    random draws.  Greedy search, the same rule for every p, absorbs slice
+    k's degree-d rows in point order and removes the points whose rows
+    create the pivots with the fewest later rows nonzero in their column
+    (``_rank_critical``).  The reported degree is an upper bound on the true
+    robust minimum.
     """
     if strategy not in ("uniform", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -388,13 +412,9 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
             else:
                 if strategy == "uniform":
                     error_set = sorted(rng.sample(k_masks, removals))
-                else:  # pivot_dependents and pivot_owner need every row
-                    full_oracle = EvaluationMatrix(
-                        field, n, d, k_masks, caps).oracle(labels=True)
-                    deps = full_oracle.pivot_dependents
-                    owners = full_oracle.pivot_owner
-                    order = sorted(owners, key=lambda c: (deps.get(c, 0), c))
-                    error_set = sorted(owners[c] for c in order[:removals])
+                else:
+                    error_set = _rank_critical(
+                        EvaluationMatrix(field, n, d, k_masks, caps), removals)
                 error = set(error_set)
                 keep = [m for m in k_masks if m not in error]
                 sub_ev = EvaluationMatrix(field, n, d, keep, caps)

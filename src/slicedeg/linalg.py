@@ -7,11 +7,10 @@ per machine word via Python ints) and numpy int64 rows for odd p.  All
 output is deterministic: pivots are chosen scanning columns left to right,
 rows top to bottom.
 
-GF(2) rows are absorbed one at a time by ``extend``, labelled builds and
-builds under ``GF2_BATCH_ROWS`` rows; larger builds run ``_rref_words``, the
-method of Four Russians (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a
-packed uint64 block.  A row space has one RREF, so both keep the same pivot
-rows; ``pivot_owner`` and ``pivot_dependents`` follow the absorb order.
+GF(2) rows are absorbed one at a time by ``extend`` and by builds under
+``GF2_BATCH_ROWS`` rows; larger builds run ``_rref_words``, the method of Four
+Russians (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a packed uint64
+block.  A row space has one RREF, so both keep the same pivot rows.
 
 Odd-p oracles are built by one batch RREF, ``_rref_array``.  It eliminates
 with delayed modular reduction (after FFLAS-FFPACK, Dumas, Giorgi and
@@ -25,7 +24,7 @@ intermediate value is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,9 +78,7 @@ def _work_dtype(p: int, cols: int):
 def _rref_array(a: np.ndarray, p: int):
     """In-place RREF of ``a`` mod p.
 
-    Returns (rank, pivot_cols, pivot_src_rows, dependents).  ``pivot_src_rows``
-    gives the original row index that supplied each pivot; ``dependents`` maps
-    pivot column -> number of other rows reduced against it.
+    Returns (rank, pivot_cols).
 
     The elimination runs on a copy in ``_work_dtype(p, cols)`` with delayed
     reduction.  Invariants, with bound = ``_growth_bound(dtype, p)``:
@@ -103,9 +100,6 @@ def _rref_array(a: np.ndarray, p: int):
     bound = _growth_bound(dtype, p)
     w = np.mod(a, p).astype(dtype)
     pivot_cols: list[int] = []
-    pivot_src_row: list[int] = []
-    dependents: dict[int, int] = {}
-    orig = list(range(rows))
     pending = 0  # updates since the block was last reduced
     r = 0
     for c in range(cols):
@@ -120,7 +114,6 @@ def _rref_array(a: np.ndarray, p: int):
         if piv != r:
             w[[r, piv]] = w[[piv, r]]
             colvals[[r, piv]] = colvals[[piv, r]]
-            orig[r], orig[piv] = orig[piv], orig[r]
         prow = w[r, c:]
         prow %= p
         inv = pow(int(prow[0]), p - 2, p)
@@ -135,16 +128,14 @@ def _rref_array(a: np.ndarray, p: int):
                 pending = 0
             w[touched, c:] -= np.outer(colvals[touched], prow)
             pending += 1
-        dependents[c] = int(touched.size)
         pivot_cols.append(c)
-        pivot_src_row.append(orig[r])
         r += 1
     a[...] = np.mod(w, p)
-    return r, pivot_cols, pivot_src_row, dependents
+    return r, pivot_cols
 
 
-# Rows from which an unlabelled GF(2) build runs ``_rref_words``; below it,
-# per-strip overhead makes absorbing faster (crossover in BENCH_11.json).
+# Rows from which a GF(2) build runs ``_rref_words``; below it, per-strip
+# overhead makes absorbing faster (crossover in BENCH_11.json).
 GF2_BATCH_ROWS = 100
 
 
@@ -217,35 +208,31 @@ def _checked_block(a: np.ndarray, cols: int) -> np.ndarray:
 class _BitRankOracle:
     """GF(2) backend: a row is a Python int, bit i = column i."""
 
-    __slots__ = ("cols", "pivots", "pivot_mask", "dependents")
+    __slots__ = ("cols", "pivots", "pivot_mask")
 
     def __init__(self, cols: int):
         self.cols = cols
         self.pivots: dict[int, int] = {}
         self.pivot_mask = 0
-        self.dependents: dict[int, int] = {}
 
     def rows(self, block) -> list[int]:
         if isinstance(block, list) and all(type(r) is int for r in block):
             return block
         return pack_bool_rows(_checked_block(np.asarray(block) % 2, self.cols))
 
-    def _reduce(self, row: int, count: bool = False) -> int:
+    def _reduce(self, row: int) -> int:
         pivots = self.pivots
-        deps = self.dependents
         while True:
             t = row & self.pivot_mask
             if not t:
                 return row
             c = (t & -t).bit_length() - 1
             row ^= pivots[c]
-            if count:
-                deps[c] = deps.get(c, 0) + 1
 
-    def absorb(self, row: int) -> Optional[int]:
-        res = self._reduce(row, count=True)
+    def absorb(self, row: int) -> None:
+        res = self._reduce(row)
         if res == 0:
-            return None
+            return
         c = (res & -res).bit_length() - 1
         bit = 1 << c
         for pc, prow in self.pivots.items():
@@ -253,8 +240,6 @@ class _BitRankOracle:
                 self.pivots[pc] = prow ^ res
         self.pivots[c] = res
         self.pivot_mask |= bit
-        self.dependents.setdefault(c, 0)
-        return c
 
     def members(self, rows: list[int]) -> list[bool]:
         return [self._reduce(r) == 0 for r in rows]
@@ -270,13 +255,12 @@ class _BitRankOracle:
 class _ArrRankOracle:
     """Odd-p backend: numpy int64 rows, normalized lead 1, kept reduced."""
 
-    __slots__ = ("cols", "p", "pivots", "dependents")
+    __slots__ = ("cols", "p", "pivots")
 
     def __init__(self, cols: int, p: int):
         self.cols = cols
         self.p = p
         self.pivots: dict[int, np.ndarray] = {}
-        self.dependents: dict[int, int] = {}
 
     def rows(self, block) -> np.ndarray:
         a = np.mod(np.asarray(block, dtype=np.int64), self.p)
@@ -284,7 +268,7 @@ class _ArrRankOracle:
             a = a.reshape(0, self.cols)
         return _checked_block(a, self.cols)
 
-    def _reduce(self, work: np.ndarray, count: bool = False) -> np.ndarray:
+    def _reduce(self, work: np.ndarray) -> np.ndarray:
         """Reduce every row of the block ``work`` in place to its residue.
 
         Each stored row is zero in the other pivot columns, so a row's
@@ -298,15 +282,13 @@ class _ArrRankOracle:
             vals = work[:, c]
             nz = np.flatnonzero(vals)
             work[nz] = (work[nz] - np.outer(vals[nz], self.pivots[c])) % p
-            if count:
-                self.dependents[c] = self.dependents.get(c, 0) + int(nz.size)
         return work
 
-    def absorb(self, row: np.ndarray) -> Optional[int]:
-        res = self._reduce(row[None, :], count=True)[0]
+    def absorb(self, row: np.ndarray) -> None:
+        res = self._reduce(row[None, :])[0]
         nz = np.nonzero(res)[0]
         if nz.size == 0:
-            return None
+            return
         c = int(nz[0])
         inv = pow(int(res[c]), self.p - 2, self.p)
         if inv != 1:
@@ -316,8 +298,6 @@ class _ArrRankOracle:
             if v:
                 self.pivots[pc] = (prow - v * res) % self.p
         self.pivots[c] = res
-        self.dependents.setdefault(c, 0)
-        return c
 
     def members(self, rows: np.ndarray) -> list[bool]:
         return (~self._reduce(rows).any(axis=1)).tolist()
@@ -349,7 +329,6 @@ class RankOracle:
             self._impl = _BitRankOracle(cols)
         else:
             self._impl = _ArrRankOracle(cols, field.p)
-        self._pivot_owner: dict[int, object] = {}
 
     def rows(self, block):
         """The rows of a 2-D block in the stored format.
@@ -366,14 +345,11 @@ class RankOracle:
         self.extend([row])
         return self.rank > rank
 
-    def extend(self, block, row_labels: Optional[Sequence] = None) -> None:
-        """Absorb the rows of a block in order, labelling each new pivot
-        with its row's label when labels are given."""
+    def extend(self, block) -> None:
+        """Absorb the rows of a block in order."""
         impl = self._impl
-        for idx, r in enumerate(impl.rows(block)):
-            new_pivot = impl.absorb(r)
-            if new_pivot is not None and row_labels is not None:
-                self._pivot_owner[new_pivot] = row_labels[idx]
+        for r in impl.rows(block):
+            impl.absorb(r)
 
     def member(self, row) -> bool:
         return self.members([row])[0]
@@ -385,18 +361,6 @@ class RankOracle:
     @property
     def rank(self) -> int:
         return len(self._impl.pivots)
-
-    @property
-    def pivot_dependents(self) -> dict[int, int]:
-        """pivot column -> number of rows reduced against it so far, counted
-        by absorbs and by the odd-p batch RREF, not by ``_rref_words``;
-        greedy ``robust_search``'s labelled build is its one reader."""
-        return dict(self._impl.dependents)
-
-    @property
-    def pivot_owner(self) -> dict[int, object]:
-        """pivot column -> label of the absorbed row that created it."""
-        return dict(self._pivot_owner)
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._impl.pivots)
@@ -431,49 +395,40 @@ class RankOracle:
 
     # -- fast batch constructors ----------------------------------------
     @classmethod
-    def from_rows(cls, field: PrimeField, rows: np.ndarray,
-                  row_labels: Optional[Sequence] = None):
+    def from_rows(cls, field: PrimeField, rows: np.ndarray):
         """Build an oracle on a 2-D block: ``from_packed_rows`` for GF(2),
         one batch RREF for odd p."""
         if field.p == 2:
-            return cls.from_packed_rows(field, rows.shape[1], rows, row_labels)
-        return cls.from_array(field, rows, row_labels)
+            return cls.from_packed_rows(field, rows.shape[1], rows)
+        return cls.from_array(field, rows)
 
     @classmethod
-    def from_packed_rows(cls, field: PrimeField, cols: int, rows: Sequence,
-                         row_labels: Optional[Sequence] = None):
+    def from_packed_rows(cls, field: PrimeField, cols: int, rows: Sequence):
         """Build a GF(2) oracle on the packed rows of a 0/1 block.
 
-        Unlabelled blocks of ``GF2_BATCH_ROWS`` rows or more are eliminated
-        by ``_rref_words``; other blocks are absorbed row by row, in order.
+        Blocks of ``GF2_BATCH_ROWS`` rows or more are eliminated by
+        ``_rref_words``; smaller blocks are absorbed row by row, in order.
         """
         if field.p != 2:
             raise ValueError("packed rows are a GF(2) representation")
         o = cls(field, cols)
-        if row_labels is None and len(rows) >= GF2_BATCH_ROWS:
+        if len(rows) >= GF2_BATCH_ROWS:
             w = _pack_words(_checked_block(np.asarray(rows) % 2, cols))
             o._impl.pivots = _rref_words(w)
             o._impl.pivot_mask = sum(1 << c for c in o._impl.pivots)
         else:
-            o.extend(rows, row_labels)
+            o.extend(rows)
         return o
 
     @classmethod
-    def from_array(cls, field: PrimeField, a: np.ndarray,
-                   row_labels: Optional[Sequence] = None):
+    def from_array(cls, field: PrimeField, a: np.ndarray):
         """Build an odd-p oracle from a dense int array with one batch RREF."""
         if field.p == 2:
             raise ValueError("GF(2) oracles are built from packed rows")
         o = cls(field, a.shape[1])
         work = a.astype(np.promote_types(a.dtype, np.min_scalar_type(field.p)))
         work %= field.p  # a 0/1 block stays uint8; only the pivots are int64
-        rank, pivot_cols, pivot_src, dependents = _rref_array(work, field.p)
-        impl = o._impl
+        _, pivot_cols = _rref_array(work, field.p)
         for i, c in enumerate(pivot_cols):
-            impl.pivots[c] = work[i].astype(np.int64)
-        impl.dependents = dependents
-        if row_labels is not None:
-            o._pivot_owner = {
-                c: row_labels[src] for c, src in zip(pivot_cols, pivot_src)
-            }
+            o._impl.pivots[c] = work[i].astype(np.int64)
         return o

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicedeg import closure as closure_mod
+from slicedeg import closure as closure_mod, distinguish
 from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               ball_fact_check, closure,
                               evaluation_bool_matrix, hamming_ball,
@@ -117,9 +117,18 @@ class TestIdealBasis:
         assert ev.points is pts
         assert np.array_equal(ev.bool_matrix(), EvaluationMatrix(
             F3, 3, 1, iter(range(8))).bool_matrix())
-        assert ev.oracle(labels=True).pivot_owner == {0: 0, 1: 1, 2: 2, 3: 4}
-        assert all(type(m) is int for m in
-                   ev.oracle(labels=True).pivot_owner.values())
+        # the points whose rows create the four pivots, as Python ints
+        owners = distinguish._rank_critical(ev, 4)
+        assert owners == [0, 1, 2, 4] and all(type(m) is int for m in owners)
+
+    @pytest.mark.parametrize("field", [F2, F3])
+    def test_a_signed_array_is_checked_before_the_cast(self, field):
+        with pytest.raises(ValueError, match="outside"):
+            EvaluationMatrix(field, 64, 1, np.array([-1, 3]))
+        with pytest.raises(ValueError, match="not integers"):
+            EvaluationMatrix(field, 64, 1, np.array([1.0, 3.0]))
+        ev = EvaluationMatrix(field, 64, 1, np.array([0, 3]))
+        assert ev.points.dtype == np.uint64 and ev.points.tolist() == [0, 3]
 
     def test_vanishing_check_survives_python_O(self):
         # a basis that fails the sampled check must raise with asserts off

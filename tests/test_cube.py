@@ -4,14 +4,15 @@ import json
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, ecoeffs_from_weight_values,
                            elementary_symmetric, monomials_upto,
-                           multilinearize_product, poly_to_json_dict,
-                           popcount, slice_masks,
+                           multilinearize_product, point_array,
+                           poly_to_json_dict, popcount, slice_masks,
                            slice_stats, symmetric_value_table,
                            weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
@@ -111,6 +112,25 @@ class TestEval:
             assert poly.evaluate(top) == n % 2
             assert poly.evaluate_many([0, top]).tolist() == [0, n % 2]
         assert sym._terms is None
+
+    def test_an_array_of_another_dtype_is_checked_before_the_cast(self):
+        # cast blindly, -1 would be the all-ones point and 1.7 the point 1
+        n = 64
+        sym = elementary_symmetric(n, 1, F2)
+        by_terms = MultilinearPoly.from_terms(n, F2,
+                                              {1 << i: 1 for i in range(n)})
+        for poly in (sym, by_terms):
+            with pytest.raises(ValueError, match="outside"):
+                poly.evaluate_many(np.array([-1, 3]))
+            with pytest.raises(ValueError, match="not integers"):
+                poly.evaluate_many(np.array([1.7, 3.0]))
+            for dtype in (np.int64, np.int8, np.uint8):
+                assert poly.evaluate_many(np.array([0, 7], dtype=dtype)
+                                          ).tolist() == [0, 1]
+        with pytest.raises(ValueError, match="not integers"):
+            point_array(np.array([1.7, 3.0]), n)
+        pts = np.array([5, 3], dtype=np.uint64)
+        assert point_array(pts, n) is pts
 
 
 class TestUniqueness:

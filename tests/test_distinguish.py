@@ -1,5 +1,6 @@
 """Exact and robust minimum slice-distinguishing degree."""
 
+import functools
 import itertools
 import random
 import subprocess
@@ -69,6 +70,34 @@ def brute_robust_min_degree_gf2(n, k, K, removals):
                 if _gf2_rank(np.vstack([base, row[None, :]])) > rank_base:
                     return d
     return None
+
+
+def greedy_reference(p, n, k, d, removals):
+    """Independent greedy rule with no ``RankOracle``: absorb the slice-k
+    rows as Python-int lists in point order, count per pivot the rows
+    reduced against it, and return the points that created the
+    ``removals`` pivots with the fewest (ties to the lower column)."""
+    monos = monomials_upto(n, d)
+    pivots, owner, deps = {}, {}, {}
+    for m in slice_masks(n, k):
+        row = [int(mono & ~m == 0) for mono in monos]
+        for c in sorted(pivots):
+            if row[c]:
+                deps[c] += 1
+                f = row[c]
+                row = [(x - f * y) % p for x, y in zip(row, pivots[c])]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [x * inv % p for x in row]
+        for c, prow in pivots.items():
+            if prow[lead]:
+                f = prow[lead]
+                pivots[c] = [(x - f * y) % p for x, y in zip(prow, row)]
+        pivots[lead], owner[lead], deps[lead] = row, m, 0
+    order = sorted(pivots, key=lambda c: (deps[c], c))
+    return sorted(owner[c] for c in order[:removals])
 
 
 def _gf2_rank(a):
@@ -385,6 +414,23 @@ class TestRobustSearch:
         stderr = sd / (len(counts) ** 0.5)
         assert abs(mean - expect) <= 5 * max(stderr, 1e-9)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_greedy_matches_a_plain_absorb(self, p):
+        # every (n, k, K) with n <= 9 and 1-3 removals, one rule for every p
+        reference = functools.lru_cache(maxsize=None)(greedy_reference)
+        for n in range(2, 10):
+            for k in range(1, n):
+                for K in range(n + 1):
+                    for removals in range(1, min(4, comb(n, k))):
+                        if K == k:
+                            continue
+                        inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
+                        rep = robust_search(inst, Fraction(removals, comb(n, k)),
+                                            strategy="greedy")
+                        assert rep.error_set == reference(p, n, k, rep.degree,
+                                                          removals)
+                        assert all(type(m) is int for m in rep.error_set)
+
 
 class TestSliceOracleProvider:
     def test_exact_after_budget_zero_builds_nothing(self, monkeypatch):
@@ -449,18 +495,6 @@ class TestSliceOracleProvider:
             assert ev.degree == d and ev.points is points
             _assert_same_span(oracle, ev.oracle(), random.Random(d))
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_greedy_picks_from_a_labelled_full_build(self, p):
-        n, k, K, removals = 8, 3, 5, 3
-        inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
-        rep = robust_search(inst, Fraction(removals, comb(n, k)),
-                            strategy="greedy")
-        full = EvaluationMatrix(PrimeField(p), n, rep.degree,
-                                list(slice_masks(n, k))).oracle(labels=True)
-        deps, owners = full.pivot_dependents, full.pivot_owner
-        order = sorted(owners, key=lambda c: (deps.get(c, 0), c))
-        assert rep.error_set == sorted(owners[c] for c in order[:removals])
-
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_certificate_equals_full_build(self, p):
         # every k and d at n <= 9; above, the degrees up to one past
@@ -522,9 +556,9 @@ class TestSliceOracleProvider:
         size_k = comb(n, k)
         absorbed = []  # (oracle width, rows) of every extend
         extend = RankOracle.extend
-        monkeypatch.setattr(RankOracle, "extend", lambda self, block, labels=None:
+        monkeypatch.setattr(RankOracle, "extend", lambda self, block:
                             absorbed.append((self.cols, len(block)))
-                            or extend(self, block, labels))
+                            or extend(self, block))
         exhaustive_robust(n, p, k, K, 2)  # fills the degree ladder
         absorbed.clear()
         got = exhaustive_robust(n, p, k, K, 2)

@@ -35,10 +35,9 @@ def brute_rank(field, rows):
 
 def reference_rref(rows, p):
     """Plain Python-int RREF with the kernel's pivot rule: the reduced rows
-    and (rank, pivot_cols, pivot_src_rows, dependents)."""
+    and (rank, pivot_cols)."""
     a = [[x % p for x in row] for row in rows]
-    orig = list(range(len(a)))
-    pivots, srcs, deps = [], [], {}
+    pivots = []
     r = 0
     for c in range(len(a[0]) if a else 0):
         if r >= len(a):
@@ -47,24 +46,21 @@ def reference_rref(rows, p):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        orig[r], orig[piv] = orig[piv], orig[r]
         inv = pow(a[r][c], p - 2, p)
         a[r] = [x * inv % p for x in a[r]]
         touched = [i for i in range(len(a)) if i != r and a[i][c]]
         for i in touched:
             f = a[i][c]
             a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        deps[c] = len(touched)
         pivots.append(c)
-        srcs.append(orig[r])
         r += 1
-    return a, (r, pivots, srcs, deps)
+    return a, (r, pivots)
 
 
 def rref_rows(rows, p):
     """``_rref_array`` on a list of rows: (reduced rows, rank, pivot_cols)."""
     a = np.array(rows, dtype=np.int64)
-    rank, pivots, _, _ = _rref_array(a, p)
+    rank, pivots = _rref_array(a, p)
     return a.tolist(), rank, pivots
 
 
@@ -232,7 +228,7 @@ class TestRankOracle:
         field = PrimeField(p)
         rng = random.Random(seed)
         data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        _, (batch_rank, _, _, _) = reference_rref(data, p)
+        _, (batch_rank, _) = reference_rref(data, p)
         for _ in range(3):
             shuffled = data[:]
             rng.shuffle(shuffled)
@@ -249,7 +245,7 @@ class TestRankOracle:
         rng = random.Random(seed)
         data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
         o = RankOracle.from_rows(field, np.array(data))
-        want_rows, (_, pivots, _, _) = reference_rref(data, p)
+        want_rows, (_, pivots) = reference_rref(data, p)
         assert sorted(o.nullspace()) == sorted(
             canonical_nullspace(want_rows, pivots, cols, p))
         for v in o.nullspace():
@@ -489,29 +485,17 @@ class TestFourRussians:
         assert len(want) == comb(n, d)
         assert RankOracle.from_rows(F2, block)._impl.pivots == want
 
-    def test_dispatch_on_row_count_and_labels(self, monkeypatch):
+    def test_dispatch_on_row_count(self, monkeypatch):
         calls = []
         monkeypatch.setattr(linalg, "_rref_words",
                             lambda w: calls.append(len(w)) or _rref_words(w))
         block = slice_block(9, 4, 2)  # 126 rows
         assert len(block) >= GF2_BATCH_ROWS
-        for rows, labels in ((block, None), (block[:GF2_BATCH_ROWS - 1], None),
-                             (block, list(range(len(block))))):
-            got = RankOracle.from_rows(F2, rows, labels)
+        for rows in (block, block[:GF2_BATCH_ROWS - 1], block[:GF2_BATCH_ROWS]):
+            got = RankOracle.from_rows(F2, rows)
             assert got._impl.pivots == absorb_pivots(rows)
             assert got._impl.pivot_mask == sum(1 << c for c in got._impl.pivots)
-        assert calls == [len(block)]
-
-    def test_labelled_build_keeps_absorb_order_reads(self):
-        # greedy robust_search reads both; the absorb order defines them
-        block = slice_block(9, 4, 2)
-        labels = [f"row {i}" for i in range(len(block))]
-        got = RankOracle.from_rows(F2, block, labels)
-        ref = RankOracle(F2, block.shape[1])
-        ref.extend(block, labels)
-        assert got.pivot_owner == ref.pivot_owner
-        assert got.pivot_dependents == ref.pivot_dependents
-        assert any(got.pivot_dependents.values())
+        assert calls == [len(block), GF2_BATCH_ROWS]
 
     @pytest.mark.parametrize("rows", [3, GF2_BATCH_ROWS])
     def test_wrong_width_is_rejected_on_both_paths(self, rows):
