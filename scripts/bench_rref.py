@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Time the odd-p elimination kernel on the F_3 slice evaluation matrices.
+"""Time the odd-p elimination kernel on the blocks the F_3 sweeps reduce.
 
     PYTHONPATH=src python3 scripts/bench_rref.py [--repeat R]
 
-The set is every slice-k evaluation matrix with n in [12, 14], k in
-[1, n - 1] and degree d <= 3 (144 matrices), each reduced the way
-``RankOracle.from_array`` reduces it.  Prints one JSON line: the best total
-kernel time over R repeats and a SHA-256 digest of every output (reduced
-array, rank, pivot columns), so two checkouts can be compared for speed and
-for identical results.
+The set is every block ``RankOracle.from_array`` receives while the two
+p = 3 sweep reports run (``hegedus-sweep`` and ``extension-sweep``, n in
+[6, 14], each from an empty degree ladder as in its own process): the
+rank-certificate heads of ``distinguish._slice_oracle``, 0/1 uint8 blocks.
+Each is reduced the way ``from_array`` reduces it.  Prints one JSON line:
+the block count, the largest shape, the best total kernel time over R
+repeats and a SHA-256 digest of every output (reduced array, rank, pivot
+columns), so two checkouts can be compared for speed and for identical
+results.
 """
 
 from __future__ import annotations
@@ -20,39 +23,56 @@ import time
 
 import numpy as np
 
-from slicedeg.closure import EvaluationMatrix
-from slicedeg.cube import slice_masks
-from slicedeg.linalg import PrimeField, _rref_array
+from slicedeg import distinguish
+from slicedeg.experiments import ExperimentSpec, run
+from slicedeg.linalg import PrimeField, RankOracle, _rref_array
+
+SWEEPS = ("hegedus-sweep", "extension-sweep")
 
 
-def matrices(field):
-    for n in range(12, 15):
-        for k in range(1, n):
-            for d in range(4):
-                ev = EvaluationMatrix(field, n, d, slice_masks(n, k))
-                yield ev.bool_matrix().astype(np.int64)
+def sweep_blocks() -> list[np.ndarray]:
+    """Copies of the blocks ``from_array`` receives in the p = 3 sweeps."""
+    blocks = []
+    build = RankOracle.from_array.__func__
+
+    def capture(cls, field, a):
+        blocks.append(a.copy())
+        return build(cls, field, a)
+
+    RankOracle.from_array = classmethod(capture)
+    try:
+        for name in SWEEPS:
+            distinguish._ladder.clear()
+            run(ExperimentSpec(name, {"p": 3, "n_min": 6, "n_max": 14}))
+    finally:
+        RankOracle.from_array = classmethod(build)
+    return blocks
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
-    field = PrimeField(3)
-    blocks = list(matrices(field))
+    p = PrimeField(3).p
+    blocks = sweep_blocks()
     best = float("inf")
     for _ in range(args.repeat):
         digest = hashlib.sha256()
         total = 0.0
         for m in blocks:
-            a = m.copy()
+            a = m.astype(np.promote_types(m.dtype, np.min_scalar_type(p)))
+            a %= p
             t0 = time.perf_counter()
-            rank, pivots = _rref_array(a, field.p)
+            rank, pivots = _rref_array(a, p)
             total += time.perf_counter() - t0
             digest.update(a.tobytes())
             digest.update(repr((rank, pivots)).encode())
         best = min(best, total)
-    print(json.dumps({"matrices": len(blocks), "repeat": args.repeat,
-                      "best_kernel_s": round(best, 3),
+    print(json.dumps({"blocks": len(blocks),
+                      "dtypes": sorted({str(m.dtype) for m in blocks}),
+                      "largest": max((m.shape for m in blocks),
+                                     key=lambda s: s[0] * s[1]),
+                      "repeat": args.repeat, "best_kernel_s": round(best, 3),
                       "digest": digest.hexdigest()}))
 
 

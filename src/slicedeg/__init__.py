@@ -15,8 +15,7 @@ Modules:
 
 from .config import Caps, CapExceeded, DEFAULT_CAPS
 from .linalg import PrimeField, RankOracle
-from .cube import (MultilinearPoly, SliceStats, elementary_symmetric,
-                   multilinearize_product, slice_stats,
-                   symmetric_value_table)
+from .cube import (MultilinearPoly, SliceStats, multilinearize_product,
+                   slice_stats)
 
 __version__ = "0.1.0"

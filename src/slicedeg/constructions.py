@@ -30,10 +30,9 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
-                     mpf_fraction)
+from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, mpf_fraction
 from .cube import (MultilinearPoly, binomial_row, ecoeffs_from_weight_values,
-                   multilinearize_product, popcount, slice_masks,
+                   multilinearize_product, popcount,
                    weight_values_from_ecoeffs)
 from .distinguish import p_adic_part
 from .linalg import PrimeField
@@ -206,8 +205,8 @@ class SampledJunta:
                          "not i.i.d. uniform",)
 
 
-def sampling_poly(n: int, k: int, q: int, eps: float, C: int, seed: int,
-                  caps: Caps = DEFAULT_CAPS) -> SampledJunta:
+def sampling_poly(n: int, k: int, q: int, eps: float, C: int,
+                  seed: int) -> SampledJunta:
     """Low-degree junta that vanishes on most of slice k and is nonzero on
     most of slice k+q, built by sampling m = ceil(C (a/d^2) ln(1/eps))
     coordinates and interpolating an inner window polynomial with zero
@@ -411,30 +410,18 @@ def galvin_tight_family(n: int, eps, C: int) -> GalvinFamily:
     return GalvinFamily(n=n, items=items, t=t, degenerate=(t >= n // 4))
 
 
-def galvin_coverage(F: GalvinFamily,
-                    caps: Caps = DEFAULT_CAPS) -> Fraction:
-    """Exact fraction of the middle slice covered by some hyperplane.
-
-    A hypergeometric sum when all normal vectors coincide; otherwise the
-    middle slice is enumerated, under ``caps.max_slice_points``.
-    """
+def galvin_coverage(F: GalvinFamily) -> Fraction:
+    """Exact fraction of the middle slice covered by some hyperplane of a
+    family with one normal vector u: a hypergeometric sum over the inner
+    products <u, v> = b the family's intercepts hit.  A family whose normals
+    differ raises ``ValueError``."""
     n = F.n
     half = n // 2
-    if F.size == 0:
-        return Fraction(0)
-    first_u = F.items[0][0]
-    if all(u == first_u for u, _ in F.items):
-        hit_values = {b for _, b in F.items if 0 <= b <= half}
-        num = sum(comb(half, x) * comb(half, half - x) for x in hit_values)
-        return Fraction(num, comb(n, half))
-    size = comb(n, half)
-    check_cap(size, caps.max_slice_points, f"middle slice C({n},{half})")
-    vs = np.fromiter(slice_masks(n, half), dtype=np.uint64, count=size)
-    hit = np.zeros(size, dtype=bool)
-    for u, b in F.items:
-        if 0 <= b <= half:
-            hit |= np.bitwise_count(vs & np.uint64(u)) == b
-    return Fraction(int(hit.sum()), size)
+    if len({u for u, _ in F.items}) > 1:
+        raise ValueError("the normal vectors of the family differ")
+    hit_values = {b for _, b in F.items if 0 <= b <= half}
+    num = sum(comb(half, x) * comb(half, half - x) for x in hit_values)
+    return Fraction(num, comb(n, half))
 
 
 def galvin_poly(F: GalvinFamily, field: PrimeField,

@@ -45,21 +45,28 @@ def popcount(x: int) -> int:
 
 def point_array(masks: Iterable[Mask], n: int = 64) -> np.ndarray:
     """The masks as a 1-D uint64 array (a uint64 array is taken as it is);
-    a mask outside [0, 2^n) or an array of a non-integer dtype raises
-    ``ValueError``."""
-    if isinstance(masks, np.ndarray) and masks.dtype == np.uint64:
-        pts = masks
-    elif isinstance(masks, np.ndarray):
-        if masks.dtype.kind not in "iu":
-            raise ValueError(f"masks of dtype {masks.dtype} are not integers")
-        if masks.dtype.kind == "i" and masks.size and masks.min() < 0:
-            raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})")
-        pts = masks.astype(np.uint64)
-    else:
-        try:
-            pts = np.fromiter(masks, dtype=np.uint64)
-        except OverflowError:
-            raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})") from None
+    a mask outside [0, 2^n) or one that is not an integer raises
+    ``ValueError``.
+
+    Any other iterable is converted by one ``np.array`` call, which keeps
+    integer dtypes and signs, so the checks on the array see every element.
+    Integers with no common integer dtype (some at 2^63 or above next to
+    smaller or signed ones, or none at all) are converted again as ints.
+    """
+    if not isinstance(masks, np.ndarray):
+        seq = masks if isinstance(masks, list) else list(masks)
+        masks = np.array(seq)
+        if masks.dtype.kind not in "iu" and all(
+                isinstance(m, (int, np.integer)) for m in seq):
+            try:
+                masks = np.array([int(m) for m in seq], dtype=np.uint64)
+            except OverflowError:
+                raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})") from None
+    if masks.dtype.kind not in "iu":
+        raise ValueError(f"masks of dtype {masks.dtype} are not integers")
+    if masks.dtype.kind == "i" and masks.size and masks.min() < 0:
+        raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})")
+    pts = masks.astype(np.uint64, copy=False)
     if len(pts) and int(pts.max()) >> n:
         raise ValueError(f"a mask is outside [0, 2^{n})")
     return pts
@@ -380,37 +387,6 @@ def slice_stats(P: MultilinearPoly, m: int, caps: Caps = DEFAULT_CAPS) -> SliceS
     vals = P.evaluate_many(masks)
     return SliceStats(m=m, nonzero_count=int(np.count_nonzero(vals)),
                       slice_size=size)
-
-
-def symmetric_value_table(P: MultilinearPoly,
-                          caps: Caps = DEFAULT_CAPS) -> Optional[tuple]:
-    """Weight -> value table if P is constant on every slice, else None.
-
-    O(n) for certificate-carrying polynomials; otherwise verified by full
-    slice enumeration under the cap.
-    """
-    if P.is_symmetric_certified:
-        return P.weight_values()
-    if P.n > 63:
-        raise CapExceeded("certificate-free symmetry check needs n <= 63")
-    check_cap(1 << P.n, caps.max_slice_points, "full-cube enumeration")
-    table = []
-    for w in range(P.n + 1):
-        masks = list(slice_masks(P.n, w))
-        vals = P.evaluate_many(masks)
-        first = int(vals[0])
-        if np.any(vals != first):
-            return None
-        table.append(first)
-    return tuple(table)
-
-
-def elementary_symmetric(n: int, j: int, field: PrimeField) -> MultilinearPoly:
-    """e_j on n variables; evaluates to C(w, j) mod p at weight-w points."""
-    if not (0 <= j <= n):
-        raise ValueError(f"need 0 <= j <= n, got j={j}")
-    coeffs = [0] * j + [1]
-    return MultilinearPoly.from_sym(n, field, coeffs)
 
 
 # ---------------------------------------------------------------------------

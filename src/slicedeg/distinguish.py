@@ -6,7 +6,8 @@ by testing whether a slice-K evaluation row escapes the row space of slice
 k's evaluation matrix.  Because both slices are orbits of the symmetric
 group and the row space of a full slice is permutation-invariant, escape at
 one representative point settles the whole slice; small-case tests verify
-this against full closure computations.
+this against full closure computations.  One ascent of slice k's degree
+ladder (``_ascent``) makes this test for all four solvers.
 
 Robust variants relax the vanishing constraint on an explicit error set,
 either heuristically (upper bound) or exactly over all small error sets,
@@ -29,7 +30,8 @@ import mpmath as mp
 import numpy as np
 
 from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
-from .closure import EvaluationMatrix, evaluation_bool_matrix, poly_from_coeffs
+from .closure import (Candidates, EvaluationMatrix, closure,
+                      evaluation_bool_matrix, poly_from_coeffs)
 from .cube import Mask, MultilinearPoly, slice_masks, slice_stats
 from .linalg import PrimeField, RankOracle
 
@@ -171,44 +173,57 @@ def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
                             oracle.nullspace_vector(free))
 
 
+def _ascent(field: PrimeField, n: int, k: int, K: int, caps: Caps, top: int):
+    """Rungs (d, ev, oracle, escaped) of slice k's degree ladder for d = 0,
+    1, ..., ``top``, ending at the first whose span the row of slice K's
+    representative (1 << K) - 1 escapes.
+
+    The only test of slice K against the ladder: the row space of a full
+    slice is permutation-invariant, so escape at one point of slice K is
+    escape at all of them.  Some d <= n always escapes.
+    """
+    rep = (1 << K) - 1
+    for d in range(top + 1):
+        ev, oracle = _slice_oracle(field, n, k, d, caps)
+        escaped = not oracle.member(ev.row_for_oracle(rep))
+        yield d, ev, oracle, escaped
+        if escaped:
+            return
+    if top == n:
+        raise AssertionError("no distinguisher up to degree n; this cannot happen")
+
+
+def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
+                  want_witness: bool) -> DistinguishReport:
+    """The report of the least escape degree, for ``exact_min_degree`` and
+    zero-budget ``robust_search``."""
+    for d, ev, oracle, escaped in _ascent(field, n, k, K, caps, n):
+        if escaped:
+            break
+    p, size_K = field.p, comb(n, K)
+    report = DistinguishReport(
+        degree=d, mode="exact", n=n, p=p, k=k, K=K, outside_count=size_K,
+        per_degree_outside={**dict.fromkeys(range(d), 0), d: size_K},
+        slice_sizes=(comb(n, k), size_K),
+        psi_K_expected=Fraction(p - 1, p), psi_K_max=Fraction(1),
+    )
+    if want_witness:
+        w = _witness_from_oracle(ev, oracle, (1 << K) - 1)
+        report.witness = w
+        report.psi_k = slice_stats(w, k, caps).psi
+        report.psi_K = slice_stats(w, K, caps).psi
+    return report
+
+
 def exact_min_degree(n: int, p: int, k: int, K: int,
                      caps: Caps = DEFAULT_CAPS,
                      want_witness: bool = True) -> DistinguishReport:
     """Least d such that some degree-<=d polynomial vanishes on all of slice k
-    and is nonzero at some point of slice K.
-
-    Ascends d from 0; at each degree tests whether the representative
-    slice-K row escapes the slice-k row space (escape is slice-wide by
-    permutation symmetry).
-    """
-    inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
-    field = PrimeField(p)
+    and is nonzero at some point of slice K (``_ascent``)."""
+    SliceDistinguishInstance(n=n, p=p, k=k, K=K)
     check_cap(comb(n, k), caps.max_slice_points, f"slice size C({n},{k})")
     check_cap(comb(n, K), caps.max_slice_points, f"slice size C({n},{K})")
-    rep = (1 << K) - 1
-    size_K = comb(n, K)
-    per_degree: dict[int, int] = {}
-    for d in range(n + 1):
-        ev, oracle = _slice_oracle(field, n, k, d, caps)
-        row = ev.row_for_oracle(rep)
-        if oracle.member(row):
-            per_degree[d] = 0
-            continue
-        per_degree[d] = size_K
-        report = DistinguishReport(
-            degree=d, mode="exact", n=n, p=p, k=k, K=K,
-            outside_count=size_K, per_degree_outside=per_degree,
-            slice_sizes=(comb(n, k), size_K),
-            psi_K_expected=Fraction(p - 1, p),
-            psi_K_max=Fraction(1),
-        )
-        if want_witness:
-            w = _witness_from_oracle(ev, oracle, rep)
-            report.witness = w
-            report.psi_k = slice_stats(w, k, caps).psi
-            report.psi_K = slice_stats(w, K, caps).psi
-        return report
-    raise AssertionError("no distinguisher up to degree n; this cannot happen")
+    return _exact_report(PrimeField(p), n, k, K, caps, want_witness)
 
 
 @dataclass
@@ -253,19 +268,10 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
             if not targets:
                 continue
             max_expected = max(targets.values())
-            unresolved = dict(targets)
-            found: dict[int, int] = {}
-            for d in range(0, max_expected + 1):
-                if not unresolved:
-                    break
-                ev, oracle = _slice_oracle(field, n, k, d, caps)
-                for K in list(unresolved):
-                    row = ev.row_for_oracle((1 << K) - 1)
-                    if not oracle.member(row):
-                        found[K] = d
-                        del unresolved[K]
             for K, expected in sorted(targets.items()):
-                degree = found.get(K, max_expected + 1)  # ">expected" sentinel
+                degree = next((d for d, _, _, escaped in _ascent(
+                    field, n, k, K, caps, max_expected) if escaped),
+                    max_expected + 1)  # ">expected" sentinel
                 row = SweepRow(n=n, k=k, K=K, gap=K - k, expected=expected,
                                degree=degree, ok=(degree == expected))
                 rows.append(row)
@@ -278,14 +284,14 @@ def _dependent_sets(field: PrimeField, block: np.ndarray, max_size: int):
     """Index sets of 1 to ``max_size`` linearly dependent rows of a block, by
     size in ``combinations`` order.  P + (j,) is dependent iff P is or row j
     is in the span of the rows P: one ``members`` call per prefix P."""
-    rows = RankOracle(field, block.shape[1]).rows(block)
+    rows, cols = block.shape
     for size in range(1, max_size + 1):
-        for prefix in combinations(range(len(rows)), size - 1):
-            head = RankOracle(field, block.shape[1])
+        for prefix in combinations(range(rows), size - 1):
+            head = RankOracle(field, cols)
             start = prefix[-1] + 1 if prefix else 0
-            inside = (head.members(rows[start:])
-                      if all(head.absorb(rows[i]) for i in prefix)
-                      else [True] * (len(rows) - start))
+            inside = (head.members(block[start:])
+                      if all(head.absorb(block[i]) for i in prefix)
+                      else [True] * (rows - start))
             for j in (np.flatnonzero(inside) + start).tolist():
                 yield prefix + (j,)
 
@@ -295,8 +301,9 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     """Exact robust minimum degree over ALL error sets of size <= max_removals.
 
     The least d at which, for some error set E0, a slice-K point escapes the
-    closure of slice k minus E0.  Sets are tried by size in ``combinations``
-    order; the first with an escape is reported.
+    closure of slice k minus E0.  The empty set escapes first at the exact
+    degree d0 (``_ascent``); below d0 the other sets are tried by size in
+    ``combinations`` order, and the first with an escape is reported.
 
     Let X and R be the slice-K and slice-k evaluation matrices, X in span(R).
     One oracle on the rows of [R^T | X^T] gives, cut to the first |R|
@@ -315,11 +322,10 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
               "exhaustive robust work")
     K_masks = list(slice_masks(n, K))
     per_degree: dict[int, int] = {}
-    for d in range(n + 1):
-        ev, full = _slice_oracle(field, n, k, d, caps)
-        X = evaluation_bool_matrix(ev.monomials, K_masks)
-        outside, removed = full.members(X).count(False), ()
-        if not outside and max_removals:
+    for d, ev, _, escaped in _ascent(field, n, k, K, caps, n):
+        outside, removed = (len(K_masks) if escaped else 0), ()
+        if not escaped and max_removals:
+            X = evaluation_bool_matrix(ev.monomials, K_masks)
             R = ev.bool_matrix()
             both = RankOracle.from_rows(field, np.hstack([R.T, X.T]))
             sol = np.array(both.nullspace(), dtype=np.int64)[:, :size_k]
@@ -334,17 +340,14 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
                 outside = span.members(c0[:, list(removed)]).count(False)
                 if outside:
                     break
-        if not outside:
-            per_degree[d] = 0
-            continue
         per_degree[d] = outside
-        return DistinguishReport(
-            degree=d, mode="exhaustive", n=n, p=p, k=k, K=K,
-            outside_count=outside, per_degree_outside=per_degree,
-            slice_sizes=(size_k, comb(n, K)),
-            error_set=ev.points[list(removed)].tolist(),
-        )
-    raise AssertionError("no distinguisher up to degree n; this cannot happen")
+        if outside:
+            return DistinguishReport(
+                degree=d, mode="exhaustive", n=n, p=p, k=k, K=K,
+                outside_count=outside, per_degree_outside=per_degree,
+                slice_sizes=(size_k, len(K_masks)),
+                error_set=ev.points[list(removed)].tolist(),
+            )
 
 
 def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[Mask]:
@@ -359,7 +362,7 @@ def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[Mask]:
     block = ev.bool_matrix()
     oracle = RankOracle(ev.field, ev.n_d)
     owner: dict[int, int] = {}  # pivot column -> index of the row creating it
-    for i, row in enumerate(oracle.rows(block)):
+    for i, row in enumerate(block):
         if oracle.absorb(row):
             (c,) = set(oracle.pivot_columns()).difference(owner)
             owner[c] = i
@@ -375,8 +378,10 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
 
     Picks an error set E0 on slice k within the budget, then finds the
     least d at which the ideal of slice k minus E0 is nonzero at some point
-    of slice K.  Uniform search reports the best of ``_RESTARTS`` seeded
-    random draws.  Greedy search, the same rule for every p, absorbs slice
+    of slice K: some candidate of slice K lies outside the closure of slice
+    k minus E0 (``closure.closure``).  A zero budget is the exact report
+    (``_exact_report``) with E0 empty.  Uniform search reports the best of
+    ``_RESTARTS`` seeded random draws.  Greedy search, the same rule for every p, absorbs slice
     k's degree-d rows in point order and removes the points whose rows
     create the pivots with the fewest later rows nonzero in their column
     (``_rank_critical``).  The reported degree is an upper bound on the true
@@ -391,55 +396,45 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     size_k, size_K = comb(n, k), comb(n, K)
     check_cap(size_k + size_K, caps.max_slice_points, "slice sizes")
     removals = int(eps0_budget * size_k)
-    k_masks = list(slice_masks(n, k))
-    K_masks = list(slice_masks(n, K))
     master = random.Random(seed)
     restart_seeds = [master.randrange(2**63) for _ in range(_RESTARTS)]
-    if removals == 0 or strategy == "greedy":
+    if removals == 0:
+        report = _exact_report(field, n, k, K, caps, want_witness=False)
+        report.error_set, report.seed = [], restart_seeds[0]
+        return report
+    if strategy == "greedy":
         restart_seeds = restart_seeds[:1]
 
+    k_masks = list(slice_masks(n, k))
     best: Optional[DistinguishReport] = None
     for rs in restart_seeds:
         rng = random.Random(rs)
         per_degree: dict[int, int] = {}
         for d in range(n + 1):
-            if removals == 0:
-                # full slice: escape at one representative settles the orbit
-                error_set: list[Mask] = []
-                ev, oracle = _slice_oracle(field, n, k, d, caps)
-                row = ev.row_for_oracle(K_masks[0])
-                outside = 0 if oracle.member(row) else size_K
+            if strategy == "uniform":
+                error_set = sorted(rng.sample(k_masks, removals))
             else:
-                if strategy == "uniform":
-                    error_set = sorted(rng.sample(k_masks, removals))
-                else:
-                    error_set = _rank_critical(
-                        EvaluationMatrix(field, n, d, k_masks, caps), removals)
-                error = set(error_set)
-                keep = [m for m in k_masks if m not in error]
-                sub_ev = EvaluationMatrix(field, n, d, keep, caps)
-                rows = evaluation_bool_matrix(sub_ev.monomials, K_masks)
-                outside = sub_ev.oracle().members(rows).count(False)
-            per_degree[d] = outside
-            if not outside:
-                continue
-            report = DistinguishReport(
-                degree=d, mode="exact" if removals == 0 else "heuristic-upper-bound",
-                n=n, p=p, k=k, K=K, outside_count=outside,
-                per_degree_outside=per_degree, slice_sizes=(size_k, size_K),
-                psi_K_expected=Fraction(p - 1, p) * Fraction(outside, size_K),
-                psi_K_max=Fraction(outside, size_K),
-                error_set=error_set, seed=rs,
-            )
-            break
+                error_set = _rank_critical(
+                    EvaluationMatrix(field, n, d, k_masks, caps), removals)
+            error = set(error_set)
+            kept = closure(field, n, [m for m in k_masks if m not in error], d,
+                           Candidates.slices(n, [K]), caps)
+            outside = per_degree[d] = size_K - kept.closure_count
+            if outside:
+                break
         else:
-            continue
-        if (best is None or report.degree < best.degree
-                or (report.degree == best.degree
-                    and (report.error_set or []) < (best.error_set or []))):
+            raise AssertionError("no distinguisher up to degree n; this cannot happen")
+        report = DistinguishReport(
+            degree=d, mode="heuristic-upper-bound", n=n, p=p, k=k, K=K,
+            outside_count=outside, per_degree_outside=per_degree,
+            slice_sizes=(size_k, size_K),
+            psi_K_expected=Fraction(p - 1, p) * Fraction(outside, size_K),
+            psi_K_max=Fraction(outside, size_K),
+            error_set=error_set, seed=rs,
+        )
+        if best is None or (report.degree, error_set) < (best.degree,
+                                                          best.error_set):
             best = report
-    if best is None:
-        raise AssertionError("no distinguisher up to degree n; this cannot happen")
     return best
 
 

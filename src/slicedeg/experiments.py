@@ -471,7 +471,7 @@ def _sample(params, seed, caps):
 
     def attempt(C):
         try:
-            junta = sampling_poly(n, k, q, eps, C, seed, caps)
+            junta = sampling_poly(n, k, q, eps, C, seed)
         except CapExceeded as e:
             return {"C": C, "status": f"infeasible: {e}"}, False, None
         err_k = junta_exact_slice_error(junta, k, "zero")
@@ -565,7 +565,7 @@ def _coin_verify(params, seed, caps):
             "covering hyperplane family on the middle slice")
 def _galvin(params, seed, caps):
     fam = galvin_tight_family(params["n"], params["eps"], params["C"])
-    cov = galvin_coverage(fam, caps)
+    cov = galvin_coverage(fam)
     checks = [
         Check("size-is-2t+1", fam.size == 2 * fam.t + 1,
               f"size={fam.size}, t={fam.t}"),
@@ -586,7 +586,7 @@ def _galvin_verify(params, seed, caps):
 
     def attempt(C):
         fam = galvin_tight_family(n, eps, C)
-        cov = galvin_coverage(fam, caps)
+        cov = galvin_coverage(fam)
         passes = cov >= 1 - Fraction(eps).limit_denominator(10**6)
         row = {"C": C, "t": fam.t, "size": fam.size,
                "degenerate": fam.degenerate, "coverage": _fr(cov),

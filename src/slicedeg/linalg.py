@@ -24,7 +24,6 @@ intermediate value is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -199,7 +198,11 @@ def _rref_words(w: np.ndarray) -> dict[int, int]:
             for c, r in pivot_row.items()}
 
 
-def _checked_block(a: np.ndarray, cols: int) -> np.ndarray:
+def _checked_block(block, cols: int) -> np.ndarray:
+    """A 2-D block of rows of width ``cols``; an empty list is no rows."""
+    a = np.asarray(block)
+    if a.shape == (0,):
+        a = a.astype(np.uint8).reshape(0, cols)
     if a.ndim != 2 or a.shape[1] != cols:
         raise ValueError(f"rows of shape {a.shape[1:]} != ({cols},)")
     return a
@@ -216,9 +219,7 @@ class _BitRankOracle:
         self.pivot_mask = 0
 
     def rows(self, block) -> list[int]:
-        if isinstance(block, list) and all(type(r) is int for r in block):
-            return block
-        return pack_bool_rows(_checked_block(np.asarray(block) % 2, self.cols))
+        return pack_bool_rows(_checked_block(block, self.cols) & 1)
 
     def _reduce(self, row: int) -> int:
         pivots = self.pivots
@@ -263,10 +264,8 @@ class _ArrRankOracle:
         self.pivots: dict[int, np.ndarray] = {}
 
     def rows(self, block) -> np.ndarray:
-        a = np.mod(np.asarray(block, dtype=np.int64), self.p)
-        if a.shape == (0,):  # an empty list is no rows, as on GF(2)
-            a = a.reshape(0, self.cols)
-        return _checked_block(a, self.cols)
+        a = _checked_block(block, self.cols).astype(np.int64, copy=False)
+        return np.mod(a, self.p)
 
     def _reduce(self, work: np.ndarray) -> np.ndarray:
         """Reduce every row of the block ``work`` in place to its residue.
@@ -318,8 +317,8 @@ class RankOracle:
     read-only span test.  Final rank equals batch-RREF rank regardless of
     absorption order.
 
-    Rows may be given as 0/1 or integer numpy rows, int lists, or rows
-    already converted by ``rows``; only this module knows the stored format.
+    A block is a 2-D array or nested list of 0/1 or integer rows, a row a
+    1-D one; only this module knows the stored format.
     """
 
     def __init__(self, field: PrimeField, cols: int):
@@ -329,16 +328,6 @@ class RankOracle:
             self._impl = _BitRankOracle(cols)
         else:
             self._impl = _ArrRankOracle(cols, field.p)
-
-    def rows(self, block):
-        """The rows of a 2-D block in the stored format.
-
-        ``absorb``, ``member``, ``members`` and ``residue`` take the result
-        (or its elements) as they are, so a block used against many oracles
-        of the same field and width is converted once.  Converting again
-        returns GF(2) rows unchanged and copies odd-p rows.
-        """
-        return self._impl.rows(block)
 
     def absorb(self, row) -> bool:
         rank = self.rank
@@ -356,7 +345,7 @@ class RankOracle:
 
     def members(self, block) -> list[bool]:
         """Row-space membership of every row of a 2-D block."""
-        return self._impl.members(self.rows(block))
+        return self._impl.members(self._impl.rows(block))
 
     @property
     def rank(self) -> int:
@@ -372,7 +361,7 @@ class RankOracle:
         inner product of ``row`` with the canonical nullspace vector of free
         column f, which makes witness extraction a lookup.
         """
-        return self._impl.residue(self.rows([row])[0])
+        return self._impl.residue(self._impl.rows([row])[0])
 
     def nullspace_vector(self, free_col: int) -> list[int]:
         """Canonical nullspace vector for one free (non-pivot) column."""
@@ -403,8 +392,8 @@ class RankOracle:
         return cls.from_array(field, rows)
 
     @classmethod
-    def from_packed_rows(cls, field: PrimeField, cols: int, rows: Sequence):
-        """Build a GF(2) oracle on the packed rows of a 0/1 block.
+    def from_packed_rows(cls, field: PrimeField, cols: int, rows: np.ndarray):
+        """Build a GF(2) oracle on a 0/1 block, packed into bit rows.
 
         Blocks of ``GF2_BATCH_ROWS`` rows or more are eliminated by
         ``_rref_words``; smaller blocks are absorbed row by row, in order.
@@ -413,7 +402,7 @@ class RankOracle:
             raise ValueError("packed rows are a GF(2) representation")
         o = cls(field, cols)
         if len(rows) >= GF2_BATCH_ROWS:
-            w = _pack_words(_checked_block(np.asarray(rows) % 2, cols))
+            w = _pack_words(_checked_block(rows, cols) & 1)
             o._impl.pivots = _rref_words(w)
             o._impl.pivot_mask = sum(1 << c for c in o._impl.pivots)
         else:

@@ -21,7 +21,7 @@ from slicedeg.constructions import (CoinInstance, GalvinFamily, WeightWindow,
                                     interpolate_window_mod,
                                     junta_exact_slice_error, lucas_poly,
                                     sampling_poly)
-from slicedeg.cube import (MultilinearPoly, binomial_row, elementary_symmetric,
+from slicedeg.cube import (MultilinearPoly, binomial_row,
                            multilinearize_product, popcount, slice_masks,
                            slice_stats)
 from slicedeg.experiments import ExperimentSpec, run
@@ -246,7 +246,7 @@ class TestErrorReduce:
     def test_symmetric_fixed_point(self):
         # symmetric polynomials are constant per slice: psi is 0/1 and is
         # preserved by products of relabelings
-        q = elementary_symmetric(5, 2, F2)
+        q = MultilinearPoly.from_sym(5, F2, [0, 0, 1])  # e_2
         qt = MultilinearPoly.from_terms(5, F2, q.terms_map())
         rng = random.Random(1)
         perms = [rng.sample(range(5), 5) for _ in range(2)]
@@ -491,22 +491,18 @@ class TestGalvin:
         fam = GalvinFamily(8, tuple((0b00001111, b) for b in range(5)))
         assert galvin_coverage(fam) == 1
 
-    def test_mixed_u_enumeration_matches_direct(self):
-        fam = GalvinFamily(8, ((0b00001111, 2), (0b10101010, 1)))
-        cov = galvin_coverage(fam)
-        hits = 0
+    def test_coverage_matches_direct_enumeration(self):
         pts = list(slice_masks(8, 4))
-        for v in pts:
-            if any(popcount(v & u) == b for u, b in fam.items):
-                hits += 1
-        assert cov == Fraction(hits, len(pts))
+        for u in (0b00001111, 0b10101010):
+            fam = GalvinFamily(8, ((u, 1), (u, 2), (u, 7)))
+            hits = sum(any(popcount(v & u) == b for _, b in fam.items)
+                       for v in pts)
+            assert galvin_coverage(fam) == Fraction(hits, len(pts))
 
-    def test_mixed_u_coverage_past_slice_cap(self):
+    def test_mixed_normals_raise(self):
         fam = GalvinFamily(8, ((0b00001111, 2), (0b10101010, 1)))
-        with pytest.raises(CapExceeded):
-            galvin_coverage(fam, Caps(max_slice_points=comb(8, 4) - 1))
-        assert isinstance(galvin_coverage(fam, Caps(max_slice_points=comb(8, 4))),
-                          Fraction)
+        with pytest.raises(ValueError, match="differ"):
+            galvin_coverage(fam)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -10,14 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, ecoeffs_from_weight_values,
-                           elementary_symmetric, monomials_upto,
-                           multilinearize_product, point_array,
+                           monomials_upto, multilinearize_product, point_array,
                            poly_to_json_dict, popcount, slice_masks,
-                           slice_stats, symmetric_value_table,
-                           weight_values_from_ecoeffs)
+                           slice_stats, weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+
+
+def elementary_symmetric(n, j, field):
+    """e_j on n variables, from its certificate: C(w, j) mod p at weight w."""
+    return MultilinearPoly.from_sym(n, field, [0] * j + [1])
 
 
 def random_poly(n, field, rng, max_terms=8):
@@ -132,6 +135,25 @@ class TestEval:
         pts = np.array([5, 3], dtype=np.uint64)
         assert point_array(pts, n) is pts
 
+    def test_a_list_is_checked_as_its_array_would_be(self):
+        # cast blindly, 1.7 would be the point 1 and the numpy int64 -1 the
+        # all-ones point 2^64 - 1
+        n = 64
+        with pytest.raises(ValueError, match="not integers"):
+            point_array([1.7, 3.0], n)
+        with pytest.raises(ValueError, match="outside"):
+            point_array(list(np.array([-1, 3])), n)
+        for bad in ([-1, 1 << 63], [np.int64(-1), 1 << 63], [1 << 64]):
+            with pytest.raises(ValueError, match="outside"):
+                point_array(bad, n)
+        top = (1 << 64) - 1
+        for masks, want in (([], []), ([0, 1 << 63, top], [0, 1 << 63, top]),
+                            ([np.uint64(5), 3], [5, 3]),
+                            (list(np.array([7, 2], dtype=np.int8)), [7, 2]),
+                            ((m for m in (4, 9)), [4, 9])):
+            got = point_array(masks, n)
+            assert got.dtype == np.uint64 and got.tolist() == want
+
 
 class TestUniqueness:
     @given(st.integers(1, 6), st.sampled_from([2, 3, 5]), st.integers(0, 10**6))
@@ -231,23 +253,23 @@ class TestSymmetricTable:
                     assert table[w] == self.lucas_digits_binom(w, j, p)
 
     def test_not_symmetric(self):
+        # a polynomial built from terms carries no weight table
         x1 = MultilinearPoly.from_terms(2, F2, {0b01: 1})
-        assert symmetric_value_table(x1) is None
+        assert not x1.is_symmetric_certified
+        assert x1.weight_values() is None
 
     def test_constant(self):
         c = MultilinearPoly.constant(3, F5, 4)
-        assert symmetric_value_table(c) == (4, 4, 4, 4)
-
-    def test_certificate_free_check_needs_enumerable_cube(self):
-        big = MultilinearPoly.from_terms(64, F2, {0b1: 1})
-        with pytest.raises(CapExceeded):
-            symmetric_value_table(big)
+        assert c.weight_values() == (4, 4, 4, 4)
 
     def test_detected_symmetry_without_certificate(self):
+        # a certified polynomial's term map evaluates to its certificate
+        # table on every slice
         e2 = elementary_symmetric(5, 2, F3)
         raw = MultilinearPoly.from_terms(5, F3, e2.terms_map())
         assert not raw.is_symmetric_certified
-        assert symmetric_value_table(raw) == e2.weight_values()
+        assert tuple(set(raw.evaluate_many(list(slice_masks(5, w))).tolist())
+                     for w in range(6)) == tuple({v} for v in e2.weight_values())
 
     def test_ecoeff_table_roundtrip(self):
         rng = random.Random(9)

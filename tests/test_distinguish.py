@@ -130,17 +130,15 @@ def _exhaustive_by_rebuild(n, p, k, K, max_removals, caps=DEFAULT_CAPS):
     per_degree = {}
     for d in range(n + 1):
         ev, full = distinguish._slice_oracle(field, n, k, d, caps)
-        convert = RankOracle(field, ev.n_d).rows
-        k_rows = convert(ev.bool_matrix())
-        K_rows = convert(evaluation_bool_matrix(ev.monomials, K_masks))
+        k_rows = ev.bool_matrix()
+        K_rows = evaluation_bool_matrix(ev.monomials, K_masks)
         best = None
         for r in range(max_removals + 1):
             for removed in itertools.combinations(range(size_k), r):
                 oracle = full
                 if removed:
                     oracle = RankOracle(field, ev.n_d)
-                    oracle.extend([row for i, row in enumerate(k_rows)
-                                   if i not in removed])
+                    oracle.extend(np.delete(k_rows, removed, axis=0))
                 outside = oracle.members(K_rows).count(False)
                 if outside:
                     best = (removed, outside)
@@ -269,6 +267,30 @@ class TestSweep:
         assert all(r.gap == p_adic_part(r.gap, 2) for r in pp)
         assert all(r.gap != p_adic_part(r.gap, 2) for r in co)
 
+    def test_each_rung_is_built_once(self, monkeypatch):
+        # every target K ascends the ladder from d = 0, and the ladder's
+        # cache builds each (n, k, d) rung of a run once
+        built, requested = [], set()
+
+        class Recording(EvaluationMatrix):
+            def __init__(self, field, n, degree, points, caps):
+                super().__init__(field, n, degree, points, caps)
+                built.append((field.p, n, int(self.points[0]).bit_count(),
+                              degree))
+
+        provider = distinguish._slice_oracle
+        monkeypatch.setattr(distinguish, "EvaluationMatrix", Recording)
+        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d, c: (
+            requested.add((f.p, n, k, d)) or provider(f, n, k, d, c)))
+        for p in (2, 3):
+            for gaps in ("ppower", "composite"):
+                built.clear()
+                requested.clear()
+                distinguish._ladder.clear()
+                gap_degree_sweep(p, range(2, 11), gaps=gaps)
+                assert len(built) == len(set(built)) > 20
+                assert set(built) == requested
+
 
 class TestExhaustiveRobust:
     def test_zero_removals_equals_exact(self):
@@ -372,6 +394,17 @@ class TestRobustSearch:
         rep = robust_search(inst, Fraction(0), seed=3)
         assert rep.mode == "exact"
         assert rep.degree == exact_min_degree(10, 2, 5, 7).degree == 2
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_budget_zero_is_the_exact_report(self, p):
+        for n, k, K in ((8, 3, 5), (9, 4, 1), (10, 5, 8)):
+            inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
+            want = exact_min_degree(n, p, k, K, want_witness=False)
+            want.error_set, want.seed = [], random.Random(7).randrange(2**63)
+            for strategy in ("uniform", "greedy"):
+                got = robust_search(inst, Fraction(0), strategy=strategy,
+                                    seed=7)
+                assert got.to_json_dict() == want.to_json_dict()
 
     def test_monotone_in_budget(self):
         inst = SliceDistinguishInstance(n=8, p=2, k=4, K=6)

@@ -270,7 +270,7 @@ class TestRankOracle:
     @settings(max_examples=60, deadline=None)
     def test_membership_forms_match_brute_force(self, p, rows, cols, seed):
         # block and per-row membership agree with the enumerated span for
-        # 0/1 numpy rows, int lists and rows converted by the oracle
+        # 0/1 numpy rows and int lists
         field = PrimeField(p)
         rng = random.Random(seed)
         data = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
@@ -283,7 +283,7 @@ class TestRankOracle:
             inc.absorb(row)
         for o in (RankOracle.from_rows(field, np.array(data)), inc):
             block = np.array(probes, dtype=np.uint8)
-            for form in (block, probes, o.rows(block)):
+            for form in (block, probes):
                 assert o.members(form) == expect
                 assert [o.member(r) for r in form] == expect
                 assert [not any(o.residue(r)) for r in form] == expect
@@ -308,6 +308,20 @@ class TestRankOracle:
                            for r in got._impl.pivots.values())
             assert want.nullspace() == RankOracle.from_array(
                 field, data.astype(np.int8)).nullspace()
+
+    @pytest.mark.parametrize("rows", [2, GF2_BATCH_ROWS])
+    def test_a_row_is_not_a_block_on_either_field(self, rows):
+        # a list of ints is one row, not packed GF(2) rows, on every field
+        # and at every size; a 0/1 block is packed at every size
+        for field in (F2, F3):
+            with pytest.raises(ValueError):
+                RankOracle(field, 3).members([1, 0, 1])
+        with pytest.raises(ValueError):
+            RankOracle.from_packed_rows(F2, 3, [5] * rows)
+        block = np.tile(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8),
+                        (rows // 2, 1))
+        got = RankOracle.from_packed_rows(F2, 3, block)
+        assert got.pivot_columns() == [0, 1] and got.nullspace() == [(1, 1, 1)]
 
     def test_batch_builders_check_the_field(self):
         data = np.array([[1, 0, 1], [0, 1, 1]])
