@@ -2,11 +2,15 @@
 """Reproduce the headline experiment reports into an output directory.
 
 Writes one JSON report per experiment (deterministic for the fixed seeds),
-mirroring what the acceptance gate checks.  Usage:
+mirroring what the acceptance gate checks.  Each line printed carries the
+SHA-256 of the report without its ``elapsed_s`` field, so two runs' outputs
+agree line for line apart from the time in parentheses when their reports
+are byte-identical apart from ``elapsed_s``.  Usage:
 
     python scripts/reproduce_tables.py [outdir]
 """
 
+import hashlib
 import pathlib
 import sys
 
@@ -40,7 +44,10 @@ def main() -> int:
         path = outdir / f"{i:02d}_{name}.json"
         path.write_text(report.to_json())
         status = "PASS" if report.all_passed else "FAIL"
-        print(f"[{status}] {name} -> {path} ({report.elapsed_s:.1f}s)")
+        digest = hashlib.sha256(
+            report.to_json(include_time=False).encode()).hexdigest()
+        print(f"[{status}] {name} -> {path} sha256={digest} "
+              f"({report.elapsed_s:.1f}s)")
         worst += 0 if report.all_passed else 1
     return worst
 

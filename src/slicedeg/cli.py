@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 from .config import DEFAULT_CAPS
 from .experiments import EXPERIMENTS, ExperimentSpec, list_experiments, run
@@ -64,16 +65,12 @@ def main(argv=None) -> int:
 
     d = EXPERIMENTS[args.command]
     params = {k: getattr(args, k) for k in d.params}
-    caps = DEFAULT_CAPS
-    overrides = {}
-    if args.max_terms is not None:
-        overrides["max_terms"] = args.max_terms
-    if args.max_slice_points is not None:
-        overrides["max_slice_points"] = args.max_slice_points
-    if overrides:
-        caps = caps.with_overrides(**overrides)
+    overrides = {cap: getattr(args, cap)
+                 for cap in ("max_terms", "max_slice_points")
+                 if getattr(args, cap) is not None}
     report = run(ExperimentSpec(name=args.command, params=params,
-                                seed=args.seed), caps=caps)
+                                seed=args.seed),
+                 caps=replace(DEFAULT_CAPS, **overrides))
     text = report.to_json() if args.format == "json" else _report_csv(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, Caps, check_cap
+from .config import DEFAULT_CAPS, MAX_ROWS, Caps, check_cap
 from .cube import (CHUNK_CELLS, Mask, MultilinearPoly, monomials_upto,
                    n_monomials, point_array, popcount, slice_masks)
 from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
@@ -52,15 +52,13 @@ class EvaluationMatrix:
     """
 
     def __init__(self, field: PrimeField, n: int, degree: int,
-                 points: Iterable, caps: Caps = DEFAULT_CAPS):
+                 points: Iterable):
         self.field = field
         self.n = n
         self.degree = degree
-        check_cap(n, 64, "evaluation matrix variables n")
         self.points = point_array(points, n)
-        check_cap(len(self.points), caps.max_rows, "evaluation matrix rows")
-        self.monomials = monomials_upto(n, degree, caps)
-        self.caps = caps
+        check_cap(len(self.points), MAX_ROWS, "evaluation matrix rows")
+        self.monomials = monomials_upto(n, degree)
 
     @property
     def n_d(self) -> int:
@@ -92,10 +90,10 @@ def poly_from_coeffs(n: int, field: PrimeField, monomials: Sequence[Mask],
         n, field, {m: int(c) for m, c in zip(monomials, coeffs) if c})
 
 
-def ideal_basis(field: PrimeField, n: int, points: Iterable, degree: int,
-                caps: Caps = DEFAULT_CAPS) -> list[MultilinearPoly]:
+def ideal_basis(field: PrimeField, n: int, points: Iterable,
+                degree: int) -> list[MultilinearPoly]:
     """Basis of the degree-D vanishing ideal of E (size N_D - rank)."""
-    ev = EvaluationMatrix(field, n, degree, points, caps)
+    ev = EvaluationMatrix(field, n, degree, points)
     oracle = ev.oracle()
     basis = [poly_from_coeffs(n, field, ev.monomials, v)
              for v in oracle.nullspace()]
@@ -197,7 +195,7 @@ def closure(field: PrimeField, n: int, points: Iterable, degree: int,
     only the representative (1 << w) - 1 of each candidate weight w is
     reduced; otherwise every candidate row is.
     """
-    ev = EvaluationMatrix(field, n, degree, points, caps)
+    ev = EvaluationMatrix(field, n, degree, points)
     oracle = ev.oracle()
     cand_masks = candidates.masks(caps)
     members = []
@@ -236,11 +234,10 @@ def hamming_ball(n: int, radius: int) -> list[Mask]:
     return [m for d in range(radius + 1) for m in slice_masks(n, d)]
 
 
-def ball_fact_check(field: PrimeField, n: int, d: int,
-                    caps: Caps = DEFAULT_CAPS) -> bool:
+def ball_fact_check(field: PrimeField, n: int, d: int) -> bool:
     """True iff no nonzero degree-<=d multilinear polynomial vanishes on a
     radius-d Hamming ball (equivalently, the ball's degree-d ideal is {0})."""
-    basis = ideal_basis(field, n, hamming_ball(n, d), d, caps)
+    basis = ideal_basis(field, n, hamming_ball(n, d), d)
     return len(basis) == 0
 
 
@@ -256,7 +253,7 @@ class IdealSampler:
         self.field = field
         self.n = n
         self.degree = degree
-        ev = EvaluationMatrix(field, n, degree, points, caps)
+        ev = EvaluationMatrix(field, n, degree, points)
         self.monomials = ev.monomials
         basis = ev.oracle().nullspace()
         self.basis_matrix = (

@@ -1,18 +1,25 @@
-"""Size caps, shared error types and the working precision.
+"""Size limits, shared error types and the working precision.
 
-Every operation that could materialize a combinatorial explosion checks an
-explicit cap and fails loudly instead of thrashing.  Caps are carried in a
-small dataclass so callers (and the CLI) can override them per run.
+Every operation that could materialize a combinatorial explosion checks a
+limit and raises ``CapExceeded`` instead of thrashing.  The two limits a run
+may set (the CLI's ``--max-slice-points`` and ``--max-terms``) are the
+fields of ``Caps``, passed to the functions that read them.  The others are
+constants, each checked once where it is read: ``MAX_VARIABLES`` in
+``cube.point_array``, ``MAX_COLS`` in ``cube.monomials_upto`` and
+``MAX_ROWS`` in ``closure.EvaluationMatrix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 DPS = 40  # mpmath digits for threshold arithmetic (>= 30 significant)
+MAX_VARIABLES = 64  # points and monomials are n-bit masks in uint64 arrays
+MAX_COLS = 2 * 10**4  # largest monomial count N_D in linear algebra
+MAX_ROWS = 10**6  # largest point count in an evaluation matrix
 
 
 def mpf_fraction(fr: Fraction) -> mp.mpf:
@@ -29,11 +36,6 @@ class CapExceeded(RuntimeError):
 class Caps:
     max_slice_points: int = 10**7   # largest slice / point set we will enumerate
     max_terms: int = 10**7          # largest polynomial term map we will materialize
-    max_cols: int = 2 * 10**4       # largest monomial count N_D in linear algebra
-    max_rows: int = 10**6           # largest point count in an evaluation matrix
-
-    def with_overrides(self, **kw) -> "Caps":
-        return replace(self, **kw)
 
 
 DEFAULT_CAPS = Caps()

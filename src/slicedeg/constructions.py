@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -285,11 +285,12 @@ class CoinInstance:
     @classmethod
     def from_sizing(cls, p: int, delta: Fraction, eps: Fraction,
                     C: int) -> "CoinInstance":
-        """n from the sizing rule n = ceil(C log(1/eps) / delta^2)."""
+        """n from the sizing rule n = ceil(C log(1/eps) / delta^2), once
+        delta and eps are validated."""
+        inst = cls(p=p, delta=delta, eps=eps, C=C, n=0)
         with mp.workdps(DPS):
             raw = C * mp.log(mpf_fraction(1 / eps)) / mpf_fraction(delta) ** 2
-            n = int(mp.ceil(raw))
-        return cls(p=p, delta=delta, eps=eps, C=C, n=n)
+            return replace(inst, n=int(mp.ceil(raw)))
 
     @property
     def edges(self) -> tuple:

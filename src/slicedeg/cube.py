@@ -32,7 +32,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, Caps, CapExceeded, check_cap
+from .config import (DEFAULT_CAPS, MAX_COLS, MAX_VARIABLES, Caps, CapExceeded,
+                     check_cap)
 from .linalg import PrimeField
 
 Mask = int  # monomial / point bitmask
@@ -43,16 +44,19 @@ def popcount(x: int) -> int:
     return x.bit_count()
 
 
-def point_array(masks: Iterable[Mask], n: int = 64) -> np.ndarray:
+def point_array(masks: Iterable[Mask], n: int = MAX_VARIABLES) -> np.ndarray:
     """The masks as a 1-D uint64 array (a uint64 array is taken as it is);
     a mask outside [0, 2^n) or one that is not an integer raises
-    ``ValueError``.
+    ``ValueError``.  This is the one check of the ``MAX_VARIABLES`` limit:
+    every evaluation converts its points here, so an n above it raises
+    ``CapExceeded`` before any mask reaches uint64.
 
     Any other iterable is converted by one ``np.array`` call, which keeps
     integer dtypes and signs, so the checks on the array see every element.
     Integers with no common integer dtype (some at 2^63 or above next to
     smaller or signed ones, or none at all) are converted again as ints.
     """
+    check_cap(n, MAX_VARIABLES, "variables n")
     if not isinstance(masks, np.ndarray):
         seq = masks if isinstance(masks, list) else list(masks)
         masks = np.array(seq)
@@ -61,11 +65,11 @@ def point_array(masks: Iterable[Mask], n: int = 64) -> np.ndarray:
             try:
                 masks = np.array([int(m) for m in seq], dtype=np.uint64)
             except OverflowError:
-                raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})") from None
+                raise ValueError(f"a mask is outside [0, 2^{n})") from None
     if masks.dtype.kind not in "iu":
         raise ValueError(f"masks of dtype {masks.dtype} are not integers")
     if masks.dtype.kind == "i" and masks.size and masks.min() < 0:
-        raise ValueError(f"a mask is outside [0, 2^{min(n, 64)})")
+        raise ValueError(f"a mask is outside [0, 2^{n})")
     pts = masks.astype(np.uint64, copy=False)
     if len(pts) and int(pts.max()) >> n:
         raise ValueError(f"a mask is outside [0, 2^{n})")
@@ -88,14 +92,13 @@ def slice_masks(n: int, k: int) -> Iterator[Mask]:
         m = (((r ^ m) >> 2) // c) | r
 
 
-def monomials_upto(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> list[Mask]:
+def monomials_upto(n: int, d: int) -> list[Mask]:
     """All monomial masks of degree <= d in canonical order.
 
     Canonical order is graded by degree, ties broken by numeric mask value;
     this fixes the column order of every evaluation matrix.
     """
-    total = sum(comb(n, j) for j in range(min(d, n) + 1))
-    check_cap(total, caps.max_cols, f"monomial count N_{d}")
+    check_cap(n_monomials(n, d), MAX_COLS, f"monomial count N_{d}")
     out: list[Mask] = []
     for j in range(min(d, n) + 1):
         out.extend(slice_masks(n, j))
@@ -304,8 +307,7 @@ class MultilinearPoly:
         return acc % self.field.p
 
     def evaluate_many(self, masks: Iterable[Mask]) -> np.ndarray:
-        """Vectorized evaluation at many point masks (n <= 64)."""
-        check_cap(self.n, 64, "vectorized evaluation variables n")
+        """Vectorized evaluation at many point masks."""
         pts = point_array(masks, self.n)
         if self._terms is None:
             table = np.array(self.weight_values(), dtype=np.int64)
@@ -380,8 +382,6 @@ def slice_stats(P: MultilinearPoly, m: int, caps: Caps = DEFAULT_CAPS) -> SliceS
     if P.is_symmetric_certified:
         nz = size if P.weight_value(m) != 0 else 0
         return SliceStats(m=m, nonzero_count=nz, slice_size=size)
-    if P.n > 63:
-        raise CapExceeded("slice enumeration needs n <= 63 or a certificate")
     check_cap(size, caps.max_slice_points, f"slice size C({P.n},{m})")
     masks = list(slice_masks(P.n, m))
     vals = P.evaluate_many(masks)

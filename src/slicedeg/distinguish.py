@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
 from .closure import (Candidates, EvaluationMatrix, closure,
                       evaluation_bool_matrix, poly_from_coeffs)
-from .cube import Mask, MultilinearPoly, slice_masks, slice_stats
+from .cube import Mask, MultilinearPoly, point_array, slice_masks, slice_stats
 from .linalg import PrimeField, RankOracle
 
 
@@ -108,8 +108,8 @@ class DistinguishReport:
         return d
 
 
-# the current slice's degree ladder: {(field, n, k, caps): (points in slice
-# order, the same points in _row_order, {d: (ev, oracle)})}
+# the current slice's degree ladder: {(field, n, k): (points in slice order,
+# the same points in _row_order, {d: (ev, oracle)})}
 _ladder: dict[tuple, tuple] = {}
 _HEAD_MARGIN, _CHUNK = 32, 64  # rows built beyond the bound; rows per later step
 _RESTARTS = 3  # seeded error-set draws of uniform robust search
@@ -120,8 +120,8 @@ def _row_order(size: int) -> np.ndarray:
     return np.random.default_rng(0).permutation(size)
 
 
-def _slice_oracle(field: PrimeField, n: int, k: int, d: int,
-                  caps: Caps) -> tuple[EvaluationMatrix, RankOracle]:
+def _slice_oracle(field: PrimeField, n: int, k: int,
+                  d: int) -> tuple[EvaluationMatrix, RankOracle]:
     """Evaluation matrix of the full slice k at degree d and a frozen oracle
     on its row space, the only builder of full-slice oracles.
 
@@ -135,13 +135,13 @@ def _slice_oracle(field: PrimeField, n: int, k: int, d: int,
     every rung's ``points`` is that one array.  Results are shared, so
     callers never ``absorb`` or ``extend`` into them.
     """
-    if (field, n, k, caps) not in _ladder:
+    if (field, n, k) not in _ladder:
         _ladder.clear()
-        pts = np.fromiter(slice_masks(n, k), dtype=np.uint64)
-        _ladder[field, n, k, caps] = (pts, pts[_row_order(len(pts))], {})
-    points, rows, rungs = _ladder[field, n, k, caps]
+        pts = point_array(slice_masks(n, k), n)
+        _ladder[field, n, k] = (pts, pts[_row_order(len(pts))], {})
+    points, rows, rungs = _ladder[field, n, k]
     if d not in rungs:
-        ev = EvaluationMatrix(field, n, d, points, caps)
+        ev = EvaluationMatrix(field, n, d, points)
         bound = comb(n, min(d, k, n - k))
         head = copy.copy(ev)  # the same columns, evaluated at the first rows
         lo = bound + _HEAD_MARGIN
@@ -173,7 +173,7 @@ def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
                             oracle.nullspace_vector(free))
 
 
-def _ascent(field: PrimeField, n: int, k: int, K: int, caps: Caps, top: int):
+def _ascent(field: PrimeField, n: int, k: int, K: int, top: int):
     """Rungs (d, ev, oracle, escaped) of slice k's degree ladder for d = 0,
     1, ..., ``top``, ending at the first whose span the row of slice K's
     representative (1 << K) - 1 escapes.
@@ -184,7 +184,7 @@ def _ascent(field: PrimeField, n: int, k: int, K: int, caps: Caps, top: int):
     """
     rep = (1 << K) - 1
     for d in range(top + 1):
-        ev, oracle = _slice_oracle(field, n, k, d, caps)
+        ev, oracle = _slice_oracle(field, n, k, d)
         escaped = not oracle.member(ev.row_for_oracle(rep))
         yield d, ev, oracle, escaped
         if escaped:
@@ -197,7 +197,7 @@ def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
                   want_witness: bool) -> DistinguishReport:
     """The report of the least escape degree, for ``exact_min_degree`` and
     zero-budget ``robust_search``."""
-    for d, ev, oracle, escaped in _ascent(field, n, k, K, caps, n):
+    for d, ev, oracle, escaped in _ascent(field, n, k, K, n):
         if escaped:
             break
     p, size_K = field.p, comb(n, K)
@@ -237,8 +237,7 @@ class SweepRow:
     ok: bool
 
 
-def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
-                  caps: Caps = DEFAULT_CAPS):
+def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
     """Exact minimum degree across a grid, compared against the p-adic part
     of the gap.
 
@@ -270,7 +269,7 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower",
             max_expected = max(targets.values())
             for K, expected in sorted(targets.items()):
                 degree = next((d for d, _, _, escaped in _ascent(
-                    field, n, k, K, caps, max_expected) if escaped),
+                    field, n, k, K, max_expected) if escaped),
                     max_expected + 1)  # ">expected" sentinel
                 row = SweepRow(n=n, k=k, K=K, gap=K - k, expected=expected,
                                degree=degree, ok=(degree == expected))
@@ -322,7 +321,7 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
               "exhaustive robust work")
     K_masks = list(slice_masks(n, K))
     per_degree: dict[int, int] = {}
-    for d, ev, _, escaped in _ascent(field, n, k, K, caps, n):
+    for d, ev, _, escaped in _ascent(field, n, k, K, n):
         outside, removed = (len(K_masks) if escaped else 0), ()
         if not escaped and max_removals:
             X = evaluation_bool_matrix(ev.monomials, K_masks)
@@ -376,16 +375,19 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
                   caps: Caps = DEFAULT_CAPS) -> DistinguishReport:
     """Heuristic upper bound on the robust minimum degree.
 
-    Picks an error set E0 on slice k within the budget, then finds the
-    least d at which the ideal of slice k minus E0 is nonzero at some point
-    of slice K: some candidate of slice K lies outside the closure of slice
-    k minus E0 (``closure.closure``).  A zero budget is the exact report
-    (``_exact_report``) with E0 empty.  Uniform search reports the best of
-    ``_RESTARTS`` seeded random draws.  Greedy search, the same rule for every p, absorbs slice
-    k's degree-d rows in point order and removes the points whose rows
-    create the pivots with the fewest later rows nonzero in their column
-    (``_rank_critical``).  The reported degree is an upper bound on the true
-    robust minimum.
+    Climbs slice k's degree ladder (``_ascent``), picking at each degree d
+    an error set E0 on slice k within the budget, and stops at the least d
+    at which the ideal of slice k minus E0 is nonzero at some point of
+    slice K: some candidate of slice K lies outside the closure of slice k
+    minus E0 (``closure.closure``).  At the rung where slice K escapes the
+    span of all of slice k, it escapes the smaller span of slice k minus E0
+    too, so all C(n, K) points are outside with no closure computed.  A zero
+    budget is the exact report (``_exact_report``) with E0 empty.  Uniform
+    search reports the best of ``_RESTARTS`` seeded random draws.  Greedy
+    search, the same rule for every p, absorbs slice k's degree-d rows in
+    point order and removes the points whose rows create the pivots with the
+    fewest later rows nonzero in their column (``_rank_critical``).  The
+    reported degree is an upper bound on the true robust minimum.
     """
     if strategy not in ("uniform", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -410,20 +412,20 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     for rs in restart_seeds:
         rng = random.Random(rs)
         per_degree: dict[int, int] = {}
-        for d in range(n + 1):
+        for d, ev, _, escaped in _ascent(field, n, k, K, n):
             if strategy == "uniform":
                 error_set = sorted(rng.sample(k_masks, removals))
             else:
-                error_set = _rank_critical(
-                    EvaluationMatrix(field, n, d, k_masks, caps), removals)
-            error = set(error_set)
-            kept = closure(field, n, [m for m in k_masks if m not in error], d,
-                           Candidates.slices(n, [K]), caps)
-            outside = per_degree[d] = size_K - kept.closure_count
+                error_set = _rank_critical(ev, removals)
+            outside = size_K
+            if not escaped:
+                error = set(error_set)
+                kept = closure(field, n, [m for m in k_masks if m not in error],
+                               d, Candidates.slices(n, [K]), caps)
+                outside = size_K - kept.closure_count
+            per_degree[d] = outside
             if outside:
                 break
-        else:
-            raise AssertionError("no distinguisher up to degree n; this cannot happen")
         report = DistinguishReport(
             degree=d, mode="heuristic-upper-bound", n=n, p=p, k=k, K=K,
             outside_count=outside, per_degree_outside=per_degree,

@@ -215,8 +215,7 @@ _SWEEP_PARAMS = {"p": (int, 2, "characteristic"),
 
 def _gap_sweep(params, seed, caps, gaps):
     rows, violations = gap_degree_sweep(
-        params["p"], range(params["n_min"], params["n_max"] + 1),
-        gaps=gaps, caps=caps)
+        params["p"], range(params["n_min"], params["n_max"] + 1), gaps=gaps)
     table = [vars(r) for r in rows]
     checks = [Check("zero-violations", not violations,
                     f"{len(rows)} instances, {len(violations)} violations")]
@@ -294,6 +293,8 @@ def _niewang(params, seed, caps):
             "uniform ideal samples are nonzero at an escaped point with "
             "frequency 1 - 1/p")
 def _claimA1(params, seed, caps):
+    if params["samples"] < 1:
+        raise ValueError("samples must be positive")
     checks = []
     table = []
     # exhaustive tiny cases: every ideal element, exact fraction
@@ -342,7 +343,7 @@ def _ballfact(params, seed, caps):
         for d in range(0, n + 1):
             if n_monomials(n, d) > 2000:
                 continue
-            res = ball_fact_check(field, n, d, caps)
+            res = ball_fact_check(field, n, d)
             ok &= res
             table.append({"n": n, "d": d, "holds": res})
     checks = [Check("all-balls", ok, f"{len(table)} cases")]

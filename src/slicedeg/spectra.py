@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cube import MultilinearPoly, ecoeffs_from_weight_values
+from .distinguish import p_adic_part
 from .linalg import PrimeField
 
 
@@ -195,32 +196,26 @@ def mod_spectrum(n: int, b: int, i: int = 0) -> Spectrum:
 
 
 def make_family(name: str, n: int) -> Spectrum:
-    """Build a named family from its text form: maj, thr:t, ethr:t, mod:b[:i]."""
-    parts = name.lower().split(":")
-    kind = parts[0]
-    if kind == "maj":
-        return maj_spectrum(n)
-    if kind == "thr":
-        return thr_spectrum(n, int(parts[1]))
-    if kind == "ethr":
-        return ethr_spectrum(n, int(parts[1]))
-    if kind == "mod":
-        i = int(parts[2]) if len(parts) > 2 else 0
-        return mod_spectrum(n, int(parts[1]), i)
-    raise ValueError(f"unknown family {name!r}")
+    """Build a named family from its text form: maj, thr:t, ethr:t, mod:b[:i].
+
+    An unknown name, or a missing, extra or non-integer field, raises
+    ``ValueError``.
+    """
+    kind, *fields = name.lower().split(":")
+    build, counts = {"maj": (maj_spectrum, (0,)), "thr": (thr_spectrum, (1,)),
+                     "ethr": (ethr_spectrum, (1,)),
+                     "mod": (mod_spectrum, (1, 2))}.get(kind, (None, ()))
+    if build is None:
+        raise ValueError(f"unknown family {name!r}")
+    if len(fields) not in counts:
+        raise ValueError(f"family {name!r} has {len(fields)} fields after "
+                         f"{kind!r}, not {' or '.join(map(str, counts))}")
+    return build(n, *map(int, fields))
 
 
 # ---------------------------------------------------------------------------
 # probabilistic-degree case classifier
 # ---------------------------------------------------------------------------
-
-def _is_p_power(x: int, p: int) -> bool:
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
-
 
 CASE_APERIODIC = "aperiodic-or-bad-period"
 CASE_P_POWER = "pure-p-power-period"
@@ -260,7 +255,7 @@ def classify_pdeg(spec: Spectrum, p: int, eps: float) -> PdegCase:
     per_g, B_h = dec.per_g, dec.B_h
     L = math.log(1 / eps)
     root = math.sqrt(n * L)
-    if per_g > 1 and not _is_p_power(per_g, p):
+    if per_g > 1 and p_adic_part(per_g, p) != per_g:
         label, value = CASE_APERIODIC, root
     elif B_h == 0:
         label, value = CASE_P_POWER, min(root, float(per_g))
@@ -285,7 +280,7 @@ def periodic_exact_poly(n: int, q: int, values: Sequence[int],
     vanish.
     """
     p = field.p
-    if not _is_p_power(q, p) and q != 1:
+    if p_adic_part(q, p) != q:
         raise ValueError(f"q={q} must be a power of p={p}")
     if q > n:
         raise ValueError(f"need q <= n, got q={q}, n={n}")

@@ -223,6 +223,17 @@ class TestSliceStats:
         st_ = slice_stats(e2, 3)
         assert st_.psi == 1 and st_.nonzero_count == 4
 
+    def test_non_symmetric_at_64_variables(self):
+        # points at and above 2^63 are enumerated and evaluated like the rest
+        poly = MultilinearPoly.from_terms(
+            64, F3, {1 << 63 | 1: 1, 1 << 62: 2, 0b110: 1, 1 << 63: 1})
+        assert not poly.is_symmetric_certified
+        for m in (1, 2, 3):
+            got = slice_stats(poly, m)
+            want = sum(1 for x in slice_masks(64, m) if poly.evaluate(x))
+            assert (got.nonzero_count, got.slice_size) == (want, comb(64, m))
+            assert 0 < want < comb(64, m)
+
     @given(st.integers(1, 10), st.sampled_from([2, 3]), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_sum_over_slices_matches_full_cube(self, n, p, seed):

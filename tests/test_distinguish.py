@@ -14,7 +14,7 @@ import pytest
 
 from slicedeg import distinguish
 from slicedeg.closure import EvaluationMatrix, evaluation_bool_matrix
-from slicedeg.config import DEFAULT_CAPS, CapExceeded, Caps
+from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import MultilinearPoly, monomials_upto, slice_masks
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
                                   exact_min_degree, exhaustive_robust,
@@ -120,7 +120,7 @@ def _gf2_rank(a):
     return rank
 
 
-def _exhaustive_by_rebuild(n, p, k, K, max_removals, caps=DEFAULT_CAPS):
+def _exhaustive_by_rebuild(n, p, k, K, max_removals):
     """Reference for ``exhaustive_robust``: one oracle rebuilt from the
     remaining slice-k rows for every error set, in the same order."""
     field = PrimeField(p)
@@ -129,7 +129,7 @@ def _exhaustive_by_rebuild(n, p, k, K, max_removals, caps=DEFAULT_CAPS):
     K_masks = list(slice_masks(n, K))
     per_degree = {}
     for d in range(n + 1):
-        ev, full = distinguish._slice_oracle(field, n, k, d, caps)
+        ev, full = distinguish._slice_oracle(field, n, k, d)
         k_rows = ev.bool_matrix()
         K_rows = evaluation_bool_matrix(ev.monomials, K_masks)
         best = None
@@ -167,6 +167,21 @@ class TestInstance:
     def test_rejects_boundary_k(self):
         with pytest.raises(ValueError):
             SliceDistinguishInstance(n=8, p=2, k=0, K=2)
+
+
+class TestVariableLimit:
+    @pytest.mark.parametrize("n", [65, 70])
+    def test_every_solver_raises_cap_exceeded(self, n):
+        # a point of n > 64 variables does not fit a uint64 mask
+        inst = SliceDistinguishInstance(n=n, p=2, k=1, K=2)
+        for solve in (lambda: exact_min_degree(n, 2, 1, 2),
+                      lambda: gap_degree_sweep(2, [n]),
+                      lambda: exhaustive_robust(n, 2, 1, 2, 0),
+                      lambda: robust_search(inst, Fraction(0)),
+                      lambda: robust_search(inst, Fraction(1, n)),
+                      lambda: robust_search(inst, Fraction(1, n), "greedy")):
+            with pytest.raises(CapExceeded, match="variables n"):
+                solve()
 
 
 class TestExactMinDegree:
@@ -273,15 +288,15 @@ class TestSweep:
         built, requested = [], set()
 
         class Recording(EvaluationMatrix):
-            def __init__(self, field, n, degree, points, caps):
-                super().__init__(field, n, degree, points, caps)
+            def __init__(self, field, n, degree, points):
+                super().__init__(field, n, degree, points)
                 built.append((field.p, n, int(self.points[0]).bit_count(),
                               degree))
 
         provider = distinguish._slice_oracle
         monkeypatch.setattr(distinguish, "EvaluationMatrix", Recording)
-        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d, c: (
-            requested.add((f.p, n, k, d)) or provider(f, n, k, d, c)))
+        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
+            requested.add((f.p, n, k, d)) or provider(f, n, k, d)))
         for p in (2, 3):
             for gaps in ("ppower", "composite"):
                 built.clear()
@@ -479,19 +494,19 @@ class TestSliceOracleProvider:
 
     def test_another_slice_clears_the_ladder(self):
         ladder = distinguish._ladder
-        first = distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS)
-        assert distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS) is first
-        distinguish._slice_oracle(F2, 7, 3, 1, DEFAULT_CAPS)
+        first = distinguish._slice_oracle(F2, 7, 3, 2)
+        assert distinguish._slice_oracle(F2, 7, 3, 2) is first
+        distinguish._slice_oracle(F2, 7, 3, 1)
         assert {key: set(rungs) for key, (_, _, rungs) in ladder.items()} == {
-            (F2, 7, 3, DEFAULT_CAPS): {1, 2}}
-        distinguish._slice_oracle(F2, 7, 4, 2, DEFAULT_CAPS)
+            (F2, 7, 3): {1, 2}}
+        distinguish._slice_oracle(F2, 7, 4, 2)
         assert {key: set(rungs) for key, (_, _, rungs) in ladder.items()} == {
-            (F2, 7, 4, DEFAULT_CAPS): {2}}
-        points, shuffled, _ = ladder[F2, 7, 4, DEFAULT_CAPS]
+            (F2, 7, 4): {2}}
+        points, shuffled, _ = ladder[F2, 7, 4]
         assert points.tolist() == list(slice_masks(7, 4))
         assert shuffled.tolist() == points[distinguish._row_order(35)].tolist()
-        again = distinguish._slice_oracle(F2, 7, 3, 2, DEFAULT_CAPS)
-        assert again is not first and list(ladder) == [(F2, 7, 3, DEFAULT_CAPS)]
+        again = distinguish._slice_oracle(F2, 7, 3, 2)
+        assert again is not first and list(ladder) == [(F2, 7, 3)]
 
     def test_the_ladder_enumerates_each_slice_once(self, monkeypatch):
         calls = []
@@ -505,7 +520,7 @@ class TestSliceOracleProvider:
             rows, _ = gap_degree_sweep(2, [12], gaps=gaps)
             assert calls == [(12, k) for k in range(1, last + 1)]
             # the degrees asked of the last slice all read its one array
-            points, _, rungs = distinguish._ladder[F2, 12, last, DEFAULT_CAPS]
+            points, _, rungs = distinguish._ladder[F2, 12, last]
             assert len(rungs) == 2
             assert all(np.shares_memory(ev.points, points)
                        for ev, _ in rungs.values())
@@ -519,8 +534,7 @@ class TestSliceOracleProvider:
         robust_search(inst, Fraction(0))
         exact_min_degree(n, p, k, K)
         robust_search(inst, Fraction(3, comb(n, k)), strategy="greedy")
-        points, shuffled, rungs = distinguish._ladder[PrimeField(p), n, k,
-                                                      DEFAULT_CAPS]
+        points, shuffled, rungs = distinguish._ladder[PrimeField(p), n, k]
         assert len(rungs) >= 2
         assert points.tolist() == list(slice_masks(n, k))
         assert sorted(shuffled.tolist()) == points.tolist()
@@ -538,14 +552,13 @@ class TestSliceOracleProvider:
             for k in range(n + 1):
                 top = n if n <= 9 else min(k, n - k) + 1
                 for d in range(top + 1):
-                    ev, cert = distinguish._slice_oracle(field, n, k, d,
-                                                         DEFAULT_CAPS)
+                    ev, cert = distinguish._slice_oracle(field, n, k, d)
                     _assert_same_span(cert, ev.oracle(), rng, free_cols=32)
 
     @pytest.mark.parametrize("p, n, k, d", [(2, 14, 7, 6), (3, 14, 7, 4)])
     def test_certificate_equals_full_build_at_scale(self, p, n, k, d):
         field = PrimeField(p)
-        ev, cert = distinguish._slice_oracle(field, n, k, d, DEFAULT_CAPS)
+        ev, cert = distinguish._slice_oracle(field, n, k, d)
         _assert_same_span(cert, ev.oracle(), random.Random(n), free_cols=64)
 
     def test_fallback_past_a_stalled_head(self, monkeypatch):
@@ -558,7 +571,7 @@ class TestSliceOracleProvider:
         assert head.rank < bound
         monkeypatch.setattr(distinguish, "_row_order", np.arange)
         distinguish._ladder.clear()
-        ev, cert = distinguish._slice_oracle(field, n, k, d, DEFAULT_CAPS)
+        ev, cert = distinguish._slice_oracle(field, n, k, d)
         assert cert.rank == bound
         _assert_same_span(cert, ev.oracle(), random.Random(0))
 
@@ -567,17 +580,16 @@ class TestSliceOracleProvider:
         monkeypatch.setattr(distinguish, "comb", lambda a, b: comb(a, b) - 1)
         distinguish._ladder.clear()
         with pytest.raises(AssertionError, match="exceeds C"):
-            distinguish._slice_oracle(F2, 8, 3, 2, DEFAULT_CAPS)
+            distinguish._slice_oracle(F2, 8, 3, 2)
 
     def test_rank_above_the_bound_raises_under_python_O(self):
         code = (
             "import sys\n"
             "if __debug__: sys.exit(3)\n"
             "from slicedeg import distinguish\n"
-            "from slicedeg.config import DEFAULT_CAPS\n"
             "from slicedeg.linalg import PrimeField\n"
             "distinguish.comb = lambda a, b: 1\n"
-            "distinguish._slice_oracle(PrimeField(3), 8, 3, 2, DEFAULT_CAPS)\n"
+            "distinguish._slice_oracle(PrimeField(3), 8, 3, 2)\n"
         )
         res = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, timeout=120)
@@ -597,8 +609,8 @@ class TestSliceOracleProvider:
         got = exhaustive_robust(n, p, k, K, 2)
         provider = list(absorbed)
 
-        def absorb_every_row(field, n, k, d, caps):
-            ev = EvaluationMatrix(field, n, d, list(slice_masks(n, k)), caps)
+        def absorb_every_row(field, n, k, d):
+            ev = EvaluationMatrix(field, n, d, list(slice_masks(n, k)))
             oracle = RankOracle(field, ev.n_d)
             oracle.extend(ev.bool_matrix())
             return ev, oracle

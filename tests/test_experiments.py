@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,19 @@ class TestChecksShape:
             "name": "ladder-has-passing-C", "passed": False,
             "details": "no ladder constant meets the error target"}]
 
+    @pytest.mark.parametrize("name, params", [
+        ("symfun-analyze", {"family": "thr"}),
+        ("symfun-analyze", {"family": "maj:4"}),
+        ("construct-coin", {"eps": "0"}),
+        ("construct-coin", {"delta": "0"}),
+        ("coin-verify", {"eps": "0"}),
+        ("coin-verify", {"delta": "0"}),
+        ("claimA1", {"samples": 0}),
+    ])
+    def test_malformed_inputs_raise_value_error(self, name, params):
+        with pytest.raises(ValueError):
+            run(ExperimentSpec(name, params))
+
     def test_closure_builds_candidate_set_once(self, monkeypatch):
         # closure enumerates the candidate set once; the experiment's
         # E-inside-closure check decides candidacy from the weights
@@ -159,8 +173,8 @@ class TestCli:
         assert cli.main(["stringlemma", "--maxlen", "6",
                          "--max-slice-points", "1234",
                          "--max-terms", "5678"]) == 0
-        assert seen == [DEFAULT_CAPS.with_overrides(max_slice_points=1234,
-                                                    max_terms=5678)]
+        assert seen == [replace(DEFAULT_CAPS, max_slice_points=1234,
+                                max_terms=5678)]
 
     def test_seed_changes_sampled_run(self):
         a = _cli("claimA1", "--samples", "300", "--seed", "1")

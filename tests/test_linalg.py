@@ -482,8 +482,8 @@ class TestFourRussians:
         rungs = set()
         provider = distinguish._slice_oracle
         monkeypatch.setattr(distinguish, "_slice_oracle",
-                            lambda field, n, k, d, caps: rungs.add((n, k, d))
-                            or provider(field, n, k, d, caps))
+                            lambda field, n, k, d: rungs.add((n, k, d))
+                            or provider(field, n, k, d))
         for gaps in ("ppower", "composite"):
             distinguish.gap_degree_sweep(2, range(6, 13), gaps=gaps)
         assert len(rungs) > 100

@@ -165,6 +165,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             make_family("nope", 4)
 
+    @pytest.mark.parametrize("name", ["thr", "ethr", "mod", "maj:4",
+                                      "thr:2:1", "mod:3:1:7"])
+    def test_missing_or_extra_fields_raise(self, name):
+        with pytest.raises(ValueError, match="fields"):
+            make_family(name, 8)
+
 
 class TestStandardDecomposition:
     def test_constant(self):
