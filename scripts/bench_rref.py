@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the odd-p elimination kernel on the blocks the F_3 sweeps reduce.
+"""Time the odd-p kernels on the work of the F_3 sweeps.
 
     PYTHONPATH=src python3 scripts/bench_rref.py [--repeat R]
 
@@ -7,11 +7,13 @@ The set is every block ``RankOracle.from_array`` receives while the two
 p = 3 sweep reports run (``hegedus-sweep`` and ``extension-sweep``, n in
 [6, 14], each from an empty degree ladder as in its own process): the
 rank-certificate heads of ``distinguish._slice_oracle``, 0/1 uint8 blocks.
-Each is reduced the way ``from_array`` reduces it.  Prints one JSON line:
-the block count, the largest shape, the best total kernel time over R
-repeats and a SHA-256 digest of every output (reduced array, rank, pivot
-columns), so two checkouts can be compared for speed and for identical
-results.
+Each is reduced the way ``from_array`` reduces it.  The sweeps'
+``RankOracle.members`` calls, the membership kernel, are counted and timed
+while they run.  Prints one JSON line: the block count, the largest shape,
+the best total elimination time over R repeats, the membership calls and
+their total time in the one sweep pass, and a SHA-256 digest of every
+elimination output (reduced array, rank, pivot columns), so two checkouts
+can be compared for speed and for identical results.
 """
 
 from __future__ import annotations
@@ -30,23 +32,30 @@ from slicedeg.linalg import PrimeField, RankOracle, _rref_array
 SWEEPS = ("hegedus-sweep", "extension-sweep")
 
 
-def sweep_blocks() -> list[np.ndarray]:
-    """Copies of the blocks ``from_array`` receives in the p = 3 sweeps."""
-    blocks = []
-    build = RankOracle.from_array.__func__
+def sweep_blocks() -> tuple[list[np.ndarray], list[float]]:
+    """Copies of the blocks ``from_array`` receives in the p = 3 sweeps, and
+    the duration of each ``RankOracle.members`` call they make."""
+    blocks, member_s = [], []
+    build, members = RankOracle.from_array.__func__, RankOracle.members
 
     def capture(cls, field, a):
         blocks.append(a.copy())
         return build(cls, field, a)
 
-    RankOracle.from_array = classmethod(capture)
+    def timed(self, block):
+        t0 = time.perf_counter()
+        out = members(self, block)
+        member_s.append(time.perf_counter() - t0)
+        return out
+
+    RankOracle.from_array, RankOracle.members = classmethod(capture), timed
     try:
         for name in SWEEPS:
             distinguish._ladder.clear()
             run(ExperimentSpec(name, {"p": 3, "n_min": 6, "n_max": 14}))
     finally:
-        RankOracle.from_array = classmethod(build)
-    return blocks
+        RankOracle.from_array, RankOracle.members = classmethod(build), members
+    return blocks, member_s
 
 
 def main() -> None:
@@ -54,7 +63,7 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     p = PrimeField(3).p
-    blocks = sweep_blocks()
+    blocks, member_s = sweep_blocks()
     best = float("inf")
     for _ in range(args.repeat):
         digest = hashlib.sha256()
@@ -73,6 +82,8 @@ def main() -> None:
                       "largest": max((m.shape for m in blocks),
                                      key=lambda s: s[0] * s[1]),
                       "repeat": args.repeat, "best_kernel_s": round(best, 3),
+                      "members_calls": len(member_s),
+                      "members_s": round(sum(member_s), 3),
                       "digest": digest.hexdigest()}))
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: one subcommand per registered experiment.
 
-Exit code 0 iff every check of the run passed.  Reports are written as JSON
-(default) or CSV tables; identical (experiment, params, seed) runs produce
-byte-identical reports apart from the wall-time field.
+Exit code 0 iff every check of the run passed, 1 if one failed, and 2, as
+for a malformed flag, if the run raises ``ValueError`` or ``CapExceeded`` on
+a malformed input (the usage and one error line on stderr).  Reports are
+written as JSON (default) or CSV tables; identical (experiment, params,
+seed) runs produce byte-identical reports apart from the wall-time field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, CapExceeded
 from .experiments import EXPERIMENTS, ExperimentSpec, list_experiments, run
 
 
@@ -68,9 +70,12 @@ def main(argv=None) -> int:
     overrides = {cap: getattr(args, cap)
                  for cap in ("max_terms", "max_slice_points")
                  if getattr(args, cap) is not None}
-    report = run(ExperimentSpec(name=args.command, params=params,
-                                seed=args.seed),
-                 caps=replace(DEFAULT_CAPS, **overrides))
+    try:
+        report = run(ExperimentSpec(name=args.command, params=params,
+                                    seed=args.seed),
+                     caps=replace(DEFAULT_CAPS, **overrides))
+    except (ValueError, CapExceeded) as e:
+        parser.error(str(e))
     text = report.to_json() if args.format == "json" else _report_csv(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -32,12 +32,11 @@ from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-exp
 def evaluation_bool_matrix(monomials: Sequence[Mask],
                            point_masks: Iterable[Mask]) -> np.ndarray:
     """0/1 matrix: entry (i, j) = 1 iff monomial j is supported inside point i."""
-    monos = np.array(monomials, dtype=np.uint64)
-    pts = point_array(point_masks)
-    out = np.empty((len(pts), len(monomials)), dtype=np.uint8)
-    if len(pts) == 0 or len(monomials) == 0:
+    monos, pts = point_array(monomials), point_array(point_masks)
+    out = np.empty((len(pts), len(monos)), dtype=np.uint8)
+    if len(pts) == 0 or len(monos) == 0:
         return out
-    chunk = max(1, CHUNK_CELLS // max(1, len(monomials)))
+    chunk = max(1, CHUNK_CELLS // len(monos))
     for lo in range(0, len(pts), chunk):
         sub = pts[lo:lo + chunk]
         out[lo:lo + chunk] = ((monos[None, :] & ~sub[:, None]) == 0)

@@ -148,8 +148,8 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
         head.points = rows[:lo]
         oracle = head.oracle()
         while oracle.rank < bound and lo < len(rows):
-            block = evaluation_bool_matrix(ev.monomials, rows[lo:lo + _CHUNK])
-            oracle.extend(block[~np.array(oracle.members(block))])
+            oracle.extend(evaluation_bool_matrix(ev.monomials,
+                                                 rows[lo:lo + _CHUNK]))
             lo += _CHUNK
         if oracle.rank > bound:
             raise AssertionError(f"rank {oracle.rank} of slice ({n}, {k}) at "

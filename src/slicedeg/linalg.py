@@ -3,7 +3,7 @@
 ``RankOracle`` is the one interface: rank, pivots, canonical nullspace and
 row-space membership of a growing set of rows.  Two storage backends sit
 behind it: bit-packed integer rows for p = 2 (XOR elimination, 64+ columns
-per machine word via Python ints) and numpy int64 rows for odd p.  All
+per machine word via Python ints) and one numpy int64 block for odd p.  All
 output is deterministic: pivots are chosen scanning columns left to right,
 rows top to bottom.
 
@@ -12,35 +12,30 @@ GF(2) rows are absorbed one at a time by ``extend`` and by builds under
 Russians (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a packed uint64
 block.  A row space has one RREF, so both keep the same pivot rows.
 
-Odd-p oracles are built by one batch RREF, ``_rref_array``.  It eliminates
-with delayed modular reduction (after FFLAS-FFPACK, Dumas, Giorgi and
-Pernet, ACM TOMS 2008) in the narrowest signed type, int16, int32 or else
-int64, in which ``cols`` updates of size (p - 1)^2 fit; the type follows
-from p and the width alone.  No entry takes more than the growth bound
+Odd p has one elimination, ``_rref_array``: a build is one batch RREF and
+an ``extend`` one RREF of the new rows' residues.  It eliminates with
+delayed modular reduction (after FFLAS-FFPACK, Dumas, Giorgi and Pernet,
+ACM TOMS 2008) in the narrowest signed type, int16, int32 or else int64, in
+which ``cols`` updates of size (p - 1)^2 fit; the type follows from p and
+the width alone.  No entry takes more than the growth bound
 (max - p) // (p - 1)^2 of updates between two reductions, so every
-intermediate value is exact.
+intermediate value is exact.  Residues, for membership and for ``extend``,
+take one int64 product with the stored RREF per group of
+``_growth_bound(np.int64, p)`` pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import isqrt
 
 import numpy as np
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality check (intended range p < 2^31)."""
-    if p < 2:
-        return False
-    for small in (2, 3):
-        if p % small == 0:
-            return p == small
-    d = 5
-    while d * d <= p:
-        if p % d == 0 or p % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    """Trial-division primality check (intended range p < 2^31)."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -56,6 +51,7 @@ class PrimeField:
             raise ValueError(f"modulus {self.p} is not prime")
 
 
+@cache
 def _growth_bound(dtype, p: int) -> int:
     """How many updates of size at most (p - 1)^2 an entry reduced into
     [0, p) can take in ``dtype`` before it must be reduced again."""
@@ -75,9 +71,7 @@ def _work_dtype(p: int, cols: int):
 
 
 def _rref_array(a: np.ndarray, p: int):
-    """In-place RREF of ``a`` mod p.
-
-    Returns (rank, pivot_cols).
+    """In-place RREF of ``a`` mod p; returns (rank, pivot_cols).
 
     The elimination runs on a copy in ``_work_dtype(p, cols)`` with delayed
     reduction.  Invariants, with bound = ``_growth_bound(dtype, p)``:
@@ -101,12 +95,12 @@ def _rref_array(a: np.ndarray, p: int):
     pivot_cols: list[int] = []
     pending = 0  # updates since the block was last reduced
     r = 0
-    for c in range(cols):
+    for c in w.any(axis=0).nonzero()[0].tolist():  # zero columns stay zero
         if r >= rows:
             break
         colvals = w[:, c] % p
         w[:, c] = colvals
-        nz = np.flatnonzero(colvals[r:])
+        nz = colvals[r:].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -120,7 +114,7 @@ def _rref_array(a: np.ndarray, p: int):
             prow *= inv
             prow %= p
         colvals[r] = 0
-        touched = np.flatnonzero(colvals)
+        touched = colvals.nonzero()[0]
         if touched.size:
             if pending == bound:
                 w[:, c:] %= p
@@ -218,7 +212,7 @@ class _BitRankOracle:
         self.pivots: dict[int, int] = {}
         self.pivot_mask = 0
 
-    def rows(self, block) -> list[int]:
+    def _rows(self, block) -> list[int]:
         return pack_bool_rows(_checked_block(block, self.cols) & 1)
 
     def _reduce(self, row: int) -> int:
@@ -230,79 +224,90 @@ class _BitRankOracle:
             c = (t & -t).bit_length() - 1
             row ^= pivots[c]
 
-    def absorb(self, row: int) -> None:
-        res = self._reduce(row)
-        if res == 0:
-            return
-        c = (res & -res).bit_length() - 1
-        bit = 1 << c
-        for pc, prow in self.pivots.items():
-            if prow & bit:
-                self.pivots[pc] = prow ^ res
-        self.pivots[c] = res
-        self.pivot_mask |= bit
+    def extend(self, block) -> None:
+        for row in self._rows(block):
+            res = self._reduce(row)
+            if res == 0:
+                continue
+            c = (res & -res).bit_length() - 1
+            bit = 1 << c
+            for pc, prow in self.pivots.items():
+                if prow & bit:
+                    self.pivots[pc] = prow ^ res
+            self.pivots[c] = res
+            self.pivot_mask |= bit
 
-    def members(self, rows: list[int]) -> list[bool]:
-        return [self._reduce(r) == 0 for r in rows]
+    def members(self, block) -> list[bool]:
+        return [self._reduce(r) == 0 for r in self._rows(block)]
 
-    def residue(self, row: int) -> list[int]:
-        res = self._reduce(row)
+    def residue(self, row) -> list[int]:
+        res = self._reduce(self._rows([row])[0])
         return [(res >> i) & 1 for i in range(self.cols)]
 
     def entry(self, pivot_col: int, col: int) -> int:
         return (self.pivots[pivot_col] >> col) & 1
 
 
-class _ArrRankOracle:
-    """Odd-p backend: numpy int64 rows, normalized lead 1, kept reduced."""
+def _subtract_product(w, coef, rows, p: int) -> np.ndarray:
+    """``w`` minus ``coef @ rows`` mod p, in place, for int64 blocks in [0, p):
+    one product per group of ``_growth_bound(np.int64, p)`` rows, reduced
+    after each so no entry leaves int64, on the rows with a coefficient."""
+    hit = coef.any(axis=1).nonzero()[0]
+    if hit.size:
+        sub, coef = w[hit], coef[hit]
+        step = _growth_bound(np.int64, p)
+        for g in range(0, len(rows), step):
+            sub -= coef[:, g:g + step] @ rows[g:g + step]
+            sub %= p
+        w[hit] = sub
+    return w
 
-    __slots__ = ("cols", "p", "pivots")
+
+class _ArrRankOracle:
+    """Odd-p backend: the RREF as one int64 block, one row per pivot column
+    in ascending column order; ``pivots`` maps each pivot column to its row."""
+
+    __slots__ = ("cols", "p", "block", "pivots")
 
     def __init__(self, cols: int, p: int):
         self.cols = cols
         self.p = p
+        self.block = np.zeros((0, cols), dtype=np.int64)
         self.pivots: dict[int, np.ndarray] = {}
 
-    def rows(self, block) -> np.ndarray:
-        a = _checked_block(block, self.cols).astype(np.int64, copy=False)
-        return np.mod(a, self.p)
+    def _reduce(self, block) -> np.ndarray:
+        """The residues of a block's rows, a new int64 block in [0, p).  A
+        row's coefficient on a pivot is its entry there, as each stored row is
+        1 in its own pivot column and 0 in the others."""
+        w = _checked_block(block, self.cols).astype(np.int64)
+        w %= self.p
+        return _subtract_product(w, w[:, list(self.pivots)], self.block,
+                                 self.p)
 
-    def _reduce(self, work: np.ndarray) -> np.ndarray:
-        """Reduce every row of the block ``work`` in place to its residue.
-
-        Each stored row is zero in the other pivot columns, so a row's
-        coefficient on a pivot is its entry there before any update, and
-        pivots no row touches are skipped.
-        """
+    def extend(self, block) -> None:
+        """One ``_rref_array`` of the block's residues; its pivot columns are
+        cleared from the stored rows, and the rows merge by pivot column."""
         p = self.p
-        cols = sorted(self.pivots)
-        for i in np.flatnonzero(work[:, cols].any(axis=0)):
-            c = cols[i]
-            vals = work[:, c]
-            nz = np.flatnonzero(vals)
-            work[nz] = (work[nz] - np.outer(vals[nz], self.pivots[c])) % p
-        return work
+        if self.pivots:
+            a = self._reduce(block)
+        else:  # a 0/1 block is eliminated as uint8; only the RREF is int64
+            a = _checked_block(block, self.cols)
+            a = a.astype(np.promote_types(a.dtype, np.min_scalar_type(p)))
+            a %= p
+        rank, cols = _rref_array(a, p)
+        if rank:
+            new, old = a[:rank].astype(np.int64), list(self.pivots)
+            if old:  # an empty oracle takes the new rows without a copy
+                _subtract_product(self.block, self.block[:, cols], new, p)
+                new = np.insert(self.block, np.searchsorted(old, cols), new, 0)
+            self.block = new
+            self.pivots = dict(zip(sorted(old + cols), new))
 
-    def absorb(self, row: np.ndarray) -> None:
-        res = self._reduce(row[None, :])[0]
-        nz = np.nonzero(res)[0]
-        if nz.size == 0:
-            return
-        c = int(nz[0])
-        inv = pow(int(res[c]), self.p - 2, self.p)
-        if inv != 1:
-            res = (res * inv) % self.p
-        for pc, prow in self.pivots.items():
-            v = int(prow[c])
-            if v:
-                self.pivots[pc] = (prow - v * res) % self.p
-        self.pivots[c] = res
+    def members(self, block) -> list[bool]:
+        return (~self._reduce(block).any(axis=1)).tolist()
 
-    def members(self, rows: np.ndarray) -> list[bool]:
-        return (~self._reduce(rows).any(axis=1)).tolist()
-
-    def residue(self, row: np.ndarray) -> list[int]:
-        return self._reduce(row[None, :])[0].tolist()
+    def residue(self, row) -> list[int]:
+        return self._reduce([row])[0].tolist()
 
     def entry(self, pivot_col: int, col: int) -> int:
         return int(self.pivots[pivot_col][col])
@@ -314,8 +319,8 @@ class RankOracle:
     Stored rows are maintained in reduced echelon form: each has a leading 1
     in a distinct pivot column and zeros in the other pivot columns.
     ``absorb`` grows the span (returns True iff rank grew); ``member`` is a
-    read-only span test.  Final rank equals batch-RREF rank regardless of
-    absorption order.
+    read-only span test.  A row space has one RREF, so the stored rows do
+    not depend on the order or grouping in which rows were absorbed.
 
     A block is a 2-D array or nested list of 0/1 or integer rows, a row a
     1-D one; only this module knows the stored format.
@@ -335,17 +340,15 @@ class RankOracle:
         return self.rank > rank
 
     def extend(self, block) -> None:
-        """Absorb the rows of a block in order."""
-        impl = self._impl
-        for r in impl.rows(block):
-            impl.absorb(r)
+        """Absorb the rows of a block."""
+        self._impl.extend(block)
 
     def member(self, row) -> bool:
         return self.members([row])[0]
 
     def members(self, block) -> list[bool]:
         """Row-space membership of every row of a 2-D block."""
-        return self._impl.members(self._impl.rows(block))
+        return self._impl.members(block)
 
     @property
     def rank(self) -> int:
@@ -361,7 +364,7 @@ class RankOracle:
         inner product of ``row`` with the canonical nullspace vector of free
         column f, which makes witness extraction a lookup.
         """
-        return self._impl.residue(self._impl.rows([row])[0])
+        return self._impl.residue(row)
 
     def nullspace_vector(self, free_col: int) -> list[int]:
         """Canonical nullspace vector for one free (non-pivot) column."""
@@ -375,18 +378,13 @@ class RankOracle:
 
     def nullspace(self) -> list[tuple[int, ...]]:
         """Canonical nullspace basis (one vector per free column)."""
-        pivot_set = set(self._impl.pivots)
-        return [
-            tuple(self.nullspace_vector(f))
-            for f in range(self.cols)
-            if f not in pivot_set
-        ]
+        return [tuple(self.nullspace_vector(f)) for f in range(self.cols)
+                if f not in self._impl.pivots]
 
     # -- fast batch constructors ----------------------------------------
     @classmethod
     def from_rows(cls, field: PrimeField, rows: np.ndarray):
-        """Build an oracle on a 2-D block: ``from_packed_rows`` for GF(2),
-        one batch RREF for odd p."""
+        """An oracle on a 2-D block, by ``from_packed_rows`` or ``from_array``."""
         if field.p == 2:
             return cls.from_packed_rows(field, rows.shape[1], rows)
         return cls.from_array(field, rows)
@@ -411,13 +409,9 @@ class RankOracle:
 
     @classmethod
     def from_array(cls, field: PrimeField, a: np.ndarray):
-        """Build an odd-p oracle from a dense int array with one batch RREF."""
+        """Build an odd-p oracle on a dense int block: one ``extend``."""
         if field.p == 2:
             raise ValueError("GF(2) oracles are built from packed rows")
         o = cls(field, a.shape[1])
-        work = a.astype(np.promote_types(a.dtype, np.min_scalar_type(field.p)))
-        work %= field.p  # a 0/1 block stays uint8; only the pivots are int64
-        _, pivot_cols = _rref_array(work, field.p)
-        for i, c in enumerate(pivot_cols):
-            o._impl.pivots[c] = work[i].astype(np.int64)
+        o.extend(a)
         return o

@@ -107,10 +107,16 @@ class TestIdealBasis:
         with pytest.raises(CapExceeded):
             EvaluationMatrix(field, 70, 1, [1 << 65]).oracle()
 
-    @pytest.mark.parametrize("point", [0b1000, -1, 1 << 70])
+    @pytest.mark.parametrize("point", [0b1000, -1, 1 << 70,
+                                       pytest.param(None, id="monomial")])
     def test_points_outside_the_cube_raise(self, point):
+        # monomials are converted as points are: a monomial of n = 70 raises
+        # ValueError, not OverflowError
         with pytest.raises(ValueError, match="outside"):
-            EvaluationMatrix(F3, 3, 1, [0b111, point])
+            if point is None:
+                evaluation_bool_matrix(monomials_upto(70, 1), [0])
+            else:
+                EvaluationMatrix(F3, 3, 1, [0b111, point])
 
     def test_a_uint64_array_is_taken_as_it_is(self):
         pts = np.arange(8, dtype=np.uint64)

@@ -8,8 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from slicedeg import cli
-from slicedeg.closure import Candidates
+from slicedeg import cli, distinguish
+from slicedeg.closure import Candidates, EvaluationMatrix
 from slicedeg.config import DEFAULT_CAPS
 from slicedeg.constructions import C_LADDER
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
@@ -127,6 +127,25 @@ class TestChecksShape:
             assert rep.all_passed
             assert len(calls) == 1
 
+    def test_frontier_builds_each_rung_once(self, monkeypatch):
+        # part (a) takes all gaps of one slice in a row, so every (p, n, k,
+        # d) rung of the run is built once; parts (b) and (c) reach only
+        # slices of n = 7 and 8, above this sweep range
+        built = []
+
+        class Recording(EvaluationMatrix):
+            def __init__(self, field, n, degree, points):
+                super().__init__(field, n, degree, points)
+                built.append((field.p, n, int(self.points[0]).bit_count(),
+                              degree))
+
+        monkeypatch.setattr(distinguish, "EvaluationMatrix", Recording)
+        distinguish._ladder.clear()
+        rep = run(ExperimentSpec("robust-frontier", {
+            "n_min": 2, "n_max": 6, "candidates": 2}))
+        assert rep.all_passed
+        assert len(built) == len(set(built)) > 50
+
 
 def _cli(*args):
     return subprocess.run(
@@ -150,6 +169,17 @@ class TestCli:
     def test_failing_check_exits_nonzero(self):
         res = _cli("claimA1", "--samples", "300", "--tol", "0.0")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("args", [
+        ("symfun-analyze", "--family", "thr"),  # ValueError
+        ("mindeg", "--n", "12", "--max-slice-points", "10"),  # CapExceeded
+    ])
+    def test_malformed_input_is_a_usage_error(self, args):
+        # exit 2 as for a malformed flag, not 1, which means a check failed
+        res = _cli(*args)
+        assert res.returncode == 2 and "Traceback" not in res.stderr
+        errors = [line for line in res.stderr.splitlines() if "error:" in line]
+        assert errors == res.stderr.splitlines()[-1:]
 
     def test_csv_format(self):
         res = _cli("mindeg", "--format", "csv")

@@ -399,6 +399,70 @@ class TestRrefKernel:
                 assert _growth_bound(dtype, p) >= self.WIDTH
 
 
+@st.composite
+def chunked_blocks(draw):
+    """(p, rows, cuts): a random block over F_p of rank at most ``inner`` and
+    split points cutting it into chunks, one one-row chunk among them."""
+    p = draw(st.sampled_from([3, 5, 7, 2**31 - 1]))
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    inner = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+    c = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+    data = [[sum(x * y for x, y in zip(brow, col)) % p for col in zip(*c)]
+            for brow in b]
+    one = draw(st.integers(0, rows - 1))
+    cuts = draw(st.sets(st.integers(1, rows - 1))) if rows > 1 else set()
+    return p, data, sorted((cuts | {one, one + 1}) - {0, rows})
+
+
+# rank 6 at p = 2^31 - 1, where a group of the product holds 2 pivots
+WIDE_P = 2**31 - 1
+WIDE_BLOCK = [[random.Random(10 * i + j).randrange(WIDE_P) for j in range(9)]
+              for i in range(6)]
+
+
+class TestChunkedExtend:
+    """Odd-p extends chunk by chunk against one ``from_array`` and the
+    Python-int reference: the same RREF, membership, residues and
+    nullspace."""
+
+    @given(chunked_blocks())
+    @example((WIDE_P, WIDE_BLOCK, [1, 2, 4]))
+    @settings(max_examples=80, deadline=None)
+    def test_chunks_match_one_build_and_reference(self, case):
+        p, data, cuts = case
+        field, cols = PrimeField(p), len(data[0])
+        chunked = RankOracle(field, cols)
+        for lo, hi in zip([0] + cuts, cuts + [len(data)]):
+            chunked.extend(np.array(data[lo:hi], dtype=np.int64))
+        whole = RankOracle.from_array(field, np.array(data, dtype=np.int64))
+        want_rows, (rank, pivots) = reference_rref(data, p)
+        rng = random.Random(rank)
+        probes = [[rng.randrange(p) for _ in range(cols)] for _ in range(3)]
+        probes += [[sum(rng.randrange(p) * x for x in col) % p
+                    for col in zip(*data)] for _ in range(3)]  # members
+        residues = []
+        for v in probes:
+            res = v[:]
+            for row, c in zip(want_rows, pivots):
+                res = [(x - v[c] * y) % p for x, y in zip(res, row)]
+            residues.append(res)
+        for o in (chunked, whole):
+            assert o.pivot_columns() == pivots
+            assert [o._impl.pivots[c].tolist() for c in pivots] == (
+                want_rows[:rank])
+            assert o.members(np.array(probes)) == [not any(r)
+                                                   for r in residues]
+            assert [o.residue(v) for v in probes] == residues
+            assert o.nullspace() == canonical_nullspace(want_rows, pivots,
+                                                        cols, p)
+
+    def test_the_wide_block_takes_several_groups(self):
+        _, (rank, _) = reference_rref(WIDE_BLOCK, WIDE_P)
+        assert rank > 2 * _growth_bound(np.int64, WIDE_P) == 4
+
+
 def wilson_rank(p, n, k, t):
     """Rank over F_p of the t-subset / k-subset inclusion matrix for
     t <= min(k, n - k) (Wilson, Europ. J. Combin. 11, 1990)."""
