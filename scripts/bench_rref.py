@@ -7,6 +7,9 @@ The set is every block ``RankOracle.from_array`` receives while the two
 p = 3 sweep reports run (``hegedus-sweep`` and ``extension-sweep``, n in
 [6, 14], each from an empty degree ladder as in its own process): the
 rank-certificate heads of ``distinguish._slice_oracle``, 0/1 uint8 blocks.
+The sweeps answer slice k > n/2 on slice n - k's ladder
+(``distinguish._escape_degree``), so every block is of a slice k <= n/2:
+260 blocks, the largest 396 x 470, 13,510 pivots in all.
 Each is reduced the way ``from_array`` reduces it.  The sweeps'
 ``RankOracle.members`` calls, the membership kernel, are counted and timed
 while they run.  Prints one JSON line: the block count, the largest shape,

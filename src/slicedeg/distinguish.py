@@ -7,7 +7,10 @@ k's evaluation matrix.  Because both slices are orbits of the symmetric
 group and the row space of a full slice is permutation-invariant, escape at
 one representative point settles the whole slice; small-case tests verify
 this against full closure computations.  One ascent of slice k's degree
-ladder (``_ascent``) makes this test for all four solvers.
+ladder (``_ascent``) makes this test for all four solvers.  Complementing
+every coordinate also preserves degree and maps slice k onto slice n - k,
+so a search that needs only the degree climbs the smaller-weight ladder
+(``_escape_degree``).
 
 Robust variants relax the vanishing constraint on an explicit error set,
 either heuristically (upper bound) or exactly over all small error sets,
@@ -193,13 +196,35 @@ def _ascent(field: PrimeField, n: int, k: int, K: int, top: int):
         raise AssertionError("no distinguisher up to degree n; this cannot happen")
 
 
+def _escape_degree(field: PrimeField, n: int, k: int, K: int,
+                   top: int) -> int:
+    """The least d <= ``top`` at which slice K escapes slice k's span, or
+    ``top`` + 1 if it escapes at no such d.
+
+    x -> 1 - x on every coordinate maps the degree-<=d multilinear
+    polynomials onto themselves, over every field, and weight w to n - w, so
+    (n, k, K) and (n, n - k, n - K) have the same answer: for k > n - k this
+    climbs slice n - k's ladder towards n - K.  Callers that read slice k's
+    rungs (a witness, an error set) use ``_ascent`` on slice k itself.
+    """
+    if k > n - k:
+        k, K = n - k, n - K
+    return next((d for d, _, _, escaped in _ascent(field, n, k, K, top)
+                 if escaped), top + 1)
+
+
 def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
                   want_witness: bool) -> DistinguishReport:
     """The report of the least escape degree, for ``exact_min_degree`` and
-    zero-budget ``robust_search``."""
-    for d, ev, oracle, escaped in _ascent(field, n, k, K, n):
-        if escaped:
-            break
+    zero-budget ``robust_search``.  A witness is read off slice k's own
+    ladder; without one the degree comes from ``_escape_degree``, which may
+    climb slice n - k's."""
+    if want_witness:
+        for d, ev, oracle, escaped in _ascent(field, n, k, K, n):
+            if escaped:
+                break
+    else:
+        d = _escape_degree(field, n, k, K, n)
     p, size_K = field.p, comb(n, K)
     report = DistinguishReport(
         degree=d, mode="exact", n=n, p=p, k=k, K=K, outside_count=size_K,
@@ -245,8 +270,10 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
     A p-power gap g requires g <= k <= n - g (below k = g the equality
     genuinely fails, e.g. n=6, k=1, K=5 over F_2 has degree 2, not 4); a
     composite gap g only requires its p-adic part q' <= k and k + g <= n.
-    Rows share the slice-k rank oracle across all gaps, so each (n, k,
-    degree) is eliminated once.
+    Rows share the rank oracle across all gaps, and slices k and n - k
+    are taken one after the other on slice min(k, n - k)'s ladder
+    (``_escape_degree``), so each (n, min(k, n - k), degree) is eliminated
+    once.  Rows are sorted by (n, k, K).
 
     Returns (rows, violations).
     """
@@ -254,9 +281,8 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
         raise ValueError(f"unknown gap class {gaps!r}")
     field = PrimeField(p)
     rows: list[SweepRow] = []
-    violations: list[SweepRow] = []
     for n in n_values:
-        for k in range(1, n):
+        for k in sorted(range(1, n), key=lambda k: (min(k, n - k), k)):
             targets = {}
             for g in range(1, n - k + 1):
                 qp = p_adic_part(g, p)
@@ -268,14 +294,13 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
                 continue
             max_expected = max(targets.values())
             for K, expected in sorted(targets.items()):
-                degree = next((d for d, _, _, escaped in _ascent(
-                    field, n, k, K, max_expected) if escaped),
-                    max_expected + 1)  # ">expected" sentinel
-                row = SweepRow(n=n, k=k, K=K, gap=K - k, expected=expected,
-                               degree=degree, ok=(degree == expected))
-                rows.append(row)
-                if not row.ok:
-                    violations.append(row)
+                # max_expected + 1 is the ">expected" sentinel
+                degree = _escape_degree(field, n, k, K, max_expected)
+                rows.append(SweepRow(n=n, k=k, K=K, gap=K - k,
+                                     expected=expected, degree=degree,
+                                     ok=(degree == expected)))
+    rows.sort(key=lambda r: (r.n, r.k, r.K))
+    violations = [row for row in rows if not row.ok]
     return rows, violations
 
 

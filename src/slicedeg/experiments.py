@@ -675,12 +675,14 @@ def _symfun(params, seed, caps):
 def _frontier(params, seed, caps):
     checks = []
     # (a) budget-0 search reproduces the exact solver across the sweep range;
-    # all p-power gaps q <= min(k, n - k) of one slice k in a row, one ladder
+    # all p-power gaps q <= min(k, n - k) of one slice k in a row, and slices
+    # k and n - k one after the other: both climb slice min(k, n - k)'s
+    # ladder, and only the last slice's ladder is kept
     mismatches = []
     count = 0
     for p in (2, 3):
         for n in range(params["n_min"], params["n_max"] + 1):
-            for k in range(1, n):
+            for k in sorted(range(1, n), key=lambda k: (min(k, n - k), k)):
                 q = 1
                 while q <= min(k, n - k):
                     inst = SliceDistinguishInstance(n=n, p=p, k=k, K=k + q)

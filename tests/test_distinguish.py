@@ -210,9 +210,10 @@ class TestExactMinDegree:
         assert rep.degree == brute_min_degree(n, p, k, K, dmax=rep.degree)
 
     def test_negation_symmetry(self):
+        # the witness path climbs each slice's own ladder
         for (n, p, k, K) in ((7, 2, 2, 4), (8, 2, 3, 5), (9, 3, 2, 5)):
-            a = exact_min_degree(n, p, k, K, want_witness=False).degree
-            b = exact_min_degree(n, p, n - k, n - K, want_witness=False).degree
+            a = exact_min_degree(n, p, k, K).degree
+            b = exact_min_degree(n, p, n - k, n - K).degree
             assert a == b
 
     def test_outside_count_matches_full_closure(self):
@@ -283,8 +284,9 @@ class TestSweep:
         assert all(r.gap != p_adic_part(r.gap, 2) for r in co)
 
     def test_each_rung_is_built_once(self, monkeypatch):
-        # every target K ascends the ladder from d = 0, and the ladder's
-        # cache builds each (n, k, d) rung of a run once
+        # every target K ascends the ladder from d = 0, slices k and n - k
+        # share slice min(k, n - k)'s, and the ladder's cache builds each
+        # (n, min(k, n - k), d) rung of a run once
         built, requested = [], set()
 
         class Recording(EvaluationMatrix):
@@ -305,6 +307,50 @@ class TestSweep:
                 gap_degree_sweep(p, range(2, 11), gaps=gaps)
                 assert len(built) == len(set(built)) > 20
                 assert set(built) == requested
+                assert all(2 * k <= n for _, n, k, _ in built)
+
+
+class TestComplementMirror:
+    """The degree-only answers for k > n/2, read on slice n - k's ladder,
+    against the witness path, which climbs slice k's own ladder."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_pair_to_n10(self, p):
+        # K = 0 and K = n mirror to the full and the empty point
+        for n in range(2, 11):
+            for k in range(1, n):
+                for K in range(n + 1):
+                    if K != k:
+                        direct = exact_min_degree(n, p, k, K).degree
+                        assert exact_min_degree(
+                            n, p, k, K, want_witness=False).degree == direct
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sweep_rows_equal_the_witness_path(self, p):
+        for gaps in ("ppower", "composite"):
+            rows, _ = gap_degree_sweep(p, range(2, 12), gaps=gaps)
+            assert [(r.n, r.k, r.K) for r in rows] == sorted(
+                (r.n, r.k, r.K) for r in rows)
+            assert any(2 * r.k > r.n for r in rows)
+            top = {}
+            for r in rows:
+                top[r.n, r.k] = max(top.get((r.n, r.k), 0), r.expected)
+            for r in rows:
+                direct = exact_min_degree(r.n, p, r.k, r.K).degree
+                assert r.degree == min(direct, top[r.n, r.k] + 1)
+
+    @pytest.mark.parametrize("p, n, pairs", [
+        (2, 15, ((9, 13), (10, 2), (11, 3), (12, 4), (13, 5), (14, 0))),
+        (3, 14, ((8, 14), (9, 12), (11, 2), (12, 3), (13, 0))),
+    ])
+    def test_beyond_the_sweep_grid(self, p, n, pairs):
+        degrees = []
+        for k, K in pairs:
+            direct = exact_min_degree(n, p, k, K).degree
+            assert exact_min_degree(n, p, k, K,
+                                    want_witness=False).degree == direct
+            degrees.append(direct)
+        assert max(degrees) >= 4
 
 
 class TestExhaustiveRobust:
@@ -514,14 +560,17 @@ class TestSliceOracleProvider:
         monkeypatch.setattr(distinguish, "slice_masks", lambda n, k: (
             calls.append((n, k)) or slice_masks_(n, k)))
         degrees = []
-        for gaps, last in (("ppower", 11), ("composite", 9)):
+        for gaps in ("ppower", "composite"):
             calls.clear()
             distinguish._ladder.clear()
             rows, _ = gap_degree_sweep(2, [12], gaps=gaps)
-            assert calls == [(12, k) for k in range(1, last + 1)]
+            # slices k and n - k both climb slice min(k, n - k)'s ladder
+            assert calls == [(12, k) for k in range(1, 7)]
+            assert any(r.k > 6 for r in rows)
             # the degrees asked of the last slice all read its one array
-            points, _, rungs = distinguish._ladder[F2, 12, last]
-            assert len(rungs) == 2
+            points, _, rungs = distinguish._ladder[F2, 12, 6]
+            assert set(rungs) == set(range(max(r.degree for r in rows
+                                               if r.k == 6) + 1))
             assert all(np.shares_memory(ev.points, points)
                        for ev, _ in rungs.values())
             degrees += [r.degree for r in rows]

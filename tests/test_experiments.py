@@ -128,9 +128,11 @@ class TestChecksShape:
             assert len(calls) == 1
 
     def test_frontier_builds_each_rung_once(self, monkeypatch):
-        # part (a) takes all gaps of one slice in a row, so every (p, n, k,
-        # d) rung of the run is built once; parts (b) and (c) reach only
-        # slices of n = 7 and 8, above this sweep range
+        # part (a) takes all gaps of one slice in a row and slices k and
+        # n - k one after the other on slice min(k, n - k)'s ladder, so every
+        # (p, n, k, d) rung of the run is built once and none has k > n/2;
+        # parts (b) and (c) reach only slices of n = 7 and 8, above this
+        # sweep range
         built = []
 
         class Recording(EvaluationMatrix):
@@ -145,6 +147,7 @@ class TestChecksShape:
             "n_min": 2, "n_max": 6, "candidates": 2}))
         assert rep.all_passed
         assert len(built) == len(set(built)) > 50
+        assert all(2 * k <= n for _, n, k, _ in built)
 
 
 def _cli(*args):

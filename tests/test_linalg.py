@@ -551,6 +551,8 @@ class TestFourRussians:
         for gaps in ("ppower", "composite"):
             distinguish.gap_degree_sweep(2, range(6, 13), gaps=gaps)
         assert len(rungs) > 100
+        # the sweep climbs slice min(k, n - k); check slice n - k's blocks too
+        rungs |= {(n, n - k, d) for n, k, d in rungs}
         for n, k, d in sorted(rungs):
             block = slice_block(n, k, d)
             assert _rref_words(_pack_words(block)) == absorb_pivots(block)
