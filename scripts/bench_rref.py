@@ -10,13 +10,18 @@ rank-certificate heads of ``distinguish._slice_oracle``, 0/1 uint8 blocks.
 The sweeps answer slice k > n/2 on slice n - k's ladder
 (``distinguish._escape_degree``), so every block is of a slice k <= n/2:
 260 blocks, the largest 396 x 470, 13,510 pivots in all.
-Each is reduced the way ``from_array`` reduces it.  The sweeps'
+Each is reduced the way ``from_array`` reduces it: one ``_rref_array``
+call, so the timed region includes the kernel's widening of the block's
+dtype to hold p and its first reduction mod p.  The sweeps'
 ``RankOracle.members`` calls, the membership kernel, are counted and timed
 while they run.  Prints one JSON line: the block count, the largest shape,
 the best total elimination time over R repeats, the membership calls and
 their total time in the one sweep pass, and a SHA-256 digest of every
 elimination output (reduced array, rank, pivot columns), so two checkouts
-can be compared for speed and for identical results.
+can be compared for speed and for identical results.  The reduced array is
+hashed in the block's dtype, RREF rows first and zero rows after them, the
+layout of an in-place elimination, which keeps the digest comparable with
+earlier versions of the kernel.
 """
 
 from __future__ import annotations
@@ -72,13 +77,13 @@ def main() -> None:
         digest = hashlib.sha256()
         total = 0.0
         for m in blocks:
-            a = m.astype(np.promote_types(m.dtype, np.min_scalar_type(p)))
-            a %= p
             t0 = time.perf_counter()
-            rank, pivots = _rref_array(a, p)
+            rows, pivots, _ = _rref_array(m, p)
             total += time.perf_counter() - t0
+            a = np.zeros_like(m)
+            a[:len(rows)] = rows
             digest.update(a.tobytes())
-            digest.update(repr((rank, pivots)).encode())
+            digest.update(repr((len(pivots), pivots)).encode())
         best = min(best, total)
     print(json.dumps({"blocks": len(blocks),
                       "dtypes": sorted({str(m.dtype) for m in blocks}),

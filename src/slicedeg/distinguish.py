@@ -36,7 +36,7 @@ from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
 from .closure import (Candidates, EvaluationMatrix, closure,
                       evaluation_bool_matrix, poly_from_coeffs)
 from .cube import Mask, MultilinearPoly, point_array, slice_masks, slice_stats
-from .linalg import PrimeField, RankOracle
+from .linalg import PrimeField, RankOracle, _rref_array
 
 
 def p_adic_part(q: int, p: int) -> int:
@@ -307,14 +307,14 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
 def _dependent_sets(field: PrimeField, block: np.ndarray, max_size: int):
     """Index sets of 1 to ``max_size`` linearly dependent rows of a block, by
     size in ``combinations`` order.  P + (j,) is dependent iff P is or row j
-    is in the span of the rows P: one ``members`` call per prefix P."""
+    is in the span of the rows P: one ``extend`` and ``members`` per P."""
     rows, cols = block.shape
     for size in range(1, max_size + 1):
         for prefix in combinations(range(rows), size - 1):
             head = RankOracle(field, cols)
+            head.extend(block[list(prefix)])
             start = prefix[-1] + 1 if prefix else 0
-            inside = (head.members(block[start:])
-                      if all(head.absorb(block[i]) for i in prefix)
+            inside = (head.members(block[start:]) if head.rank == len(prefix)
                       else [True] * (rows - start))
             for j in (np.flatnonzero(inside) + start).tolist():
                 yield prefix + (j,)
@@ -378,18 +378,15 @@ def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[Mask]:
     """Greedy's error set: the points whose rows create the ``removals``
     pivots with the fewest dependents when the rows are absorbed in order.
 
-    A row creates the pivot at the first nonzero entry of its residue.  Every
-    stored row is zero in the other pivot columns, so a later row is reduced
-    against pivot c exactly when its own entry at c is nonzero; that count is
-    the pivot's dependents.  Ties go to the lower column.
+    A row creates the pivot at the first nonzero entry of its residue: the
+    rank profile, one ``_rref_array`` on every field.  Every stored row is
+    zero in the other pivot columns, so a later row is reduced against pivot
+    c exactly when its own entry at c is nonzero; that count is the pivot's
+    dependents.  Ties go to the lower column.
     """
     block = ev.bool_matrix()
-    oracle = RankOracle(ev.field, ev.n_d)
-    owner: dict[int, int] = {}  # pivot column -> index of the row creating it
-    for i, row in enumerate(block):
-        if oracle.absorb(row):
-            (c,) = set(oracle.pivot_columns()).difference(owner)
-            owner[c] = i
+    _, cols, sources = _rref_array(block, ev.field.p)
+    owner = dict(zip(cols, sources))  # pivot column -> row creating it
     deps = {c: int(np.count_nonzero(block[i + 1:, c])) for c, i in owner.items()}
     lowest = sorted(owner, key=lambda c: (deps[c], c))[:removals]
     return sorted(ev.points[[owner[c] for c in lowest]].tolist())
@@ -409,10 +406,11 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     too, so all C(n, K) points are outside with no closure computed.  A zero
     budget is the exact report (``_exact_report``) with E0 empty.  Uniform
     search reports the best of ``_RESTARTS`` seeded random draws.  Greedy
-    search, the same rule for every p, absorbs slice k's degree-d rows in
-    point order and removes the points whose rows create the pivots with the
-    fewest later rows nonzero in their column (``_rank_critical``).  The
-    reported degree is an upper bound on the true robust minimum.
+    search, the same rule for every p, reads the rank profile of slice k's
+    degree-d rows in point order and removes the points whose rows create
+    the pivots with the fewest later rows nonzero in their column
+    (``_rank_critical``).  The reported degree is an upper bound on the true
+    robust minimum.
     """
     if strategy not in ("uniform", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")

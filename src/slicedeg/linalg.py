@@ -13,7 +13,9 @@ Russians (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a packed uint64
 block.  A row space has one RREF, so both keep the same pivot rows.
 
 Odd p has one elimination, ``_rref_array``: a build is one batch RREF and
-an ``extend`` one RREF of the new rows' residues.  It eliminates with
+an ``extend`` one RREF of the new rows' residues.  It keeps row order and
+reports the row that created each pivot, the rank profile (Dumas, Pernet and
+Sultan, "Computing the rank profile matrix", ISSAC 2015).  It eliminates with
 delayed modular reduction (after FFLAS-FFPACK, Dumas, Giorgi and Pernet,
 ACM TOMS 2008) in the narrowest signed type, int16, int32 or else int64, in
 which ``cols`` updates of size (p - 1)^2 fit; the type follows from p and
@@ -71,7 +73,11 @@ def _work_dtype(p: int, cols: int):
 
 
 def _rref_array(a: np.ndarray, p: int):
-    """In-place RREF of ``a`` mod p; returns (rank, pivot_cols).
+    """RREF of ``a`` mod p, without writing ``a``; returns (rows, pivot_cols,
+    sources): the RREF as int64 rows in [0, p), one per pivot in pivot order,
+    and for pivot i its column and the row of ``a`` that created it.  Rows
+    are never swapped: a column's pivot is its topmost row that holds none
+    yet (``free``), so ``sources`` is the row rank profile.
 
     The elimination runs on a copy in ``_work_dtype(p, cols)`` with delayed
     reduction.  Invariants, with bound = ``_growth_bound(dtype, p)``:
@@ -86,34 +92,31 @@ def _rref_array(a: np.ndarray, p: int):
 
     The block is reduced when the next update would exceed the bound, which
     happens in int64 only (at a few hundred columns, for p above about 2^27;
-    every step or two at p near 2^31), and once at the end into ``a``.
+    every step or two at p near 2^31), and the pivot rows once at the end.
     """
     rows, cols = a.shape
     dtype = _work_dtype(p, cols)
     bound = _growth_bound(dtype, p)
+    a = a.astype(np.promote_types(a.dtype, np.min_scalar_type(p)), copy=False)
     w = np.mod(a, p).astype(dtype)
-    pivot_cols: list[int] = []
+    free = np.ones(rows, dtype=bool)  # rows that hold no pivot yet
+    pivot_cols, sources = [], []
     pending = 0  # updates since the block was last reduced
-    r = 0
     for c in w.any(axis=0).nonzero()[0].tolist():  # zero columns stay zero
-        if r >= rows:
+        if len(sources) == rows:
             break
         colvals = w[:, c] % p
         w[:, c] = colvals
-        nz = colvals[r:].nonzero()[0]
+        nz = (free & (colvals != 0)).nonzero()[0]
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            w[[r, piv]] = w[[piv, r]]
-            colvals[[r, piv]] = colvals[[piv, r]]
-        prow = w[r, c:]
-        prow %= p
+        piv = int(nz[0])
+        prow = w[piv, c:] % p
         inv = pow(int(prow[0]), p - 2, p)
         if inv != 1:
-            prow *= inv
-            prow %= p
-        colvals[r] = 0
+            prow = prow * inv % p
+        w[piv, c:] = prow
+        colvals[piv] = 0
         touched = colvals.nonzero()[0]
         if touched.size:
             if pending == bound:
@@ -121,10 +124,11 @@ def _rref_array(a: np.ndarray, p: int):
                 pending = 0
             w[touched, c:] -= np.outer(colvals[touched], prow)
             pending += 1
+        free[piv] = False
         pivot_cols.append(c)
-        r += 1
-    a[...] = np.mod(w, p)
-    return r, pivot_cols
+        sources.append(piv)
+    w = w[sources] % p  # frees the full block before the int64 copy
+    return w.astype(np.int64), pivot_cols, sources
 
 
 # Rows from which a GF(2) build runs ``_rref_words``; below it, per-strip
@@ -288,15 +292,10 @@ class _ArrRankOracle:
         """One ``_rref_array`` of the block's residues; its pivot columns are
         cleared from the stored rows, and the rows merge by pivot column."""
         p = self.p
-        if self.pivots:
-            a = self._reduce(block)
-        else:  # a 0/1 block is eliminated as uint8; only the RREF is int64
-            a = _checked_block(block, self.cols)
-            a = a.astype(np.promote_types(a.dtype, np.min_scalar_type(p)))
-            a %= p
-        rank, cols = _rref_array(a, p)
-        if rank:
-            new, old = a[:rank].astype(np.int64), list(self.pivots)
+        old = list(self.pivots)
+        a = self._reduce(block) if old else _checked_block(block, self.cols)
+        new, cols, _ = _rref_array(a, p)
+        if cols:
             if old:  # an empty oracle takes the new rows without a copy
                 _subtract_product(self.block, self.block[:, cols], new, p)
                 new = np.insert(self.block, np.searchsorted(old, cols), new, 0)
@@ -318,9 +317,10 @@ class RankOracle:
 
     Stored rows are maintained in reduced echelon form: each has a leading 1
     in a distinct pivot column and zeros in the other pivot columns.
-    ``absorb`` grows the span (returns True iff rank grew); ``member`` is a
-    read-only span test.  A row space has one RREF, so the stored rows do
-    not depend on the order or grouping in which rows were absorbed.
+    ``extend`` grows the span; ``member`` is a read-only span test.  A row
+    space has one RREF, so the stored rows do not depend on the order or
+    grouping in which rows were absorbed.  Nothing in the library calls
+    ``absorb`` (one row; True iff rank grew): perfbench's tracer hooks it.
 
     A block is a 2-D array or nested list of 0/1 or integer rows, a row a
     1-D one; only this module knows the stored format.

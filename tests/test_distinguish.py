@@ -525,6 +525,29 @@ class TestRobustSearch:
                                                           removals)
                         assert all(type(m) is int for m in rep.error_set)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_robust_search_never_absorbs(self, p, monkeypatch):
+        # criterion 10(b)'s instances: the same reports with no row absorbed
+        def reports():
+            distinguish._ladder.clear()
+            out = []
+            for n, k, K in ((8, 4, 6), (8, 3, 5), (7, 3, 5)):
+                inst = SliceDistinguishInstance(n=n, p=p, k=k, K=K)
+                for removals in (0, 1, 2):
+                    budget = Fraction(removals, comb(n, k))
+                    out += [exhaustive_robust(n, p, k, K, removals),
+                            robust_search(inst, budget, strategy="uniform"),
+                            robust_search(inst, budget, strategy="greedy")]
+            return out
+
+        want = reports()
+
+        def absorb(self, row):
+            raise AssertionError("RankOracle.absorb called")
+
+        monkeypatch.setattr(RankOracle, "absorb", absorb)
+        assert reports() == want
+
 
 class TestSliceOracleProvider:
     def test_exact_after_budget_zero_builds_nothing(self, monkeypatch):

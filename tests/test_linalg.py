@@ -58,10 +58,34 @@ def reference_rref(rows, p):
 
 
 def rref_rows(rows, p):
-    """``_rref_array`` on a list of rows: (reduced rows, rank, pivot_cols)."""
+    """``_rref_array`` on a list of rows: (its RREF rows then zero rows, as
+    ``reference_rref`` lays them out, rank, pivot_cols)."""
     a = np.array(rows, dtype=np.int64)
-    rank, pivots = _rref_array(a, p)
-    return a.tolist(), rank, pivots
+    reduced, pivots, _ = _rref_array(a, p)
+    a[:] = 0
+    a[:len(reduced)] = reduced
+    return a.tolist(), len(pivots), pivots
+
+
+def absorb_owners(rows, p):
+    """Plain Python-int rank profile: absorb the rows in order and return,
+    by pivot column, the index of the row whose residue creates each pivot."""
+    pivots, owner = {}, {}
+    for i, row in enumerate(rows):
+        row = [x % p for x in row]
+        for c in sorted(pivots):
+            f = row[c]
+            row = [(x - f * y) % p for x, y in zip(row, pivots[c])]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [x * inv % p for x in row]
+        for c, prow in pivots.items():
+            f = prow[lead]
+            pivots[c] = [(x - f * y) % p for x, y in zip(prow, row)]
+        pivots[lead], owner[lead] = row, i
+    return [owner[c] for c in sorted(owner)]
 
 
 def canonical_nullspace(reduced, pivots, cols, p):
@@ -381,11 +405,11 @@ class TestRrefKernel:
     def test_matches_python_int_reference(self, p, rows, inner):
         assert _work_dtype(p, self.WIDTH) is self.PRIMES[p]
         data = self.block(p, rows, inner, seed=p + rows)
-        a = np.array(data, dtype=np.int64)
-        got = _rref_array(a, p)
+        reduced, pivots, _ = _rref_array(np.array(data, dtype=np.int64), p)
         want_rows, want = reference_rref(data, p)
-        assert got == want
-        assert a.dtype == np.int64 and a.tolist() == want_rows
+        assert (len(pivots), pivots) == want
+        assert reduced.dtype == np.int64
+        assert reduced.tolist() == want_rows[:want[0]]
         # the pivot rows are scaled after earlier updates left them unreduced
         assert want[0] >= 3 and any(row[c] not in (0, 1)
                                     for row, c in zip(data, want[1]))
@@ -397,6 +421,56 @@ class TestRrefKernel:
         for p, dtype in self.PRIMES.items():
             if dtype is not np.int64:
                 assert _growth_bound(dtype, p) >= self.WIDTH
+
+
+@st.composite
+def profile_blocks(draw):
+    """(p, rows): at most 9 x 9 over F_p, the rows drawn from a span of
+    dimension at most ``inner``, with zero rows and repeated rows among
+    them."""
+    p = draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+    cols, inner = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+    data = []
+    for kind in draw(st.lists(st.sampled_from("spz"), min_size=1,
+                              max_size=9)):
+        if kind == "z":
+            data.append([0] * cols)
+        elif kind == "p" and data:
+            data.append(list(rng.choice(data)))
+        else:
+            coef = [rng.randrange(p) for _ in basis]
+            data.append([sum(x * b[j] for x, b in zip(coef, basis)) % p
+                         for j in range(cols)])
+    return p, data
+
+
+class TestRankProfile:
+    """``_rref_array`` keeps row order and reports which row created each
+    pivot, without writing its input."""
+
+    @given(profile_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_sources_are_the_absorb_owners(self, case):
+        p, data = case
+        a = np.array(data, dtype=np.int64)
+        before = a.tobytes()
+        rows, pivots, sources = _rref_array(a, p)
+        assert a.tobytes() == before
+        assert sources == absorb_owners(data, p)
+        want_rows, (rank, want_pivots) = reference_rref(data, p)
+        assert pivots == want_pivots
+        assert rows.dtype == np.int64 and rows.tolist() == want_rows[:rank]
+        # a 0/1 uint8 block, with p beyond uint8, as its int64 copy
+        bits = (a % 2).astype(np.uint8)
+        before = bits.tobytes()
+        for q in (257, 2**31 - 1):
+            got = _rref_array(bits, q)
+            want = _rref_array(bits.astype(np.int64), q)
+            assert got[0].tolist() == want[0].tolist() and got[1:] == want[1:]
+            assert got[0].dtype == np.int64
+        assert bits.tobytes() == before
 
 
 @st.composite
