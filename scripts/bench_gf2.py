@@ -7,13 +7,13 @@ The set is every slice-k evaluation matrix with n in [12, 15], k in
 [1, n - 1] and degree d <= 4, each both as the rank-certificate head that
 ``distinguish._slice_oracle`` builds (the first C(n, min(d, k, n - k)) + 32
 rows of its shuffled order) and as the full slice (500 blocks).  Each block
-is reduced from its 0/1 form by the absorb path (``RankOracle.extend``, row
-by row) and by the batch path (``_rref_words`` on ``_pack_words``), and the
-two must give the same pivot rows.  Prints one JSON line: the best total
-kernel time of each path over R repeats, the same totals per band of row
-counts (where the batch path starts to win), and a SHA-256 digest of every
-block's pivots, so two checkouts can be compared for speed and for
-identical results.
+is reduced from its 0/1 form by the absorb path (``RankOracle.extend`` fed
+one row at a time) and by the batch path (``_rref_words`` on
+``_pack_words``), and the two must give the same pivot rows.  Prints one
+JSON line: the best total kernel time of each path over R repeats, the same
+totals per band of row counts (where the batch path starts to win), and a
+SHA-256 digest of every block's pivots, so two checkouts can be compared for
+speed and for identical results.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ def blocks():
 
 
 def absorb(block):
+    # one row per extend: a larger block into an empty oracle would take
+    # the batch path
     o = RankOracle(F2, block.shape[1])
-    o.extend(block)
+    for i in range(len(block)):
+        o.extend(block[i:i + 1])
     return o._impl.pivots
 
 

@@ -28,6 +28,11 @@ def mpf_fraction(fr: Fraction) -> mp.mpf:
         return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
+def frac_str(fr: Fraction) -> str:
+    """An exact rational as the text "numerator/denominator" of reports."""
+    return f"{fr.numerator}/{fr.denominator}"
+
+
 class CapExceeded(RuntimeError):
     """An operation would exceed a configured size cap."""
 

@@ -30,11 +30,11 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, mpf_fraction
+from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, frac_str,
+                     mpf_fraction)
 from .cube import (MultilinearPoly, binomial_row, ecoeffs_from_weight_values,
-                   multilinearize_product, popcount,
+                   multilinearize_product, p_adic_part, popcount,
                    weight_values_from_ecoeffs)
-from .distinguish import p_adic_part
 from .linalg import PrimeField
 
 # constants tried, in order, wherever an instance needs "a large enough C";
@@ -311,8 +311,8 @@ class CoinInstance:
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
-            "delta": f"{self.delta.numerator}/{self.delta.denominator}",
-            "eps": f"{self.eps.numerator}/{self.eps.denominator}",
+            "delta": frac_str(self.delta),
+            "eps": frac_str(self.eps),
             "C": self.C,
             "n": self.n,
         }

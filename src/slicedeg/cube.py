@@ -44,6 +44,17 @@ def popcount(x: int) -> int:
     return x.bit_count()
 
 
+def p_adic_part(q: int, p: int) -> int:
+    """Largest power of p dividing q."""
+    if q <= 0:
+        raise ValueError("q must be positive")
+    out = 1
+    while q % p == 0:
+        q //= p
+        out *= p
+    return out
+
+
 def point_array(masks: Iterable[Mask], n: int = MAX_VARIABLES) -> np.ndarray:
     """The masks as a 1-D uint64 array (a uint64 array is taken as it is);
     a mask outside [0, 2^n) or one that is not an integer raises

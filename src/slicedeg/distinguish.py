@@ -32,22 +32,12 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .config import DEFAULT_CAPS, DPS, Caps, check_cap, mpf_fraction
+from .config import DEFAULT_CAPS, DPS, Caps, check_cap, frac_str, mpf_fraction
 from .closure import (Candidates, EvaluationMatrix, closure,
                       evaluation_bool_matrix, poly_from_coeffs)
-from .cube import Mask, MultilinearPoly, point_array, slice_masks, slice_stats
+from .cube import (Mask, MultilinearPoly, p_adic_part, point_array,
+                   slice_masks, slice_stats)
 from .linalg import PrimeField, RankOracle, _rref_array
-
-
-def p_adic_part(q: int, p: int) -> int:
-    """Largest power of p dividing q."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    out = 1
-    while q % p == 0:
-        q //= p
-        out *= p
-    return out
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,7 @@ class DistinguishReport:
         for name in ("psi_k", "psi_K", "psi_K_expected", "psi_K_max"):
             v = getattr(self, name)
             if v is not None:
-                d[name] = f"{v.numerator}/{v.denominator}"
+                d[name] = frac_str(v)
         if self.error_set is not None:
             d["error_set"] = [hex(m) for m in self.error_set]
         d["has_witness"] = self.witness is not None
@@ -374,9 +364,10 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
             )
 
 
-def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[Mask]:
-    """Greedy's error set: the points whose rows create the ``removals``
-    pivots with the fewest dependents when the rows are absorbed in order.
+def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[int]:
+    """Greedy's error set: the sorted indices, as Python ints, of the
+    ``removals`` rows of ``ev`` that create the pivots with the fewest
+    dependents when the rows are absorbed in order.
 
     A row creates the pivot at the first nonzero entry of its residue: the
     rank profile, one ``_rref_array`` on every field.  Every stored row is
@@ -389,7 +380,7 @@ def _rank_critical(ev: EvaluationMatrix, removals: int) -> list[Mask]:
     owner = dict(zip(cols, sources))  # pivot column -> row creating it
     deps = {c: int(np.count_nonzero(block[i + 1:, c])) for c, i in owner.items()}
     lowest = sorted(owner, key=lambda c: (deps[c], c))[:removals]
-    return sorted(ev.points[[owner[c] for c in lowest]].tolist())
+    return sorted(owner[c] for c in lowest)
 
 
 def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
@@ -397,20 +388,19 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
                   caps: Caps = DEFAULT_CAPS) -> DistinguishReport:
     """Heuristic upper bound on the robust minimum degree.
 
-    Climbs slice k's degree ladder (``_ascent``), picking at each degree d
-    an error set E0 on slice k within the budget, and stops at the least d
-    at which the ideal of slice k minus E0 is nonzero at some point of
-    slice K: some candidate of slice K lies outside the closure of slice k
-    minus E0 (``closure.closure``).  At the rung where slice K escapes the
-    span of all of slice k, it escapes the smaller span of slice k minus E0
-    too, so all C(n, K) points are outside with no closure computed.  A zero
-    budget is the exact report (``_exact_report``) with E0 empty.  Uniform
-    search reports the best of ``_RESTARTS`` seeded random draws.  Greedy
-    search, the same rule for every p, reads the rank profile of slice k's
-    degree-d rows in point order and removes the points whose rows create
-    the pivots with the fewest later rows nonzero in their column
-    (``_rank_critical``).  The reported degree is an upper bound on the true
-    robust minimum.
+    Climbs slice k's degree ladder (``_ascent``) and reads slice k from each
+    rung's points: at degree d it picks the rows E0 of an error set within
+    the budget and stops at the least d at which some candidate of slice K
+    lies outside the closure of the rung's points minus E0
+    (``closure.closure``).  At the rung where slice K escapes the span of
+    all of slice k, it escapes the smaller span too, so all C(n, K) points
+    are outside with no closure computed.  A zero budget is the exact report
+    (``_exact_report``) with E0 empty.  Uniform search draws E0 as row
+    indices, the best of ``_RESTARTS`` seeded draws; greedy search, the same
+    rule for every p, takes the rows that create the pivots with the fewest
+    later rows nonzero in their column (``_rank_critical``).  The error set
+    is reported as E0's masks, sorted.  The degree is an upper bound on the
+    true robust minimum.
     """
     if strategy not in ("uniform", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -430,21 +420,20 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     if strategy == "greedy":
         restart_seeds = restart_seeds[:1]
 
-    k_masks = list(slice_masks(n, k))
     best: Optional[DistinguishReport] = None
     for rs in restart_seeds:
         rng = random.Random(rs)
         per_degree: dict[int, int] = {}
         for d, ev, _, escaped in _ascent(field, n, k, K, n):
             if strategy == "uniform":
-                error_set = sorted(rng.sample(k_masks, removals))
+                rows = rng.sample(range(size_k), removals)
             else:
-                error_set = _rank_critical(ev, removals)
+                rows = _rank_critical(ev, removals)
+            error_set = sorted(ev.points[rows].tolist())
             outside = size_K
             if not escaped:
-                error = set(error_set)
-                kept = closure(field, n, [m for m in k_masks if m not in error],
-                               d, Candidates.slices(n, [K]), caps)
+                kept = closure(field, n, np.delete(ev.points, rows), d,
+                               Candidates.slices(n, [K]), caps)
                 outside = size_K - kept.closure_count
             per_degree[d] = outside
             if outside:

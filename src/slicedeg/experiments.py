@@ -21,7 +21,8 @@ from typing import Callable
 import mpmath as mp
 
 from . import __version__
-from .config import DEFAULT_CAPS, DPS, Caps, CapExceeded, mpf_fraction
+from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, frac_str,
+                     mpf_fraction)
 from .closure import (Candidates, IdealSampler, ball_fact_check, closure,
                       hamming_ball, nie_wang_check)
 from .cube import MultilinearPoly, n_monomials, poly_to_json_dict, slice_masks
@@ -155,10 +156,6 @@ def run(spec: ExperimentSpec, caps: Caps = DEFAULT_CAPS) -> RunReport:
                      elapsed_s=time.time() - t0)
 
 
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _ladder(ladder, attempt, stop_at_pass: bool, miss_detail: str = ""):
     """Try the constants of ``ladder`` in order; ``attempt(C)`` returns
     (table row, passes, result).
@@ -199,9 +196,9 @@ def _mindeg(params, seed, caps):
                     f"degree={rep.degree}, p-adic part of gap={expected}")]
     if rep.witness is not None:
         checks.append(Check("witness-vanishes-on-slice-k", rep.psi_k == 0,
-                            f"psi_k={_fr(rep.psi_k)}"))
+                            f"psi_k={frac_str(rep.psi_k)}"))
         checks.append(Check("witness-nonzero-on-slice-K", rep.psi_K > 0,
-                            f"psi_K={_fr(rep.psi_K)}"))
+                            f"psi_K={frac_str(rep.psi_K)}"))
     tables = {"report": [rep.to_json_dict()]}
     if rep.witness is not None and len(rep.witness.terms_map()) <= 4096:
         tables["witness"] = [poly_to_json_dict(rep.witness)]
@@ -275,7 +272,7 @@ def _niewang(params, seed, caps):
         lhs, rhs, holds = nie_wang_check(PrimeField(p), n, points, D, caps)
         ok &= holds
         table.append({"trial": trial, "p": p, "n": n, "D": D, "E": size,
-                      "lhs": _fr(lhs), "rhs": _fr(rhs), "holds": holds})
+                      "lhs": frac_str(lhs), "rhs": frac_str(rhs), "holds": holds})
     checks = [Check("random-trials-hold", ok, f"{trials} trials")]
     for p in (2, 3):
         for (n, D) in ((6, 1), (8, 2)):
@@ -283,7 +280,7 @@ def _niewang(params, seed, caps):
                 PrimeField(p), n, hamming_ball(n, D), D, caps)
             eq = lhs == rhs == 1
             checks.append(Check(f"ball-equality-p{p}-n{n}-D{D}", holds and eq,
-                                f"lhs={_fr(lhs)}, rhs={_fr(rhs)}"))
+                                f"lhs={frac_str(lhs)}, rhs={frac_str(rhs)}"))
     return checks, {"trials": table}, []
 
 
@@ -310,9 +307,9 @@ def _claimA1(params, seed, caps):
             expect = Fraction(p - 1, p)
             checks.append(Check(
                 f"exhaustive-p{p}-n{n}", frac == expect,
-                f"fraction={_fr(frac)}, expected={_fr(expect)}, dim={sampler.dim}"))
+                f"fraction={frac_str(frac)}, expected={frac_str(expect)}, dim={sampler.dim}"))
             table.append({"p": p, "n": n, "D": D, "dim": sampler.dim,
-                          "fraction": _fr(frac)})
+                          "fraction": frac_str(frac)})
     # sampled case at n = 10
     for p in (2, 3):
         field = PrimeField(p)
@@ -521,7 +518,7 @@ def _coin(params, seed, caps):
     ]
     tables = {"instance": [inst.to_json_dict()],
               "result": [{"n": inst.n, "degree": poly.degree,
-                          "err_unbiased": _fr(err_u), "err_biased": _fr(err_b)}]}
+                          "err_unbiased": frac_str(err_u), "err_biased": frac_str(err_b)}]}
     return checks, tables, []
 
 
@@ -540,7 +537,7 @@ def _coin_verify(params, seed, caps):
         window_len = len(inst.zero_weights()) + len(inst.one_weights()) + 1
         row = {"C": C, "n": inst.n, "degree": poly.degree,
                "window": window_len,
-               "err_unbiased": _fr(err_u), "err_biased": _fr(err_b),
+               "err_unbiased": frac_str(err_u), "err_biased": frac_str(err_b),
                "passes": passes}
         return row, passes, (inst, poly, err_u, err_b, window_len)
 
@@ -571,7 +568,7 @@ def _galvin(params, seed, caps):
         Check("size-is-2t+1", fam.size == 2 * fam.t + 1,
               f"size={fam.size}, t={fam.t}"),
         Check("coverage", cov >= 1 - Fraction(params["eps"]).limit_denominator(10**6),
-              f"coverage={_fr(cov)}"),
+              f"coverage={frac_str(cov)}"),
     ]
     dev = ["intercept range exits [0, n/2]; kept and flagged degenerate"] \
         if fam.degenerate else []
@@ -590,7 +587,7 @@ def _galvin_verify(params, seed, caps):
         cov = galvin_coverage(fam)
         passes = cov >= 1 - Fraction(eps).limit_denominator(10**6)
         row = {"C": C, "t": fam.t, "size": fam.size,
-               "degenerate": fam.degenerate, "coverage": _fr(cov),
+               "degenerate": fam.degenerate, "coverage": frac_str(cov),
                "passes": passes}
         return row, passes, (fam, cov)
 
@@ -598,7 +595,7 @@ def _galvin_verify(params, seed, caps):
     if chosen is not None:
         C, (fam, cov) = chosen
         checks.append(Check("coverage-at-least-1-eps", True,
-                            f"C={C}, coverage={_fr(cov)}"))
+                            f"C={C}, coverage={frac_str(cov)}"))
         checks.append(Check("size-is-2t+1", fam.size == 2 * fam.t + 1,
                             f"size={fam.size}, t={fam.t}"))
     # product polynomial degree on a generic 5-factor family

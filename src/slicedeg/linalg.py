@@ -7,10 +7,11 @@ per machine word via Python ints) and one numpy int64 block for odd p.  All
 output is deterministic: pivots are chosen scanning columns left to right,
 rows top to bottom.
 
-GF(2) rows are absorbed one at a time by ``extend`` and by builds under
-``GF2_BATCH_ROWS`` rows; larger builds run ``_rref_words``, the method of Four
-Russians (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a packed uint64
-block.  A row space has one RREF, so both keep the same pivot rows.
+The GF(2) ``extend`` picks its kernel: a block of ``GF2_BATCH_ROWS`` rows or
+more into an empty oracle runs ``_rref_words``, the method of Four Russians
+(M4RI; Albrecht, Bard and Hart, ACM TOMS 2010) on a packed uint64 block, and
+any other block is absorbed row by row.  A row space has one RREF, so both
+keep the same pivot rows.
 
 Odd p has one elimination, ``_rref_array``: a build is one batch RREF and
 an ``extend`` one RREF of the new rows' residues.  It keeps row order and
@@ -131,8 +132,8 @@ def _rref_array(a: np.ndarray, p: int):
     return w.astype(np.int64), pivot_cols, sources
 
 
-# Rows from which a GF(2) build runs ``_rref_words``; below it, per-strip
-# overhead makes absorbing faster (crossover in BENCH_11.json).
+# Rows from which an empty GF(2) oracle's ``extend`` runs ``_rref_words``;
+# below it, absorbing is faster (crossover in BENCH_11.json).
 GF2_BATCH_ROWS = 100
 
 
@@ -229,7 +230,14 @@ class _BitRankOracle:
             row ^= pivots[c]
 
     def extend(self, block) -> None:
-        for row in self._rows(block):
+        """Absorb a block's rows: one ``_rref_words`` if the oracle is empty
+        and the block has ``GF2_BATCH_ROWS`` rows or more, else row by row."""
+        a = _checked_block(block, self.cols) & 1
+        if not self.pivots and len(a) >= GF2_BATCH_ROWS:
+            self.pivots = _rref_words(_pack_words(a))
+            self.pivot_mask = sum(1 << c for c in self.pivots)
+            return
+        for row in pack_bool_rows(a):
             res = self._reduce(row)
             if res == 0:
                 continue
@@ -391,20 +399,11 @@ class RankOracle:
 
     @classmethod
     def from_packed_rows(cls, field: PrimeField, cols: int, rows: np.ndarray):
-        """Build a GF(2) oracle on a 0/1 block, packed into bit rows.
-
-        Blocks of ``GF2_BATCH_ROWS`` rows or more are eliminated by
-        ``_rref_words``; smaller blocks are absorbed row by row, in order.
-        """
+        """Build a GF(2) oracle on a 0/1 block: one ``extend``."""
         if field.p != 2:
             raise ValueError("packed rows are a GF(2) representation")
         o = cls(field, cols)
-        if len(rows) >= GF2_BATCH_ROWS:
-            w = _pack_words(_checked_block(rows, cols) & 1)
-            o._impl.pivots = _rref_words(w)
-            o._impl.pivot_mask = sum(1 << c for c in o._impl.pivots)
-        else:
-            o.extend(rows)
+        o.extend(rows)
         return o
 
     @classmethod

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cube import MultilinearPoly, ecoeffs_from_weight_values
-from .distinguish import p_adic_part
+from .cube import MultilinearPoly, ecoeffs_from_weight_values, p_adic_part
 from .linalg import PrimeField
 
 

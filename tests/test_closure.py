@@ -124,7 +124,7 @@ class TestIdealBasis:
         assert ev.points is pts
         assert np.array_equal(ev.bool_matrix(), EvaluationMatrix(
             F3, 3, 1, iter(range(8))).bool_matrix())
-        # the points whose rows create the four pivots, as Python ints
+        # the rows that create the four pivots, as Python ints
         owners = distinguish._rank_critical(ev, 4)
         assert owners == [0, 1, 2, 4] and all(type(m) is int for m in owners)
 

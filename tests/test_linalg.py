@@ -578,9 +578,11 @@ class TestWilsonRank:
 
 
 def absorb_pivots(block):
-    """Row-by-row reference: the pivot rows ``RankOracle.extend`` keeps."""
+    """Row-by-row reference: the pivot rows ``RankOracle.extend`` keeps when
+    the rows go in one at a time, which never runs ``_rref_words``."""
     o = RankOracle(F2, block.shape[1])
-    o.extend(block)
+    for i in range(len(block)):
+        o.extend(block[i:i + 1])
     return o._impl.pivots
 
 
@@ -639,17 +641,29 @@ class TestFourRussians:
         assert len(want) == comb(n, d)
         assert RankOracle.from_rows(F2, block)._impl.pivots == want
 
-    def test_dispatch_on_row_count(self, monkeypatch):
+    def test_extend_picks_the_kernel(self, monkeypatch):
+        # a block of GF2_BATCH_ROWS rows or more into an empty oracle is one
+        # _rref_words, any other extend absorbs row by row, and every path
+        # and from_rows keep the row-by-row pivots
         calls = []
         monkeypatch.setattr(linalg, "_rref_words",
                             lambda w: calls.append(len(w)) or _rref_words(w))
         block = slice_block(9, 4, 2)  # 126 rows
         assert len(block) >= GF2_BATCH_ROWS
         for rows in (block, block[:GF2_BATCH_ROWS - 1], block[:GF2_BATCH_ROWS]):
-            got = RankOracle.from_rows(F2, rows)
-            assert got._impl.pivots == absorb_pivots(rows)
-            assert got._impl.pivot_mask == sum(1 << c for c in got._impl.pivots)
-        assert calls == [len(block), GF2_BATCH_ROWS]
+            calls.clear()
+            o = RankOracle(F2, block.shape[1])
+            o.extend(rows)
+            batch = len(rows) >= GF2_BATCH_ROWS
+            assert calls == ([len(rows)] if batch else [])
+            for got in (o, RankOracle.from_rows(F2, rows)):
+                pivots = got._impl.pivots
+                assert pivots == absorb_pivots(rows)
+                assert got._impl.pivot_mask == sum(1 << c for c in pivots)
+        calls.clear()
+        o.extend(block)  # into a non-empty oracle
+        assert calls == [] and o._impl.pivots == absorb_pivots(block)
+        assert o._impl.pivot_mask == sum(1 << c for c in o._impl.pivots)
 
     @pytest.mark.parametrize("rows", [3, GF2_BATCH_ROWS])
     def test_wrong_width_is_rejected_on_both_paths(self, rows):
