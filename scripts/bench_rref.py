@@ -8,8 +8,10 @@ p = 3 sweep reports run (``hegedus-sweep`` and ``extension-sweep``, n in
 [6, 14], each from an empty degree ladder as in its own process): the
 rank-certificate heads of ``distinguish._slice_oracle``, 0/1 uint8 blocks.
 The sweeps answer slice k > n/2 on slice n - k's ladder
-(``distinguish._escape_degree``), so every block is of a slice k <= n/2:
-260 blocks, the largest 396 x 470, 13,510 pivots in all.
+(``distinguish._escape_degree``), so every block is of a slice k <= n/2,
+and they request each ladder's top rung first and read the rungs below it
+as projections, so every block is a ladder's top: 86 blocks, the largest
+396 x 470, 10,097 pivots in all.
 Each is reduced the way ``from_array`` reduces it: one ``_rref_array``
 call, so the timed region includes the kernel's widening of the block's
 dtype to hold p and its first reduction mod p.  The sweeps'

@@ -121,12 +121,21 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     Over Q the matrix has rank C(n, min(d, k, n - k)) (Wilson, Europ. J.
     Combin. 11, 1990; Filmus, Electron. J. Combin. 23, 2016) and a rank mod
     p never exceeds it, so rows in ``_row_order`` are absorbed only until the
-    oracle reaches it.  Only the reads its span determines are valid (the
-    RREF, ``member``, ``residue``, ``nullspace_vector``); a rank above the
-    bound raises AssertionError.  The ladder of the last slice requested is
+    oracle reaches it: then, or once every row is in, the oracle spans the
+    whole slice.  Only the reads its span determines are valid (the RREF,
+    ``member``, ``residue``, ``nullspace_vector``); a rank above the bound
+    raises AssertionError.
+
+    ``monomials_upto`` is graded, so the degree-<=d columns are the first
+    N_d of every higher rung.  A rung below one already built is that rung's
+    ``prefix``, with no elimination: a stored row whose pivot lies past
+    column N_d is zero before it, so the rows with a pivot below N_d, cut to
+    N_d columns, are the RREF of the slice's degree-d rows, and an RREF is
+    unique, so every read equals a direct build's.  A rung above every built
+    one is eliminated on its own.  The ladder of the last slice requested is
     kept until another slice is requested; it enumerates the slice once, and
-    every rung's ``points`` is that one array.  Results are shared, so
-    callers never ``absorb`` or ``extend`` into them.
+    every rung's ``points`` is that one array.  Rungs share their rows, so
+    they are frozen: ``extend`` into one raises ValueError.
     """
     if (field, n, k) not in _ladder:
         _ladder.clear()
@@ -136,18 +145,22 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     if d not in rungs:
         ev = EvaluationMatrix(field, n, d, points)
         bound = comb(n, min(d, k, n - k))
-        head = copy.copy(ev)  # the same columns, evaluated at the first rows
-        lo = bound + _HEAD_MARGIN
-        head.points = rows[:lo]
-        oracle = head.oracle()
-        while oracle.rank < bound and lo < len(rows):
-            oracle.extend(evaluation_bool_matrix(ev.monomials,
-                                                 rows[lo:lo + _CHUNK]))
-            lo += _CHUNK
+        above = [e for e in rungs if e > d]
+        if above:
+            oracle = rungs[min(above)][1].prefix(ev.n_d)
+        else:
+            head = copy.copy(ev)  # the same columns, evaluated at the first rows
+            lo = bound + _HEAD_MARGIN
+            head.points = rows[:lo]
+            oracle = head.oracle()
+            while oracle.rank < bound and lo < len(rows):
+                oracle.extend(evaluation_bool_matrix(ev.monomials,
+                                                     rows[lo:lo + _CHUNK]))
+                lo += _CHUNK
         if oracle.rank > bound:
             raise AssertionError(f"rank {oracle.rank} of slice ({n}, {k}) at "
                                  f"degree {d} exceeds C(n, min(d, k, n - k)) = {bound}")
-        rungs[d] = (ev, oracle)
+        rungs[d] = (ev, oracle.freeze())
     return rungs[d]
 
 
@@ -262,8 +275,10 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
     composite gap g only requires its p-adic part q' <= k and k + g <= n.
     Rows share the rank oracle across all gaps, and slices k and n - k
     are taken one after the other on slice min(k, n - k)'s ladder
-    (``_escape_degree``), so each (n, min(k, n - k), degree) is eliminated
-    once.  Rows are sorted by (n, k, K).
+    (``_escape_degree``).  The ladder's top rung, the larger ``max_expected``
+    of k and of n - k, is requested first, so it is the one elimination of
+    the ladder and every rung the ascents climb is its prefix
+    (``_slice_oracle``).  Rows are sorted by (n, k, K).
 
     Returns (rows, violations).
     """
@@ -272,18 +287,22 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
     field = PrimeField(p)
     rows: list[SweepRow] = []
     for n in n_values:
-        for k in sorted(range(1, n), key=lambda k: (min(k, n - k), k)):
-            targets = {}
+        targets: dict[int, dict[int, int]] = {}  # k -> {K: expected}
+        for k in range(1, n):
+            targets[k] = {}
             for g in range(1, n - k + 1):
                 qp = p_adic_part(g, p)
                 is_pp = qp == g
                 lo = g if is_pp else max(1, qp)
                 if lo <= k <= n - g and is_pp == (gaps == "ppower"):
-                    targets[k + g] = qp
-            if not targets:
+                    targets[k][k + g] = qp
+        for k in sorted(range(1, n), key=lambda k: (min(k, n - k), k)):
+            if not targets[k]:
                 continue
-            max_expected = max(targets.values())
-            for K, expected in sorted(targets.items()):
+            _slice_oracle(field, n, min(k, n - k), max(
+                max(targets[j].values(), default=0) for j in (k, n - k)))
+            max_expected = max(targets[k].values())
+            for K, expected in sorted(targets[k].items()):
                 # max_expected + 1 is the ">expected" sentinel
                 degree = _escape_degree(field, n, k, K, max_expected)
                 rows.append(SweepRow(n=n, k=k, K=K, gap=K - k,

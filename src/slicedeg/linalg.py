@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -232,6 +233,8 @@ class _BitRankOracle:
     def extend(self, block) -> None:
         """Absorb a block's rows: one ``_rref_words`` if the oracle is empty
         and the block has ``GF2_BATCH_ROWS`` rows or more, else row by row."""
+        if isinstance(self.pivots, MappingProxyType):
+            raise ValueError("a frozen oracle takes no rows")
         a = _checked_block(block, self.cols) & 1
         if not self.pivots and len(a) >= GF2_BATCH_ROWS:
             self.pivots = _rref_words(_pack_words(a))
@@ -258,6 +261,15 @@ class _BitRankOracle:
 
     def entry(self, pivot_col: int, col: int) -> int:
         return (self.pivots[pivot_col] >> col) & 1
+
+    def prefix(self, cols: int) -> "_BitRankOracle":
+        o, cut = _BitRankOracle(cols), (1 << cols) - 1
+        o.pivots = {c: row & cut for c, row in self.pivots.items() if c < cols}
+        o.pivot_mask = self.pivot_mask & cut
+        return o
+
+    def freeze(self) -> None:
+        self.pivots = MappingProxyType(self.pivots)
 
 
 def _subtract_product(w, coef, rows, p: int) -> np.ndarray:
@@ -299,6 +311,8 @@ class _ArrRankOracle:
     def extend(self, block) -> None:
         """One ``_rref_array`` of the block's residues; its pivot columns are
         cleared from the stored rows, and the rows merge by pivot column."""
+        if not self.block.flags.writeable:
+            raise ValueError("a frozen oracle takes no rows")
         p = self.p
         old = list(self.pivots)
         a = self._reduce(block) if old else _checked_block(block, self.cols)
@@ -319,6 +333,19 @@ class _ArrRankOracle:
     def entry(self, pivot_col: int, col: int) -> int:
         return int(self.pivots[pivot_col][col])
 
+    def prefix(self, cols: int) -> "_ArrRankOracle":
+        """A view of the stored rows with a pivot below ``cols``, which are
+        the first ones, cut to ``cols`` columns."""
+        o = _ArrRankOracle(cols, self.p)
+        kept = [c for c in self.pivots if c < cols]
+        o.block = self.block[:len(kept), :cols]
+        o.pivots = dict(zip(kept, o.block))
+        return o
+
+    def freeze(self) -> None:
+        self.block.flags.writeable = False
+        self.pivots = dict(zip(self.pivots, self.block))  # read-only rows too
+
 
 class RankOracle:
     """Incremental row-space oracle over F_p.
@@ -327,8 +354,10 @@ class RankOracle:
     in a distinct pivot column and zeros in the other pivot columns.
     ``extend`` grows the span; ``member`` is a read-only span test.  A row
     space has one RREF, so the stored rows do not depend on the order or
-    grouping in which rows were absorbed.  Nothing in the library calls
-    ``absorb`` (one row; True iff rank grew): perfbench's tracer hooks it.
+    grouping in which rows were absorbed.  ``prefix`` projects the span onto
+    its first columns with no elimination, and ``freeze`` makes ``extend``
+    raise.  Nothing in the library calls ``absorb`` (one row; True iff rank
+    grew): perfbench's tracer hooks it.
 
     A block is a 2-D array or nested list of 0/1 or integer rows, a row a
     1-D one; only this module knows the stored format.
@@ -383,6 +412,27 @@ class RankOracle:
         for pc in self._impl.pivots:
             v[pc] = (-self._impl.entry(pc, free_col)) % self.field.p
         return v
+
+    def prefix(self, cols: int) -> "RankOracle":
+        """The oracle of this span projected onto its first ``cols`` columns.
+
+        A stored row whose pivot lies at or past ``cols`` is zero on the
+        columns before it, so the stored rows with a pivot below ``cols``,
+        cut to them, are the RREF of the projection.  Over odd p its rows are
+        a view of this oracle's block, so freeze both or extend neither.
+        """
+        if not 0 <= cols <= self.cols:
+            raise ValueError(f"prefix of {cols} columns out of [0, {self.cols}]")
+        o = RankOracle(self.field, cols)
+        o._impl = self._impl.prefix(cols)
+        return o
+
+    def freeze(self) -> "RankOracle":
+        """Make every later ``extend`` raise ValueError, for an oracle whose
+        rows are shared; over odd p its block becomes read-only.  Returns
+        the oracle."""
+        self._impl.freeze()
+        return self
 
     def nullspace(self) -> list[tuple[int, ...]]:
         """Canonical nullspace basis (one vector per free column)."""

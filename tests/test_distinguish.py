@@ -285,9 +285,11 @@ class TestSweep:
 
     def test_each_rung_is_built_once(self, monkeypatch):
         # every target K ascends the ladder from d = 0, slices k and n - k
-        # share slice min(k, n - k)'s, and the ladder's cache builds each
-        # (n, min(k, n - k), d) rung of a run once
-        built, requested = [], set()
+        # share slice min(k, n - k)'s, and the sweep requests the ladder's
+        # top rung first: each rung's matrix is made once, from_rows runs
+        # once per (p, n, min(k, n - k)) ladder, at its top, and a rung
+        # requested below a built top calls neither from_rows nor extend
+        built, requests, calls = [], [], []
 
         class Recording(EvaluationMatrix):
             def __init__(self, field, n, degree, points):
@@ -295,19 +297,36 @@ class TestSweep:
                 built.append((field.p, n, int(self.points[0]).bit_count(),
                               degree))
 
+        def request(f, n, k, d):
+            start = len(calls)
+            out = provider(f, n, k, d)
+            requests.append(((f.p, n, k), d, calls[start:]))
+            return out
+
         provider = distinguish._slice_oracle
+        from_rows, extend = RankOracle.from_rows.__func__, RankOracle.extend
         monkeypatch.setattr(distinguish, "EvaluationMatrix", Recording)
-        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
-            requested.add((f.p, n, k, d)) or provider(f, n, k, d)))
+        monkeypatch.setattr(distinguish, "_slice_oracle", request)
+        monkeypatch.setattr(RankOracle, "from_rows", classmethod(
+            lambda cls, f, rows: calls.append("from_rows")
+            or from_rows(cls, f, rows)))
+        monkeypatch.setattr(RankOracle, "extend", lambda self, block: (
+            calls.append("extend") or extend(self, block)))
         for p in (2, 3):
             for gaps in ("ppower", "composite"):
                 built.clear()
-                requested.clear()
+                requests.clear()
                 distinguish._ladder.clear()
                 gap_degree_sweep(p, range(2, 11), gaps=gaps)
                 assert len(built) == len(set(built)) > 20
-                assert set(built) == requested
+                assert set(built) == {(*key, d) for key, d, _ in requests}
                 assert all(2 * k <= n for _, n, k, _ in built)
+                tops = {}
+                for key, d, _ in requests:
+                    tops[key] = max(tops.get(key, d), d)
+                eliminating = [(key, d, made.count("from_rows"))
+                               for key, d, made in requests if made]
+                assert eliminating == [(key, d, 1) for key, d in tops.items()]
 
 
 class TestComplementMirror:
@@ -627,6 +646,43 @@ class TestSliceOracleProvider:
                     ev, cert = distinguish._slice_oracle(field, n, k, d)
                     _assert_same_span(cert, ev.oracle(), rng, free_cols=32)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_projections_equal_direct_builds(self, p):
+        # the top rung first, then every rung below it as its prefix
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for n in range(2, 13):
+            for k in range(1, n // 2 + 1):
+                distinguish._ladder.clear()
+                top = min(k + 1, n)
+                distinguish._slice_oracle(field, n, k, top)
+                for d in range(top):
+                    ev, rung = distinguish._slice_oracle(field, n, k, d)
+                    assert ev.degree == d and rung.cols == ev.n_d
+                    _assert_same_span(rung, ev.oracle(), rng, free_cols=16)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_shared_rungs_are_frozen(self, p):
+        # the top and its projections share their rows: extend raises into
+        # either, and both keep their pivots and rows
+        field, n, k = PrimeField(p), 8, 3
+        distinguish._ladder.clear()
+        _, top = distinguish._slice_oracle(field, n, k, 3)
+        _, low = distinguish._slice_oracle(field, n, k, 2)
+        for rung in (top, low):
+            before = _stored_rows(rung)
+            free = next(f for f in range(rung.cols)
+                        if f not in rung.pivot_columns())
+            outside = [int(j == free) for j in range(rung.cols)]
+            for block in ([outside], [before[min(before)]]):
+                with pytest.raises(ValueError, match="frozen"):
+                    rung.extend(block)
+            assert _stored_rows(rung) == before
+        if p > 2:
+            assert not top._impl.block.flags.writeable
+            assert not low._impl.block.flags.writeable
+            assert np.shares_memory(low._impl.block, top._impl.block)
+
     @pytest.mark.parametrize("p, n, k, d", [(2, 14, 7, 6), (3, 14, 7, 4)])
     def test_certificate_equals_full_build_at_scale(self, p, n, k, d):
         field = PrimeField(p)
@@ -699,8 +755,15 @@ class TestSliceOracleProvider:
             provider + [(cols, size_k) for cols in widths])
 
 
+def _stored_rows(oracle):
+    """Each pivot column's stored row, as a list of entries."""
+    return {c: [oracle._impl.entry(c, j) for j in range(oracle.cols)]
+            for c in oracle.pivot_columns()}
+
+
 def _assert_same_span(got, want, rng, free_cols=None):
-    """Equal RREF: rank, pivots, stored rows, residues, nullspace vectors."""
+    """Equal RREF: rank, pivots, stored rows, membership, residues,
+    nullspace vectors."""
     p = want.field.p
     assert got.rank == want.rank
     assert got.pivot_columns() == want.pivot_columns()
@@ -708,7 +771,10 @@ def _assert_same_span(got, want, rng, free_cols=None):
         assert np.array_equal(got._impl.pivots[c], want._impl.pivots[c])
     for _ in range(3):
         row = [rng.randrange(p) for _ in range(want.cols)]
-        assert got.residue(row) == want.residue(row)
+        res = want.residue(row)
+        inside = [(x - r) % p for x, r in zip(row, res)]  # row - residue
+        assert got.residue(row) == res
+        assert got.members([row, inside]) == [not any(res), True]
     free = sorted(set(range(want.cols)) - set(want.pivot_columns()))
     if free_cols is not None and len(free) > free_cols:
         free = rng.sample(free, free_cols)

@@ -537,6 +537,58 @@ class TestChunkedExtend:
         assert rank > 2 * _growth_bound(np.int64, WIDE_P) == 4
 
 
+@st.composite
+def prefix_blocks(draw):
+    """(p, block): a random block over F_p of rank at most ``inner``, so its
+    column prefixes drop rank at different widths."""
+    p = draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+    rows, cols = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    inner = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+    c = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+    data = [[sum(x * y for x, y in zip(brow, col)) % p for col in zip(*c)]
+            for brow in b]
+    return p, np.array(data, dtype=np.int64).reshape(rows, cols)
+
+
+class TestPrefix:
+    """``prefix(c)`` against an oracle built on the block's first c columns:
+    the same RREF, membership, residues and nullspace."""
+
+    @given(prefix_blocks())
+    @example((3, np.zeros((0, 4), dtype=np.int64)))
+    @example((WIDE_P, np.array(WIDE_BLOCK, dtype=np.int64)))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_a_build_on_the_first_columns(self, case):
+        p, block = case
+        field = PrimeField(p)
+        whole = RankOracle.from_rows(field, block)
+        rng = random.Random(block.size)
+        for c in range(block.shape[1] + 1):
+            got = whole.prefix(c)
+            want = RankOracle.from_rows(field, block[:, :c])
+            pivots = want.pivot_columns()
+            assert got.cols == c and got.pivot_columns() == pivots
+            assert [[got._impl.entry(pc, j) for j in range(c)]
+                    for pc in pivots] == [[want._impl.entry(pc, j)
+                                           for j in range(c)] for pc in pivots]
+            probes = np.array([[rng.randrange(p) for _ in range(c)]
+                               for _ in range(3)], dtype=np.int64)
+            probes = np.vstack([probes.reshape(3, c), block[:2, :c]])
+            assert got.members(probes) == want.members(probes)
+            assert [got.residue(v) for v in probes] == [want.residue(v)
+                                                      for v in probes]
+            assert got.nullspace() == want.nullspace()
+
+    @pytest.mark.parametrize("field", [F2, F3])
+    def test_width_out_of_range(self, field):
+        o = RankOracle.from_rows(field, np.eye(3, dtype=np.int64))
+        for cols in (-1, 4):
+            with pytest.raises(ValueError, match="out of"):
+                o.prefix(cols)
+
+
 def wilson_rank(p, n, k, t):
     """Rank over F_p of the t-subset / k-subset inclusion matrix for
     t <= min(k, n - k) (Wilson, Europ. J. Combin. 11, 1990)."""
