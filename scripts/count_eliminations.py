@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Count the eliminations of one pass of each benchmark workload.
+
+    PYTHONPATH=src python3 scripts/count_eliminations.py [--seed S] [W ...]
+
+The pass is the one ``perfbench/workloads.py`` generates for seed S
+(default 0) and each workload W (default: all three), and each of its
+operation groups runs in its own fresh interpreter, as the benchmark runs
+it.  In that interpreter ``RankOracle.extend`` (calls and rows) and
+``RankOracle.from_rows`` (calls) are counted; the constructors absorb their
+block with one ``extend``, so it is counted too.  Every exact ascent that
+requests a predicted rung first (``distinguish._ascent`` with ``predict``,
+at ``distinguish._hegedus_degree`` capped at its top) is followed to the
+rung where it stops: a predicted rung above it would be an elimination no
+rung needed, and the count of those is expected to be 0.  Prints one JSON
+line per workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
+
+from slicedeg import distinguish
+from slicedeg.experiments import ExperimentSpec, run
+from slicedeg.linalg import RankOracle
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def count(ops: list) -> Counter:
+    """Run ``ops`` in this interpreter and count its eliminations."""
+    counts: Counter = Counter()
+    extend, from_rows = RankOracle.extend, RankOracle.from_rows.__func__
+    ascent = distinguish._ascent
+    predicted = []  # [predicted rung, last rung the ascent reached]
+
+    def counted_extend(self, block):
+        counts["extend_calls"] += 1
+        counts["extend_rows"] += len(block)
+        return extend(self, block)
+
+    def counted_from_rows(cls, field, rows):
+        counts["from_rows_calls"] += 1
+        return from_rows(cls, field, rows)
+
+    def followed_ascent(field, n, k, K, top, predict=False):
+        q = distinguish._hegedus_degree(n, field.p, k, K) if predict else None
+        entry = [min(q, top), -1] if q is not None else None
+        if entry:
+            predicted.append(entry)
+        for step in ascent(field, n, k, K, top, predict):
+            if entry:
+                entry[1] = step[0]
+            yield step
+
+    RankOracle.extend = counted_extend
+    RankOracle.from_rows = classmethod(counted_from_rows)
+    distinguish._ascent = followed_ascent
+    for o in ops:
+        run(ExperimentSpec(o["name"], o["params"], o["seed"]))
+    counts["predicted_rungs"] += len(predicted)
+    counts["predicted_above_stop"] += sum(d > stop for d, stop in predicted)
+    return counts
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def count_in_fresh_process(ops: list) -> Counter:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, __file__, "--worker"],
+                          input=json.dumps(ops), capture_output=True,
+                          text=True, env=env, cwd=ROOT, check=True)
+    return Counter(json.loads(proc.stdout))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workloads", nargs="*")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        print(json.dumps(count(json.load(sys.stdin))))
+        return 0
+    wl = _workloads()
+    golden = wl.load_golden()
+    for name in args.workloads or wl.WORKLOADS:
+        total: Counter = Counter()
+        for group in wl.generate(name, args.seed, golden):
+            total += count_in_fresh_process(group)
+        print(json.dumps({"workload": name, "seed": args.seed,
+                          **{key: total[key] for key in (
+                              "extend_calls", "extend_rows", "from_rows_calls",
+                              "predicted_rungs", "predicted_above_stop")}}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

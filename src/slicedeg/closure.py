@@ -8,7 +8,8 @@ possibly huge ideal basis: one row reduction per candidate, or, when E is a
 union of full weight slices, one per candidate weight.
 
 A point set is a 1-D uint64 array of n-bit masks, taken as it is; any other
-iterable of ints is converted once.  Masks leave the array as Python ints
+iterable of ints is converted once.  Monomials are held the same way, one
+read-only array per (n, D).  Masks leave the arrays as Python ints
 (``tolist``), so no numpy scalar reaches a report.
 """
 
@@ -18,6 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -27,6 +29,15 @@ from .config import DEFAULT_CAPS, MAX_ROWS, Caps, check_cap
 from .cube import (CHUNK_CELLS, Mask, MultilinearPoly, monomials_upto,
                    n_monomials, point_array, popcount, slice_masks)
 from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
+
+
+@lru_cache(maxsize=32)
+def _monomial_array(n: int, degree: int) -> np.ndarray:
+    """``monomials_upto(n, degree)`` as a read-only uint64 array, converted
+    once per (n, degree) and shared by every evaluation matrix of it."""
+    monos = point_array(monomials_upto(n, degree), n)
+    monos.flags.writeable = False
+    return monos
 
 
 def evaluation_bool_matrix(monomials: Sequence[Mask],
@@ -46,8 +57,9 @@ def evaluation_bool_matrix(monomials: Sequence[Mask],
 class EvaluationMatrix:
     """Evaluation rows of all monomials of degree <= D at a point set E.
 
-    Column order is the canonical monomial order; row i belongs to the i-th
-    point of E, ``points[i]``.
+    Column order is the canonical monomial order, ``monomials`` (a shared
+    read-only uint64 array); row i belongs to the i-th point of E,
+    ``points[i]``.
     """
 
     def __init__(self, field: PrimeField, n: int, degree: int,
@@ -57,7 +69,7 @@ class EvaluationMatrix:
         self.degree = degree
         self.points = point_array(points, n)
         check_cap(len(self.points), MAX_ROWS, "evaluation matrix rows")
-        self.monomials = monomials_upto(n, degree)
+        self.monomials = _monomial_array(n, degree)
 
     @property
     def n_d(self) -> int:
@@ -82,11 +94,12 @@ def batch_member(oracle: RankOracle, bool_rows: np.ndarray) -> list[bool]:
     return oracle.members(bool_rows)
 
 
-def poly_from_coeffs(n: int, field: PrimeField, monomials: Sequence[Mask],
+def poly_from_coeffs(n: int, field: PrimeField, monomials: np.ndarray,
                      coeffs) -> MultilinearPoly:
-    """The polynomial with coefficient ``coeffs[j]`` on ``monomials[j]``."""
+    """The polynomial with coefficient ``coeffs[j]`` on ``monomials[j]``, an
+    array of masks that become Python ints."""
     return MultilinearPoly.from_terms(
-        n, field, {m: int(c) for m, c in zip(monomials, coeffs) if c})
+        n, field, {m: int(c) for m, c in zip(monomials.tolist(), coeffs) if c})
 
 
 def ideal_basis(field: PrimeField, n: int, points: Iterable,

@@ -10,7 +10,9 @@ this against full closure computations.  One ascent of slice k's degree
 ladder (``_ascent``) makes this test for all four solvers.  Complementing
 every coordinate also preserves degree and maps slice k onto slice n - k,
 so a search that needs only the degree climbs the smaller-weight ladder
-(``_escape_degree``).
+(``_escape_degree``).  Where Hegedus's lemma applies, the exact degree is
+known in advance (``_hegedus_degree``): the exact ascents build that rung
+first and read every rung below it as a projection.
 
 Robust variants relax the vanishing constraint on an explicit error set,
 either heuristically (upper bound) or exactly over all small error sets,
@@ -132,7 +134,9 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     column N_d is zero before it, so the rows with a pivot below N_d, cut to
     N_d columns, are the RREF of the slice's degree-d rows, and an RREF is
     unique, so every read equals a direct build's.  A rung above every built
-    one is eliminated on its own.  The ladder of the last slice requested is
+    one is eliminated on its own, so the exact ascents request their
+    predicted degree first (``_ascent``) and the sweeps their ladder's top
+    (``gap_degree_sweep``).  The ladder of the last slice requested is
     kept until another slice is requested; it enumerates the slice once, and
     every rung's ``points`` is that one array.  Rungs share their rows, so
     they are frozen: ``extend`` into one raises ValueError.
@@ -179,16 +183,44 @@ def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
                             oracle.nullspace_vector(free))
 
 
-def _ascent(field: PrimeField, n: int, k: int, K: int, top: int):
+def _hegedus_degree(n: int, p: int, k: int, K: int) -> Optional[int]:
+    """The exact degree separating slice k from slice K when k lies in the
+    range of Hegedus's lemma, q' <= k if K > k (q' <= n - k if K < k), for
+    q' = ``p_adic_part(|K - k|, p)``; None outside that range.
+
+    The lemma: over characteristic p, a polynomial of degree < q = p^l that
+    vanishes on a slice j in [q, n - q] vanishes on slice j + q.  Applied
+    with q' on each step of length q' from k to K (from n - k to n - K after
+    x -> 1 - x when K < k), it gives degree >= q'.  C(|x| - k, q') =
+    sum_{j <= q'} C(-k, q' - j) e_j(x) has integer coefficients and degree
+    <= q', vanishes on slice k, and by Lucas is nonzero mod p on slice K,
+    where |K - k| / q' is prime to p; C(k - |x|, q') likewise when K < k.
+    Outside the range the degree can fall below q' (n = 6, k = 1, K = 5 has
+    degree 2 over F_2, not 4).
+    """
+    q = p_adic_part(abs(K - k), p)
+    return q if q <= (k if K > k else n - k) else None
+
+
+def _ascent(field: PrimeField, n: int, k: int, K: int, top: int,
+            predict: bool = False):
     """Rungs (d, ev, oracle, escaped) of slice k's degree ladder for d = 0,
     1, ..., ``top``, ending at the first whose span the row of slice K's
     representative (1 << K) - 1 escapes.
 
     The only test of slice K against the ladder: the row space of a full
     slice is permutation-invariant, so escape at one point of slice K is
-    escape at all of them.  Some d <= n always escapes.
+    escape at all of them.  Some d <= n always escapes.  With ``predict``,
+    the rung at ``_hegedus_degree``, capped at ``top``, is requested first,
+    so every rung below it is its projection (``_slice_oracle``); the
+    ascent still tests every rung from d = 0, so the prediction sets only
+    the cost.  The exact solvers predict; the robust ones do not, as a
+    removal can stop them below the exact degree.
     """
     rep = (1 << K) - 1
+    q = _hegedus_degree(n, field.p, k, K) if predict else None
+    if q is not None:
+        _slice_oracle(field, n, k, min(q, top))
     for d in range(top + 1):
         ev, oracle = _slice_oracle(field, n, k, d)
         escaped = not oracle.member(ev.row_for_oracle(rep))
@@ -208,11 +240,14 @@ def _escape_degree(field: PrimeField, n: int, k: int, K: int,
     polynomials onto themselves, over every field, and weight w to n - w, so
     (n, k, K) and (n, n - k, n - K) have the same answer: for k > n - k this
     climbs slice n - k's ladder towards n - K.  Callers that read slice k's
-    rungs (a witness, an error set) use ``_ascent`` on slice k itself.
+    rungs (a witness, an error set) use ``_ascent`` on slice k itself.  The
+    ascent predicts its degree (``_hegedus_degree``) on the slice it climbs;
+    the lemma's range guard reads the same on both sides of the mirror.
     """
     if k > n - k:
         k, K = n - k, n - K
-    return next((d for d, _, _, escaped in _ascent(field, n, k, K, top)
+    return next((d for d, _, _, escaped in _ascent(field, n, k, K, top,
+                                                    predict=True)
                  if escaped), top + 1)
 
 
@@ -221,9 +256,12 @@ def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
     """The report of the least escape degree, for ``exact_min_degree`` and
     zero-budget ``robust_search``.  A witness is read off slice k's own
     ladder; without one the degree comes from ``_escape_degree``, which may
-    climb slice n - k's."""
+    climb slice n - k's.  Either ascent first requests the rung at
+    ``_hegedus_degree`` when k is in the lemma's range, so the ascent stops
+    at that rung and every rung below it is its projection."""
     if want_witness:
-        for d, ev, oracle, escaped in _ascent(field, n, k, K, n):
+        for d, ev, oracle, escaped in _ascent(field, n, k, K, n,
+                                              predict=True):
             if escaped:
                 break
     else:
@@ -501,6 +539,20 @@ def _midslice_bounds(n: int, t: int) -> tuple:
                 min(mp.e ** (-200), mp.e ** (-2 * ell_f)), mp.e ** (-ell_f / 2))
 
 
+@lru_cache(maxsize=256)
+def _midslice_window(n: int, t: int, psi_low: Fraction,
+                     psi_mid: Fraction) -> tuple[bool, bool, bool]:
+    """(ell in range, eps window nonempty, psi_mid >= e^(-ell/2)) at the
+    working precision, once per distinct (n, t, psi_low, psi_mid): a
+    symmetric candidate's nonzero fractions are 0 or 1, so most candidates
+    share their key."""
+    ell_in_range, eps_floor, eps_hi, psi_mid_floor = _midslice_bounds(n, t)
+    with mp.workdps(DPS):
+        eps_lo = max(mpf_fraction(psi_low), eps_floor)
+        return (ell_in_range, bool(eps_lo <= eps_hi),
+                bool(mpf_fraction(psi_mid) >= psi_mid_floor))
+
+
 def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
                     caps: Caps = DEFAULT_CAPS) -> MidsliceConsistencyReport:
     """Check a candidate against the special-case hypotheses and degree bound.
@@ -521,11 +573,8 @@ def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
     ell = Fraction(t * t, n)
     psi_low = slice_stats(witness, m - t, caps).psi
     psi_mid = slice_stats(witness, m, caps).psi
-    ell_in_range, eps_floor, eps_hi, psi_mid_floor = _midslice_bounds(n, t)
-    with mp.workdps(DPS):
-        eps_lo = max(mpf_fraction(psi_low), eps_floor)
-        eps_window_nonempty = bool(eps_lo <= eps_hi)
-        psi_mid_ok = bool(mpf_fraction(psi_mid) >= psi_mid_floor)
+    ell_in_range, eps_window_nonempty, psi_mid_ok = _midslice_window(
+        n, t, psi_low, psi_mid)
     hypotheses = ell_in_range and eps_window_nonempty and psi_mid_ok
     threshold = Fraction(t, 25)
     degree = witness.degree

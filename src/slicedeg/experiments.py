@@ -674,14 +674,18 @@ def _frontier(params, seed, caps):
     # (a) budget-0 search reproduces the exact solver across the sweep range;
     # all p-power gaps q <= min(k, n - k) of one slice k in a row, and slices
     # k and n - k one after the other: both climb slice min(k, n - k)'s
-    # ladder, and only the last slice's ladder is kept
+    # ladder, and only the last slice's ladder is kept.  The exact ascents
+    # build the rung at q first, so the largest q comes first: the ladder's
+    # top is its one elimination, and every other rung is its projection
     mismatches = []
     count = 0
     for p in (2, 3):
         for n in range(params["n_min"], params["n_max"] + 1):
             for k in sorted(range(1, n), key=lambda k: (min(k, n - k), k)):
                 q = 1
-                while q <= min(k, n - k):
+                while q * p <= min(k, n - k):
+                    q *= p
+                while q:
                     inst = SliceDistinguishInstance(n=n, p=p, k=k, K=k + q)
                     rs = robust_search(inst, Fraction(0), seed=seed, caps=caps)
                     ex = exact_min_degree(n, p, k, k + q, caps,
@@ -689,7 +693,7 @@ def _frontier(params, seed, caps):
                     count += 1
                     if rs.degree != ex.degree:
                         mismatches.append((p, n, k, k + q, rs.degree, ex.degree))
-                    q *= p
+                    q //= p
     checks.append(Check("budget0-equals-exact", not mismatches,
                         f"{count} instances, {len(mismatches)} mismatches"))
     # (b) exhaustive oracle monotone, heuristic never below it

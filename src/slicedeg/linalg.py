@@ -199,10 +199,11 @@ def _rref_words(w: np.ndarray) -> dict[int, int]:
 
 
 def _checked_block(block, cols: int) -> np.ndarray:
-    """A 2-D block of rows of width ``cols``; an empty list is no rows."""
+    """A 2-D block of rows of width ``cols``; an empty list is no rows.  An
+    empty block is uint8, as ``np.asarray`` makes empty rows float64."""
     a = np.asarray(block)
-    if a.shape == (0,):
-        a = a.astype(np.uint8).reshape(0, cols)
+    if a.size == 0:
+        a = a.astype(np.uint8).reshape((0, cols) if a.ndim == 1 else a.shape)
     if a.ndim != 2 or a.shape[1] != cols:
         raise ValueError(f"rows of shape {a.shape[1:]} != ({cols},)")
     return a

@@ -372,6 +372,61 @@ class TestComplementMirror:
         assert max(degrees) >= 4
 
 
+class TestPredictedRung:
+    """The exact ascents request the rung at Hegedus's degree first; the
+    prediction sets only the cost."""
+
+    @pytest.mark.parametrize("p, n, k, K", [(2, 6, 1, 5), (3, 7, 1, 7)])
+    def test_out_of_range_requests_nothing_above_the_degree(
+            self, p, n, k, K, monkeypatch):
+        assert distinguish._hegedus_degree(n, p, k, K) is None
+        requested = []
+        provider = distinguish._slice_oracle
+        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
+            requested.append(d) or provider(f, n, k, d)))
+        for want_witness in (True, False):
+            requested.clear()
+            distinguish._ladder.clear()
+            degree = exact_min_degree(n, p, k, K,
+                                      want_witness=want_witness).degree
+            assert degree == 2 < p_adic_part(K - k, p)
+            assert requested == list(range(degree + 1))
+            [(_, _, rungs)] = distinguish._ladder.values()
+            assert set(rungs) == set(range(degree + 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_in_range_reports_equal_a_bottom_up_climb(self, p, monkeypatch):
+        # on both sides of k the degree is q', the top rung is requested
+        # first and no rung above it; without the prediction the same
+        # reports and witnesses come out
+        cases = [(n, k, K) for n in range(2, 11) for k in range(1, n)
+                 for K in range(n + 1)
+                 if K != k and distinguish._hegedus_degree(n, p, k, K)]
+        assert {K > k for _, k, K in cases} == {True, False}
+        requested = []
+        provider = distinguish._slice_oracle
+        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
+            requested.append(d) or provider(f, n, k, d)))
+
+        def reports():
+            out = []
+            for n, k, K in cases:
+                requested.clear()
+                distinguish._ladder.clear()
+                rep = exact_min_degree(n, p, k, K)
+                out.append((rep.to_json_dict(), rep.witness.sorted_terms(),
+                            requested[0], max(requested)))
+            return out
+
+        predicted = reports()
+        for (n, k, K), (report, _, first, top) in zip(cases, predicted):
+            assert report["degree"] == p_adic_part(abs(K - k), p) == first == top
+        monkeypatch.setattr(distinguish, "_hegedus_degree", lambda *a: None)
+        climbed = reports()
+        assert [r[:2] for r in climbed] == [r[:2] for r in predicted]
+        assert all(first == 0 for _, _, first, _ in climbed)
+
+
 class TestExhaustiveRobust:
     def test_zero_removals_equals_exact(self):
         ex = exhaustive_robust(8, 2, 4, 6, 0)
@@ -832,6 +887,33 @@ class TestMidsliceConsistency:
                 assert rep.ell_in_range == bool(ell_f >= 100)
                 assert rep.eps_window_nonempty == bool(eps_lo <= eps_hi)
                 assert rep.psi_mid_ok == bool(psi_mid >= mp.e ** (-ell_f / 2))
+
+    def test_memo_equals_the_thresholds_per_call(self):
+        # symmetric witnesses (psi 0 or 1) and non-symmetric ones with
+        # 0 < psi < 1, each twice, the second time read from the memo
+        rng = random.Random(7)
+        cases = [(40000, 2048, lucas_poly(40000, 20000 - 2048, 2048, 2)),
+                 (64, 8, lucas_poly(64, 24, 8, 2)),
+                 (12, 2, MultilinearPoly.from_terms(12, F2, {0b1: 1}))]
+        cases += [(12, t, MultilinearPoly.from_terms(12, F2, {
+                      rng.randrange(1 << 12) & rng.randrange(1 << 12): 1
+                      for _ in range(6)})) for t in (2, 4) for _ in range(4)]
+        fractional = 0
+        for n, t, poly in cases:
+            rep = midslice_consistency(n, t, 2, poly)
+            assert midslice_consistency(n, t, 2, poly) == rep
+            fractional += 0 < rep.psi_low < 1 and 0 < rep.psi_mid < 1
+            with mp.workdps(40):
+                ell_f = mp.mpf(t * t) / mp.mpf(n)
+                eps_lo = max(mp.mpf(rep.psi_low.numerator)
+                             / mp.mpf(rep.psi_low.denominator),
+                             mp.mpf(2) ** (-mp.mpf(n) / 100))
+                eps_hi = min(mp.e ** (-200), mp.e ** (-2 * ell_f))
+                psi_mid = (mp.mpf(rep.psi_mid.numerator)
+                           / mp.mpf(rep.psi_mid.denominator))
+                assert rep.eps_window_nonempty == bool(eps_lo <= eps_hi)
+                assert rep.psi_mid_ok == bool(psi_mid >= mp.e ** (-ell_f / 2))
+        assert fractional >= 4
 
     def test_junta_fails_hypotheses(self):
         # the sampled construction has far too much low-slice mass for the

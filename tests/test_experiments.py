@@ -8,12 +8,13 @@ from dataclasses import replace
 
 import pytest
 
-from slicedeg import cli, distinguish
+from slicedeg import cli, distinguish, experiments
 from slicedeg.closure import Candidates, EvaluationMatrix
 from slicedeg.config import DEFAULT_CAPS
 from slicedeg.constructions import C_LADDER
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
                                   list_experiments, run)
+from slicedeg.linalg import RankOracle
 
 REQUIRED_EXPERIMENTS = {
     "mindeg", "closure", "niewang", "hegedus-sweep", "extension-sweep",
@@ -148,6 +149,59 @@ class TestChecksShape:
         assert rep.all_passed
         assert len(built) == len(set(built)) > 50
         assert all(2 * k <= n for _, n, k, _ in built)
+
+    def test_frontier_eliminates_each_ladder_once(self, monkeypatch):
+        # part (a) takes each slice's largest gap first, and the exact
+        # ascents request the rung at that gap first, so from_rows runs once
+        # per (p, n, min(k, n - k)) ladder, at the ladder's first request,
+        # which is its top; parts (b) and (c) reach only n = 7 and 8
+        requests, calls = [], []  # ((p, n, k), d, from_rows calls made)
+        provider = distinguish._slice_oracle
+        from_rows = RankOracle.from_rows.__func__
+
+        def request(f, n, k, d):
+            start = len(calls)
+            out = provider(f, n, k, d)
+            requests.append(((f.p, n, k), d, len(calls) - start))
+            return out
+
+        monkeypatch.setattr(distinguish, "_slice_oracle", request)
+        monkeypatch.setattr(RankOracle, "from_rows", classmethod(
+            lambda cls, f, rows: calls.append(1) or from_rows(cls, f, rows)))
+        distinguish._ladder.clear()
+        rep = run(ExperimentSpec("robust-frontier", {
+            "n_min": 2, "n_max": 6, "candidates": 2}))
+        assert rep.all_passed
+        swept = [r for r in requests if r[0][1] <= 6]
+        first = {}
+        for key, d, _ in swept:
+            first.setdefault(key, d)
+        assert set(first) == {(p, n, m) for p in (2, 3) for n in range(2, 7)
+                              for m in range(1, n // 2 + 1)}
+        assert [(key, d, made) for key, d, made in swept if made] == [
+            (key, d, 1) for key, d in first.items()]
+        assert all(d <= first[key] for key, d, _ in swept)
+
+    def test_frontier_candidates_compare_once_per_key(self, monkeypatch):
+        # part (c)'s candidates are symmetric, so their nonzero fractions
+        # are 0 or 1: the mpmath comparisons run once per distinct
+        # (n, t, psi_low, psi_mid), and every other candidate reads the memo
+        keys = []
+        check = experiments.midslice_consistency
+
+        def recorded(n, t, p, witness, caps):
+            rep = check(n, t, p, witness, caps)
+            keys.append((n, t, rep.psi_low, rep.psi_mid))
+            return rep
+
+        monkeypatch.setattr(experiments, "midslice_consistency", recorded)
+        distinguish._midslice_window.cache_clear()
+        rep = run(ExperimentSpec("robust-frontier", {
+            "n_min": 2, "n_max": 3, "candidates": 6000}, 13))
+        assert rep.all_passed and len(keys) == 6000
+        info = distinguish._midslice_window.cache_info()
+        assert info.misses == len(set(keys)) < 10
+        assert info.hits == len(keys) - info.misses
 
 
 def _cli(*args):

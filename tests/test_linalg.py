@@ -220,6 +220,22 @@ class TestRankOracle:
         with pytest.raises(ValueError):
             o.members([[1, 0, 0]])
 
+    @pytest.mark.parametrize("field", [F2, F3])
+    @pytest.mark.parametrize("cols", [0, 3])
+    def test_empty_blocks_of_every_width(self, field, cols):
+        # np.asarray makes empty rows float64: three rows of width 0, and
+        # no rows of width 3, are still blocks
+        empty_rows = [[]] * 3 if cols == 0 else np.zeros((0, cols))
+        for block in ([], empty_rows):
+            o = RankOracle(field, cols)
+            assert o.members(block) == [True] * len(block)
+            o.extend(block)
+            assert o.rank == 0 and o.members(block) == [True] * len(block)
+            if cols:
+                o.extend([[0, 1, 0]])
+                o.extend(block)
+                assert o.rank == 1 and o.members(block) == []
+
     def test_dimension_mismatch(self):
         o = RankOracle(F2, 3)
         with pytest.raises(ValueError):
