@@ -9,9 +9,9 @@ p = 3 sweep reports run (``hegedus-sweep`` and ``extension-sweep``, n in
 rank-certificate heads of ``distinguish._slice_oracle``, 0/1 uint8 blocks.
 The sweeps answer slice k > n/2 on slice n - k's ladder
 (``distinguish._escape_degree``), so every block is of a slice k <= n/2,
-and they request each ladder's top rung first and read the rungs below it
-as projections, so every block is a ladder's top: 86 blocks, the largest
-396 x 470, 10,097 pivots in all.
+and they request each ladder's top rung, one below its largest expected
+degree, first and read the rungs below it as projections, so every block
+is a ladder's top: 86 blocks, the largest 123 x 106, 2,857 pivots in all.
 Each is reduced the way ``from_array`` reduces it: one ``_rref_array``
 call, so the timed region includes the kernel's widening of the block's
 dtype to hold p and its first reduction mod p.  The sweeps'

@@ -6,14 +6,17 @@
 The pass is the one ``perfbench/workloads.py`` generates for seed S
 (default 0) and each workload W (default: all three), and each of its
 operation groups runs in its own fresh interpreter, as the benchmark runs
-it.  In that interpreter ``RankOracle.extend`` (calls and rows) and
-``RankOracle.from_rows`` (calls) are counted; the constructors absorb their
-block with one ``extend``, so it is counted too.  Every exact ascent that
-requests a predicted rung first (``distinguish._ascent`` with ``predict``,
-at ``distinguish._hegedus_degree`` capped at its top) is followed to the
-rung where it stops: a predicted rung above it would be an elimination no
-rung needed, and the count of those is expected to be 0.  Prints one JSON
-line per workload.
+it.  In that interpreter ``RankOracle.extend`` (calls, rows and cells,
+the sum of rows x cols) and ``RankOracle.from_rows`` (calls) are counted;
+the constructors absorb their block with one ``extend``, so it is counted
+too.  Every exact ascent that requests a predicted rung first
+(``distinguish._ascent`` with ``predict``, at
+``distinguish._hegedus_degree`` capped at its top) is followed to the rung
+where it stops: a predicted rung above it would be an elimination no rung
+needed, and the count of those is expected to be 0.  A degree-only answer
+(``distinguish._escape_degree``) caps its ascent below q' =
+``p_adic_part(|K - k|, p)``, which a separator certifies, so it predicts
+rung q' - 1 and stops there.  Prints one JSON line per workload.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ def count(ops: list) -> Counter:
     def counted_extend(self, block):
         counts["extend_calls"] += 1
         counts["extend_rows"] += len(block)
+        counts["extend_cells"] += len(block) * self.cols
         return extend(self, block)
 
     def counted_from_rows(cls, field, rows):
@@ -104,7 +108,8 @@ def main() -> int:
             total += count_in_fresh_process(group)
         print(json.dumps({"workload": name, "seed": args.seed,
                           **{key: total[key] for key in (
-                              "extend_calls", "extend_rows", "from_rows_calls",
+                              "extend_calls", "extend_rows", "extend_cells",
+                              "from_rows_calls",
                               "predicted_rungs", "predicted_above_stop")}}))
     return 0
 

@@ -10,9 +10,12 @@ this against full closure computations.  One ascent of slice k's degree
 ladder (``_ascent``) makes this test for all four solvers.  Complementing
 every coordinate also preserves degree and maps slice k onto slice n - k,
 so a search that needs only the degree climbs the smaller-weight ladder
-(``_escape_degree``).  Where Hegedus's lemma applies, the exact degree is
-known in advance (``_hegedus_degree``): the exact ascents build that rung
-first and read every rung below it as a projection.
+(``_escape_degree``).  The p-adic part q' of the gap bounds the degree
+from above by one explicit polynomial (``_separates``), so the degree-only
+answer climbs only the rungs below q'.  Where Hegedus's lemma applies, the
+exact degree is known in advance (``_hegedus_degree``): the witness ascent
+builds that rung first, the degree-only ascent the rung below it, and each
+reads every rung below the one it built as a projection.
 
 Robust variants relax the vanishing constraint on an explicit error set,
 either heuristically (upper bound) or exactly over all small error sets,
@@ -37,8 +40,8 @@ import numpy as np
 from .config import DEFAULT_CAPS, DPS, Caps, check_cap, frac_str, mpf_fraction
 from .closure import (Candidates, EvaluationMatrix, closure,
                       evaluation_bool_matrix, poly_from_coeffs)
-from .cube import (Mask, MultilinearPoly, p_adic_part, point_array,
-                   slice_masks, slice_stats)
+from .cube import (Mask, MultilinearPoly, binomial_row, p_adic_part,
+                   point_array, slice_masks, slice_stats)
 from .linalg import PrimeField, RankOracle, _rref_array
 
 
@@ -135,7 +138,7 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     N_d columns, are the RREF of the slice's degree-d rows, and an RREF is
     unique, so every read equals a direct build's.  A rung above every built
     one is eliminated on its own, so the exact ascents request their
-    predicted degree first (``_ascent``) and the sweeps their ladder's top
+    predicted rung first (``_ascent``) and the sweeps their ladder's top
     (``gap_degree_sweep``).  The ladder of the last slice requested is
     kept until another slice is requested; it enumerates the slice once, and
     every rung's ``points`` is that one array.  Rungs share their rows, so
@@ -183,6 +186,23 @@ def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
                             oracle.nullspace_vector(free))
 
 
+def _separates(field: PrimeField, n: int, k: int, K: int, q: int) -> bool:
+    """Whether C(|x| - k, q) = sum_{j <= q} C(-k, q - j) e_j(x), of degree
+    <= q, is 0 on slice k and nonzero on slice K (slices n - k and n - K
+    when K < k, which x -> 1 - x maps to k and K, keeping the degree).
+
+    On slice K it is C(K - k, q).  For q = q' = ``p_adic_part(K - k, p)``,
+    Lucas's theorem reads that mod p as the base-p digit of K - k at q',
+    (K - k) / q' mod p, which is nonzero: the least escape degree is at most
+    q'.  At q = q' / p the digit is 0.
+    """
+    if K < k:
+        k, K = n - k, n - K
+    sep = MultilinearPoly.from_sym(n, field, binomial_row(-k, 0, q)[::-1])
+    return (sep.degree <= q and sep.weight_value(k) == 0
+            and sep.weight_value(K) != 0)
+
+
 def _hegedus_degree(n: int, p: int, k: int, K: int) -> Optional[int]:
     """The exact degree separating slice k from slice K when k lies in the
     range of Hegedus's lemma, q' <= k if K > k (q' <= n - k if K < k), for
@@ -191,12 +211,9 @@ def _hegedus_degree(n: int, p: int, k: int, K: int) -> Optional[int]:
     The lemma: over characteristic p, a polynomial of degree < q = p^l that
     vanishes on a slice j in [q, n - q] vanishes on slice j + q.  Applied
     with q' on each step of length q' from k to K (from n - k to n - K after
-    x -> 1 - x when K < k), it gives degree >= q'.  C(|x| - k, q') =
-    sum_{j <= q'} C(-k, q' - j) e_j(x) has integer coefficients and degree
-    <= q', vanishes on slice k, and by Lucas is nonzero mod p on slice K,
-    where |K - k| / q' is prime to p; C(k - |x|, q') likewise when K < k.
-    Outside the range the degree can fall below q' (n = 6, k = 1, K = 5 has
-    degree 2 over F_2, not 4).
+    x -> 1 - x when K < k), it gives degree >= q'; ``_separates`` gives
+    <= q'.  Outside the range the degree can fall below q' (n = 6, k = 1,
+    K = 5 has degree 2 over F_2, not 4).
     """
     q = p_adic_part(abs(K - k), p)
     return q if q <= (k if K > k else n - k) else None
@@ -214,8 +231,10 @@ def _ascent(field: PrimeField, n: int, k: int, K: int, top: int,
     the rung at ``_hegedus_degree``, capped at ``top``, is requested first,
     so every rung below it is its projection (``_slice_oracle``); the
     ascent still tests every rung from d = 0, so the prediction sets only
-    the cost.  The exact solvers predict; the robust ones do not, as a
-    removal can stop them below the exact degree.
+    the cost.  The exact solvers predict: the witness path up to the rung at
+    the degree, the degree-only answer (``_escape_degree``) with ``top``
+    below it.  The robust ones do not, as a removal can stop them below the
+    exact degree.
     """
     rep = (1 << K) - 1
     q = _hegedus_degree(n, field.p, k, K) if predict else None
@@ -240,25 +259,34 @@ def _escape_degree(field: PrimeField, n: int, k: int, K: int,
     polynomials onto themselves, over every field, and weight w to n - w, so
     (n, k, K) and (n, n - k, n - K) have the same answer: for k > n - k this
     climbs slice n - k's ladder towards n - K.  Callers that read slice k's
-    rungs (a witness, an error set) use ``_ascent`` on slice k itself.  The
-    ascent predicts its degree (``_hegedus_degree``) on the slice it climbs;
-    the lemma's range guard reads the same on both sides of the mirror.
+    rungs (a witness, an error set) use ``_ascent`` on slice k itself.
+
+    Slice K escapes at q' = ``p_adic_part(|K - k|, p)`` (``_separates``; a
+    failed check raises AssertionError), so only the rungs below q' are
+    climbed.  In the lemma's range, whose guard reads the same on both sides
+    of the mirror, the ascent requests rung q' - 1 first; outside it the
+    climb is bottom-up, as the degree can be far below q'.
     """
     if k > n - k:
         k, K = n - k, n - K
-    return next((d for d, _, _, escaped in _ascent(field, n, k, K, top,
-                                                    predict=True)
-                 if escaped), top + 1)
+    q = p_adic_part(abs(K - k), field.p)
+    if not _separates(field, n, k, K, q):
+        raise AssertionError(f"C(|x| - k, {q}) does not separate slice {k} "
+                             f"from slice {K} of n = {n} over F_{field.p}")
+    return next((d for d, _, _, escaped in _ascent(
+        field, n, k, K, min(q - 1, top), predict=True) if escaped),
+        min(q, top + 1))
 
 
 def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
                   want_witness: bool) -> DistinguishReport:
     """The report of the least escape degree, for ``exact_min_degree`` and
     zero-budget ``robust_search``.  A witness is read off slice k's own
-    ladder; without one the degree comes from ``_escape_degree``, which may
-    climb slice n - k's.  Either ascent first requests the rung at
-    ``_hegedus_degree`` when k is in the lemma's range, so the ascent stops
-    at that rung and every rung below it is its projection."""
+    ladder, whose ascent first requests the rung at ``_hegedus_degree`` when
+    k is in the lemma's range, so it stops at that rung and every rung below
+    it is its projection.  Without a witness the degree comes from
+    ``_escape_degree``, which may climb slice n - k's ladder and builds no
+    rung at or above q'."""
     if want_witness:
         for d, ev, oracle, escaped in _ascent(field, n, k, K, n,
                                               predict=True):
@@ -313,10 +341,12 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
     composite gap g only requires its p-adic part q' <= k and k + g <= n.
     Rows share the rank oracle across all gaps, and slices k and n - k
     are taken one after the other on slice min(k, n - k)'s ladder
-    (``_escape_degree``).  The ladder's top rung, the larger ``max_expected``
-    of k and of n - k, is requested first, so it is the one elimination of
-    the ladder and every rung the ascents climb is its prefix
-    (``_slice_oracle``).  Rows are sorted by (n, k, K).
+    (``_escape_degree``).  Every target is in the lemma's range, so an
+    ascent climbs only the rungs below its expected degree, and the
+    separator certifies the expected one.  The ladder's top rung, one below
+    the larger ``max_expected`` of k and of n - k, is requested first, so it
+    is the one elimination of the ladder and every rung the ascents climb is
+    its prefix (``_slice_oracle``).  Rows are sorted by (n, k, K).
 
     Returns (rows, violations).
     """
@@ -338,7 +368,7 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
             if not targets[k]:
                 continue
             _slice_oracle(field, n, min(k, n - k), max(
-                max(targets[j].values(), default=0) for j in (k, n - k)))
+                max(targets[j].values(), default=0) for j in (k, n - k)) - 1)
             max_expected = max(targets[k].values())
             for K, expected in sorted(targets[k].items()):
                 # max_expected + 1 is the ">expected" sentinel

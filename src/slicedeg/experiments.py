@@ -674,9 +674,10 @@ def _frontier(params, seed, caps):
     # (a) budget-0 search reproduces the exact solver across the sweep range;
     # all p-power gaps q <= min(k, n - k) of one slice k in a row, and slices
     # k and n - k one after the other: both climb slice min(k, n - k)'s
-    # ladder, and only the last slice's ladder is kept.  The exact ascents
-    # build the rung at q first, so the largest q comes first: the ladder's
-    # top is its one elimination, and every other rung is its projection
+    # ladder, and only the last slice's ladder is kept.  Both degree-only
+    # answers build the rung at q - 1 first (the separator certifies q), so
+    # the largest q comes first: the ladder's top is its one elimination,
+    # and every other rung is its projection
     mismatches = []
     count = 0
     for p in (2, 3):

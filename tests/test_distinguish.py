@@ -426,6 +426,77 @@ class TestPredictedRung:
         assert [r[:2] for r in climbed] == [r[:2] for r in predicted]
         assert all(first == 0 for _, _, first, _ in climbed)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_degree_only_builds_no_rung_at_the_degree(self, p, monkeypatch):
+        # in range, on both sides of k, the degree-only answer requests the
+        # rung below q' first and none at or above it, and no elimination
+        # is as wide as rung q'
+        cases = [(n, k, K) for n in range(2, 11) for k in range(1, n)
+                 for K in range(n + 1)
+                 if K != k and distinguish._hegedus_degree(n, p, k, K)]
+        assert {K > k for _, k, K in cases} == {True, False}
+        requested, widths = [], []
+        provider = distinguish._slice_oracle
+        from_rows, extend = RankOracle.from_rows.__func__, RankOracle.extend
+        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
+            requested.append(d) or provider(f, n, k, d)))
+        monkeypatch.setattr(RankOracle, "from_rows", classmethod(
+            lambda cls, f, rows: widths.append(np.shape(rows)[1])
+            or from_rows(cls, f, rows)))
+        monkeypatch.setattr(RankOracle, "extend", lambda self, block: (
+            widths.append(self.cols) or extend(self, block)))
+        for n, k, K in cases:
+            requested.clear()
+            widths.clear()
+            distinguish._ladder.clear()
+            q = p_adic_part(abs(K - k), p)
+            assert exact_min_degree(n, p, k, K,
+                                    want_witness=False).degree == q
+            assert requested[0] == max(requested) == q - 1
+            assert widths and max(widths) < len(monomials_upto(n, q))
+
+    def test_out_of_range_stays_below_the_column_cap(self):
+        # q' = 8 is out of range at k = 2, and rung q' - 1 = 7 would need
+        # N_7 = 26,333 columns; the bottom-up climb stops at 3
+        assert distinguish._hegedus_degree(16, 2, 2, 10) is None
+        with pytest.raises(CapExceeded):
+            monomials_upto(16, 7)
+        assert exact_min_degree(16, 2, 2, 10, want_witness=False).degree == 3
+
+    def test_separator_certifies_the_p_adic_part(self):
+        # C(|x| - k, q') separates every pair with p in {2, 3, 5} and
+        # n <= 10, K on both sides of k, and C(|x| - k, q' / p) none
+        certified = refused = 0
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            for n in range(2, 11):
+                for k in range(1, n):
+                    for K in range(n + 1):
+                        if K == k:
+                            continue
+                        q = p_adic_part(abs(K - k), p)
+                        certified += distinguish._separates(field, n, k, K, q)
+                        if q > 1:
+                            refused += not distinguish._separates(
+                                field, n, k, K, q // p)
+        assert (certified, refused) == (990, 248)
+
+    def test_failed_separator_raises(self, monkeypatch):
+        monkeypatch.setattr(distinguish, "_separates", lambda *a: False)
+        with pytest.raises(AssertionError, match="does not separate"):
+            exact_min_degree(9, 3, 3, 6, want_witness=False)
+        code = (
+            "import sys\n"
+            "if __debug__: sys.exit(3)\n"
+            "from slicedeg import distinguish\n"
+            "distinguish._separates = lambda *a: False\n"
+            "distinguish.exact_min_degree(9, 3, 3, 6, want_witness=False)\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        assert "AssertionError: C(|x| - k, 3) does not separate" in res.stderr
+
 
 class TestExhaustiveRobust:
     def test_zero_removals_equals_exact(self):
@@ -625,15 +696,19 @@ class TestRobustSearch:
 
 class TestSliceOracleProvider:
     def test_exact_after_budget_zero_builds_nothing(self, monkeypatch):
+        # both degree-only answers read one ladder, up to the rung below
+        # the degree; a witness needs the rung at the degree, built once
         inst = SliceDistinguishInstance(n=9, p=3, k=3, K=6)
         robust_search(inst, Fraction(0))
         builds = []
         from_rows = RankOracle.from_rows
         monkeypatch.setattr(RankOracle, "from_rows", staticmethod(
-            lambda *a, **kw: builds.append(1) or from_rows(*a, **kw)))
+            lambda *a, **kw: builds.append(a[1].shape) or from_rows(*a, **kw)))
+        assert exact_min_degree(9, 3, 3, 6, want_witness=False).degree == 3
+        assert builds == []
         rep = exact_min_degree(9, 3, 3, 6)
         assert rep.degree == 3 and rep.witness is not None
-        assert builds == []
+        assert [cols for _, cols in builds] == [len(monomials_upto(9, 3))]
 
     def test_another_slice_clears_the_ladder(self):
         ladder = distinguish._ladder
@@ -664,10 +739,11 @@ class TestSliceOracleProvider:
             # slices k and n - k both climb slice min(k, n - k)'s ladder
             assert calls == [(12, k) for k in range(1, 7)]
             assert any(r.k > 6 for r in rows)
-            # the degrees asked of the last slice all read its one array
+            # the rungs below the degrees asked of the last slice all read
+            # its one array; the separator answers the degrees themselves
             points, _, rungs = distinguish._ladder[F2, 12, 6]
             assert set(rungs) == set(range(max(r.degree for r in rows
-                                               if r.k == 6) + 1))
+                                               if r.k == 6)))
             assert all(np.shares_memory(ev.points, points)
                        for ev, _ in rungs.values())
             degrees += [r.degree for r in rows]

@@ -133,7 +133,8 @@ class TestChecksShape:
         # n - k one after the other on slice min(k, n - k)'s ladder, so every
         # (p, n, k, d) rung of the run is built once and none has k > n/2;
         # parts (b) and (c) reach only slices of n = 7 and 8, above this
-        # sweep range
+        # sweep range.  A ladder's largest gap q is certified by a separator,
+        # so part (a) builds exactly the rungs below it
         built = []
 
         class Recording(EvaluationMatrix):
@@ -147,8 +148,18 @@ class TestChecksShape:
         rep = run(ExperimentSpec("robust-frontier", {
             "n_min": 2, "n_max": 6, "candidates": 2}))
         assert rep.all_passed
-        assert len(built) == len(set(built)) > 50
+        assert len(built) == len(set(built))
         assert all(2 * k <= n for _, n, k, _ in built)
+
+        def largest_gap(p, m):
+            q = 1
+            while q * p <= m:
+                q *= p
+            return q
+
+        assert {b for b in built if b[1] <= 6} == {
+            (p, n, m, d) for p in (2, 3) for n in range(2, 7)
+            for m in range(1, n // 2 + 1) for d in range(largest_gap(p, m))}
 
     def test_frontier_eliminates_each_ladder_once(self, monkeypatch):
         # part (a) takes each slice's largest gap first, and the exact

@@ -694,6 +694,12 @@ class TestFourRussians:
                             or provider(field, n, k, d))
         for gaps in ("ppower", "composite"):
             distinguish.gap_degree_sweep(2, range(6, 13), gaps=gaps)
+        # the sweep certifies each ladder's largest degree with a separator
+        # and builds the rungs below it; check the rung at that degree too
+        tops = {}
+        for n, k, d in rungs:
+            tops[n, k] = max(tops.get((n, k), d), d)
+        rungs |= {(n, k, d + 1) for (n, k), d in tops.items()}
         assert len(rungs) > 100
         # the sweep climbs slice min(k, n - k); check slice n - k's blocks too
         rungs |= {(n, n - k, d) for n, k, d in rungs}
