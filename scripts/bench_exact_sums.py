@@ -9,12 +9,14 @@ the benchmark's query stream: coin instances for p in {2, 3} and delta in
 for n in {1024, 2048, 4096} with k = n/2, q = n/16, eps = e^-4, C = 2.
 Each repeat builds them through ``coin_build``/``coin_verify_errors`` and
 ``sampling_poly``/``junta_exact_slice_error``, and the time spent inside the
-mod-p window interpolant (``interpolate_window_mod``), the weight tables
+mod-p window interpolant (``interpolate_window_mod``), its Newton
+differences (``ecoeffs_from_weight_values``), the weight tables
 (``cube.weight_values_from_ecoeffs``) and the exact sums
 (``coin_error_exact``, ``junta_exact_slice_error``) is summed per function.
 Prints one JSON line: the best time per function and the best repeat total
-over R repeats, and a SHA-256 digest of the results (each instance's size,
-the junta's inner e-coefficients and the exact error fractions), so two
+over R repeats (counting the differences, which run inside the interpolant,
+once), and a SHA-256 digest of the results (each instance's size, the
+junta's inner e-coefficients and the exact error fractions), so two
 checkouts can be compared for speed and for identical results.
 """
 
@@ -32,8 +34,12 @@ from fractions import Fraction
 from slicedeg import constructions as cons
 from slicedeg import cube
 
-TIMED = {"interpolate_window_mod": cons, "weight_values_from_ecoeffs": cube,
-         "coin_error_exact": cons, "junta_exact_slice_error": cons}
+# function name -> the module whose global the timed callers look it up in
+TIMED = {"interpolate_window_mod": cons, "ecoeffs_from_weight_values": cons,
+         "weight_values_from_ecoeffs": cube, "coin_error_exact": cons,
+         "junta_exact_slice_error": cons}
+# timed inside ``interpolate_window_mod`` too, so left out of the total
+NESTED = {"ecoeffs_from_weight_values"}
 COINS = [(p, Fraction(1, d)) for p in (2, 3) for d in (8, 10)]
 JUNTAS = (1024, 2048, 4096)
 
@@ -78,7 +84,8 @@ def main() -> None:
             for name, fn in originals.items():
                 setattr(TIMED[name], name, fn)
         best = {name: min(best[name], busy[name]) for name in TIMED}
-        best_total = min(best_total, sum(busy.values()))
+        best_total = min(best_total, sum(t for name, t in busy.items()
+                                         if name not in NESTED))
     print(json.dumps({"repeat": args.repeat,
                       "best_s": {name: round(t, 4) for name, t in best.items()},
                       "best_total_s": round(best_total, 4),

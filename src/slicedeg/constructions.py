@@ -3,9 +3,10 @@
 Everything here is exact where it matters: probability computations on
 acceptance paths use big rationals (never floats), and symmetric
 constructions carry weight -> value certificates so error sums stay exact at
-variable counts far beyond term materialization.  The binomials of those
-sums come as rows (``cube.binomial_row``: one ``comb``, then an exact
-recurrence), not one large ``comb`` per term.
+variable counts far beyond term materialization.  Those sums run over their
+terms by the ratio of consecutive terms: one large integer times a small one,
+then one exact division by a small one, per weight, in place of a product of
+large binomials per term.
 
 Weight-window interpolation takes Newton forward differences and expands
 them over the e-basis.  The ``window`` experiment does this over the
@@ -22,9 +23,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
-from operator import mul
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -241,24 +240,42 @@ def sampling_poly(n: int, k: int, q: int, eps: float, C: int,
     )
 
 
+def _hypergeometric_share(n: int, m: int, w: int,
+                          hit: Sequence[bool]) -> Fraction:
+    """Share of the weight-w points of n bits that meet m marked bits in a
+    count j with ``hit[j]``: the sum of the terms t(j) = C(m, j) C(n - m,
+    w - j) over those j, over the sum of all of them, C(n, w).  One pair of
+    ``comb`` gives the first term, then t(j + 1) = t(j) (m - j)(w - j) /
+    ((j + 1)(n - m - w + j + 1)), an exact division, since t(j + 1) is an
+    integer.
+    """
+    lo, hi = max(0, w - (n - m)), min(m, w)
+    num = total = 0
+    t = comb(m, lo) * comb(n - m, w - lo)
+    for j in range(lo, hi + 1):
+        total += t
+        if hit[j]:
+            num += t
+        t = t * ((m - j) * (w - j)) // ((j + 1) * (n - m - w + j + 1))
+    return Fraction(num, total)
+
+
 def junta_exact_slice_error(j: SampledJunta, weight: int, target: str) -> Fraction:
     """Exact probability over uniform weight-``weight`` points that the
     junta misses its target ("zero": value != 0; "nonzero": value == 0).
 
     The restricted weight on the m distinct sampled coordinates is
-    hypergeometric, so the miss probability is an exact rational sum.
+    hypergeometric, so the miss probability is an exact rational sum.  A
+    weight outside [0, n] raises ``ValueError``.
     """
     if target not in ("zero", "nonzero"):
         raise ValueError("target must be 'zero' or 'nonzero'")
-    n, m, w = j.n, j.m, weight
-    lo, hi = max(0, w - (n - m)), min(m, w)
-    inside = binomial_row(m, lo, hi)                # C(m, jj)
-    outside = binomial_row(n - m, w - hi, w - lo)   # C(n-m, w-jj), reversed
-    num = 0
-    for val, a, b in zip(j.inner_table[lo:hi + 1], inside, reversed(outside)):
-        if (val != 0) if target == "zero" else (val == 0):
-            num += a * b
-    return Fraction(num, comb(n, w))
+    n, table = j.n, j.inner_table
+    if not 0 <= weight <= n:
+        raise ValueError(f"weight {weight} is outside [0, {n}]")
+    miss = ([v != 0 for v in table] if target == "zero"
+            else [v == 0 for v in table])
+    return _hypergeometric_share(n, j.m, weight, miss)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +348,23 @@ def coin_build(inst: CoinInstance) -> MultilinearPoly:
 def coin_error_exact(table: Sequence[int], alpha: Fraction) -> Fraction:
     """Exact Pr over the alpha-biased product measure that the table value
     is 1: sum of C(n,w) a^w (1-a)^(n-w) over those weights, summed as one
-    integer numerator over s^n for a = r/s.
+    integer numerator over s^n for a = r/s.  The term t(w) = C(n,w) r^w
+    (s-r)^(n-w) starts at (s-r)^n and steps by t(w+1) = t(w) (n-w) r /
+    ((w+1)(s-r)), an exact division; at a = 1 (s - r = 0) all the mass is
+    at weight n.  An alpha outside [0, 1] raises ``ValueError``.
     """
-    n = len(table) - 1
     a = Fraction(alpha)
+    if not 0 <= a <= 1:
+        raise ValueError(f"alpha {a} is outside [0, 1]")
+    n = len(table) - 1
+    if a == 1:
+        return Fraction(int(table[n] == 1))
     r, s = a.numerator, a.denominator
-    rest = list(accumulate([s - r] * n, mul, initial=1))  # (s-r)^0..(s-r)^n
-    num, rw = 0, 1
-    for w, (v, c) in enumerate(zip(table, binomial_row(n, 0, n))):
+    num, t = 0, (s - r) ** n
+    for w, v in enumerate(table):
         if v == 1:
-            num += c * rw * rest[n - w]
-        rw *= r
+            num += t
+        t = t * ((n - w) * r) // ((w + 1) * (s - r))
     return Fraction(num, s**n)
 
 
@@ -420,9 +443,9 @@ def galvin_coverage(F: GalvinFamily) -> Fraction:
     half = n // 2
     if len({u for u, _ in F.items}) > 1:
         raise ValueError("the normal vectors of the family differ")
-    hit_values = {b for _, b in F.items if 0 <= b <= half}
-    num = sum(comb(half, x) * comb(half, half - x) for x in hit_values)
-    return Fraction(num, comb(n, half))
+    hit_values = {b for _, b in F.items}
+    hit = [x in hit_values for x in range(half + 1)]
+    return _hypergeometric_share(n, half, half, hit)
 
 
 def galvin_poly(F: GalvinFamily, field: PrimeField,

@@ -12,10 +12,14 @@ vector over the elementary symmetric basis (P = sum_j c_j e_j), which doubles
 as a weight -> value certificate table: c_j is the j-th forward difference of
 the table at weight 0, and the table is rebuilt from the c_j by repeated
 summation (``ecoeffs_from_weight_values``, ``weight_values_from_ecoeffs``).
-Mod p both run in int64 numpy, one ``np.diff`` or ``np.cumsum`` per order,
-reduced after each: that is exact, since a pass adds at most n + 1 residues
-and (n + 1)(p - 1) < 2^63 for every p < 2^31 and any table that fits in
-memory.  Without p, ``weight_values_from_ecoeffs`` sums Python ints.
+Mod p, Lucas's theorem C(w, j) = prod_i C(w_i, j_i) over base-p digits
+makes the matrix [C(w, j)] a tensor product of one small binomial matrix per
+digit, so both run in int64 numpy one digit axis at a time: the same sums or
+differences along each axis, reduced after each pass, about L * p passes for
+L digits instead of one per order (one axis, one pass per order, for
+p > n).  That is exact, since a pass adds at most min(p, n + 1) residues
+and p (p - 1) < 2^63 for every p < 2^31.  Without p,
+``weight_values_from_ecoeffs`` sums Python ints.
 Constructors that produce symmetric polynomials store only this
 certificate; evaluation, slice statistics,
 degree and equality read it directly, and the term map is materialized on
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -125,26 +129,57 @@ def n_monomials(n: int, d: int) -> int:
 # elementary-symmetric basis helpers
 # ---------------------------------------------------------------------------
 
+def _digit_axes(n: int, p: int) -> tuple:
+    """The base-p digits of the weights 0..n as array axes, most significant
+    first: (n // p^(L-1) + 1, p, ..., p) for the L digits of n."""
+    low, axes = 1, []
+    while low * p <= n:
+        low *= p
+        axes.append(p)
+    return (n // low + 1, *axes)
+
+
+def _digit_views(table: np.ndarray, axes: tuple) -> Iterator[np.ndarray]:
+    """The flat ``table`` as an (outer, digit, inner) view per digit axis."""
+    outer = 1
+    for length in axes:
+        yield table.reshape(outer, length, -1)
+        outer *= length
+
+
 def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
                                p: Optional[int] = None) -> list[int]:
     """Value at each weight 0..n of sum_j coeffs[j] * e_j (mod p if given).
 
-    The inverse of ``ecoeffs_from_weight_values``: starting from the top
-    coefficient, each pass sums the previous table, g_j(w) = c_j +
-    sum_{u<w} g_{j+1}(u), so that g_0 is the table.  O(n * degree) additions.
+    The inverse of ``ecoeffs_from_weight_values``: g_j(w) = c_j +
+    sum_{u<w} g_{j+1}(u), starting from the top coefficient, makes g_0 the
+    table.  Over the integers each g_j is one running sum of Python ints.
+    Mod p the same running sums run along each base-p digit axis of 0..n
+    (see the module docstring), in place: the pass for order j replaces the
+    entries from j - 1 on by their running sums, and the orders above the
+    largest digit a coefficient has on the axis are skipped.  Weights past
+    n pad the top axis with zero coefficients; that is exact, because the
+    value at w reads only the c_j with j digit-wise <= w, so j <= w.
     """
     if not p:
         vals = [0] * (n + 1)
         for c in reversed(coeffs):
             vals = list(accumulate(vals[:n], initial=c))
         return vals
-    vals = np.zeros(n + 1, dtype=np.int64)
-    for c in reversed(coeffs):
-        vals[1:] = np.cumsum(vals[:n])
-        vals[0] = 0
-        vals += c % p
-        vals %= p
-    return vals.tolist()
+    axes = _digit_axes(n, p)
+    table = np.zeros(prod(axes), dtype=np.int64)
+    low = [c % p for c in coeffs[:n + 1]]
+    table[:len(low)] = low
+    for view in _digit_views(table, axes):
+        # a coefficient index below len(low) has digit at most
+        # (len(low) - 1) // stride here, and the passes along the other
+        # axes keep a zero slot of this axis zero
+        orders = min(view.shape[1] - 1, (len(low) - 1) // view.shape[2] + 1)
+        for j in range(orders, 0, -1):
+            seg = view[:, j - 1:]
+            np.cumsum(seg, axis=1, out=seg)
+            seg %= p
+    return table[:n + 1].tolist()
 
 
 def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
@@ -152,15 +187,26 @@ def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
 
     Newton's forward-difference formula f(w) = sum_j (Delta^j f)(0) C(w, j)
     gives c_j = (Delta^j f)(0); every symmetric function has a unique such
-    expansion.
+    expansion.  The differences run along each base-p digit axis of the
+    weights (see the module docstring), in place: the pass for order j
+    replaces each entry from j on by its difference with the one before,
+    leaving Delta^j at position j.  The table is padded past its last
+    weight n with zeros; that is exact, because c_j reads only the weights
+    digit-wise <= j, so those <= j <= n.
     """
-    diffs = np.fromiter((v % p for v in values), dtype=np.int64,
-                        count=len(values))
-    coeffs = np.empty_like(diffs)
-    for j in range(len(coeffs)):
-        coeffs[j] = diffs[0]
-        diffs = np.diff(diffs) % p
-    return coeffs.tolist()
+    n = len(values) - 1
+    if n < 0:
+        return []
+    axes = _digit_axes(n, p)
+    table = np.zeros(prod(axes), dtype=np.int64)
+    table[:n + 1] = np.fromiter((v % p for v in values), dtype=np.int64,
+                                count=n + 1)
+    for view in _digit_views(table, axes):
+        for j in range(1, view.shape[1]):
+            seg = view[:, j:]
+            seg -= view[:, j - 1:-1]
+            seg %= p
+    return table[:n + 1].tolist()
 
 
 def binomial_row(top: int, lo: int, hi: int) -> list[int]:

@@ -402,7 +402,7 @@ def _is_one(v):
 
 
 class TestExactSumsAgainstComb:
-    """The binomial-row sums equal per-term ``math.comb`` references."""
+    """The exact sums equal per-term ``math.comb`` references."""
 
     def test_binomial_row(self):
         rng = random.Random(11)
@@ -470,6 +470,99 @@ class TestExactSumsAgainstComb:
                 for target in ("zero", "nonzero"):
                     assert junta_exact_slice_error(j, w, target) == \
                         _ref_junta_error(300, m, table, w, target)
+
+
+def _row_junta_error(n, m, table, w, target):
+    """Reference: the hypergeometric sum over two ``binomial_row`` rows and
+    one product of large integers per term."""
+    lo, hi = max(0, w - (n - m)), min(m, w)
+    inside = binomial_row(m, lo, hi)
+    outside = binomial_row(n - m, w - hi, w - lo)
+    num = sum(a * b for v, a, b in zip(table[lo:hi + 1], inside,
+                                       reversed(outside))
+              if ((v != 0) if target == "zero" else (v == 0)))
+    return Fraction(num, comb(n, w))
+
+
+def _row_coin_error(table, alpha):
+    """Reference: C(n, w) r^w (s - r)^(n - w) per weight from a
+    ``binomial_row`` and two tables of powers."""
+    n = len(table) - 1
+    r, s = alpha.numerator, alpha.denominator
+    num = sum(c * r**w * (s - r) ** (n - w)
+              for w, (v, c) in enumerate(zip(table, binomial_row(n, 0, n)))
+              if v == 1)
+    return Fraction(num, s**n)
+
+
+class TestExactSumsAgainstRows:
+    """The term-ratio sums equal the sums over binomial rows."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("delta", [Fraction(1, 8), Fraction(1, 10)])
+    def test_benchmark_coins(self, p, delta):
+        inst = CoinInstance.from_sizing(p, delta, Fraction(1, 100), 2)
+        table = coin_build(inst).weight_values()
+        for alpha in (Fraction(1, 2), Fraction(1, 2) - delta):
+            assert coin_error_exact(table, alpha) == \
+                _row_coin_error(table, alpha)
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_benchmark_juntas(self, n):
+        k, q = n // 2, n // 16
+        for seed in range(8):
+            j = sampling_poly(n, k, q, math.exp(-4.0), 2, seed)
+            for w, target in ((k, "zero"), (k + q, "nonzero")):
+                assert junta_exact_slice_error(j, w, target) == \
+                    _row_junta_error(n, j.m, j.inner_table, w, target)
+
+    def test_random_small_juntas(self):
+        rng = random.Random(27)
+        base = sampling_poly(16, 8, 4, 0.3, 1, seed=3)
+        for _ in range(300):
+            n = rng.randrange(1, 40)
+            m = rng.randrange(0, n + 1)
+            table = tuple(rng.randrange(3) for _ in range(m + 1))
+            j = dataclasses.replace(base, n=n, m=m, inner_table=table)
+            # w = 0, w = n, w past n - m (first term at j = w - (n - m) > 0)
+            for w in {0, n, min(n, n - m + 1), rng.randrange(n + 1)}:
+                for target in ("zero", "nonzero"):
+                    assert junta_exact_slice_error(j, w, target) == \
+                        _row_junta_error(n, m, table, w, target)
+
+    def test_random_small_coins(self):
+        rng = random.Random(28)
+        for _ in range(300):
+            n = rng.randrange(0, 40)
+            table = [rng.randrange(3) for _ in range(n + 1)]
+            s = rng.randrange(1, 30)
+            alphas = (Fraction(0), Fraction(1),
+                      Fraction(rng.randrange(s + 1), s))
+            for alpha in alphas:
+                assert coin_error_exact(table, alpha) == \
+                    _row_coin_error(table, alpha)
+
+    def test_galvin_coverage_equals_two_combs(self):
+        rng = random.Random(29)
+        for n in range(2, 130, 2):
+            half = n // 2
+            items = tuple(((1 << half) - 1, rng.randrange(-3, half + 4))
+                          for _ in range(rng.randrange(6)))
+            hit = {b for _, b in items if 0 <= b <= half}
+            want = Fraction(sum(comb(half, x) * comb(half, half - x)
+                                for x in hit), comb(n, half))
+            assert galvin_coverage(GalvinFamily(n, items)) == want
+
+    def test_junta_weight_outside_the_cube(self):
+        j = sampling_poly(16, 8, 4, 0.3, 1, seed=3)
+        for w in (-1, 17):
+            with pytest.raises(ValueError, match="outside"):
+                junta_exact_slice_error(j, w, "zero")
+
+    def test_coin_alpha_outside_the_unit_interval(self):
+        for alpha in (Fraction(3, 2), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                coin_error_exact([0, 1, 1, 0], alpha)
 
 
 class TestGalvin:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import (MultilinearPoly, ecoeffs_from_weight_values,
-                           monomials_upto, multilinearize_product, point_array,
+from slicedeg.cube import (MultilinearPoly, _digit_axes,
+                           ecoeffs_from_weight_values, monomials_upto,
+                           multilinearize_product, point_array,
                            poly_to_json_dict, popcount, slice_masks,
                            slice_stats, weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
@@ -343,6 +344,86 @@ class TestForwardDifferenceTransforms:
         rng = random.Random(seed)
         raw = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(n + 3))]
         assert weight_values_from_ecoeffs(n, raw) == comb_table(n, raw)
+
+
+def passes_values(n, coeffs, p):
+    """Reference: one running-sum pass per coefficient over the whole table,
+    g_j(w) = c_j + sum_{u<w} g_{j+1}(u), O(n * degree) (the transform before
+    it ran along base-p digit axes)."""
+    vals = np.zeros(n + 1, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals[1:] = np.cumsum(vals[:n])
+        vals[0] = 0
+        vals += c % p
+        vals %= p
+    return vals.tolist()
+
+
+def passes_ecoeffs(values, p):
+    """Reference: one forward-difference pass per order,
+    c_j = (Delta^j f)(0)."""
+    diffs = np.array([v % p for v in values], dtype=np.int64)
+    coeffs = []
+    for _ in range(len(values)):
+        coeffs.append(int(diffs[0]))
+        diffs = np.diff(diffs) % p
+    return coeffs
+
+
+@st.composite
+def digit_cases(draw):
+    """(p, n, coefficient list, value list): n at and beside a power of p,
+    or anywhere in [0, 300]; one prime above every such n."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 10007]))
+    if p < 10 and draw(st.booleans()):
+        L = draw(st.integers(1, {2: 9, 3: 6, 5: 4, 7: 3}[p]))
+        n = p**L + draw(st.sampled_from([-1, 0, 1]))
+    else:
+        n = draw(st.integers(0, 300))
+    entry = st.integers(-p, 2 * p)
+    kind = draw(st.sampled_from(["empty", "short", "zero", "full"]))
+    coeffs = {"empty": st.just([]),
+              "short": st.lists(entry, min_size=1, max_size=3),
+              "zero": st.lists(st.just(0), max_size=n + 2),
+              "full": st.lists(entry, min_size=n + 1, max_size=n + 3)}[kind]
+    values = st.lists(entry, min_size=n + 1, max_size=n + 1)
+    return p, n, draw(coeffs), draw(values)
+
+
+class TestDigitAxisTransforms:
+    """The transforms along base-p digit axes equal one pass per order."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_axes_at_and_beside_a_power(self, p):
+        assert _digit_axes(p**3 - 1, p) == (p, p, p)
+        assert _digit_axes(p**3, p) == (2, p, p, p)
+        assert _digit_axes(p**3 + 1, p) == (2, p, p, p)
+        assert _digit_axes(0, p) == (1,)
+        assert _digit_axes(p - 1, p) == (p,)
+        assert _digit_axes(300, 10007) == (301,)
+
+    @given(digit_cases())
+    @example((2, 512, [1], [1] * 513))
+    @example((3, 26, [0] * 27 + [1], [0] * 27))
+    @example((10007, 300, [], [10006] * 301))
+    @settings(max_examples=120, deadline=None)
+    def test_equal_to_one_pass_per_order(self, case):
+        p, n, coeffs, values = case
+        table = weight_values_from_ecoeffs(n, coeffs, p)
+        assert table == passes_values(n, coeffs, p)
+        from_values = ecoeffs_from_weight_values(values, p)
+        assert from_values == passes_ecoeffs(values, p)
+        # the round trip, both ways
+        low = [c % p for c in coeffs[:n + 1]]
+        assert ecoeffs_from_weight_values(table, p) == (
+            low + [0] * (n + 1 - len(low)))
+        assert weight_values_from_ecoeffs(n, from_values, p) == [
+            v % p for v in values]
+
+    def test_empty_table(self):
+        assert ecoeffs_from_weight_values([], 3) == []
+        assert weight_values_from_ecoeffs(0, [], 3) == [0]
+        assert weight_values_from_ecoeffs(0, [4, 1], 3) == [1]
 
 
 class TestElementarySymmetric:
