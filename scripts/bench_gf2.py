@@ -6,7 +6,7 @@
 The set is every slice-k evaluation matrix with n in [12, 15], k in
 [1, n - 1] and degree d <= 4, each both as the rank-certificate head that
 ``distinguish._slice_oracle`` builds (the first C(n, min(d, k, n - k)) + 32
-rows of its shuffled order) and as the full slice (500 blocks).  Each block
+rows in ``_row_order``) and as the full slice (500 blocks).  Each block
 is reduced from its 0/1 form by the absorb path (``RankOracle.extend`` fed
 one row at a time) and by the batch path (``_rref_words`` on
 ``_pack_words``), and the two must give the same pivot rows.  Prints one
@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from slicedeg.closure import evaluation_bool_matrix
-from slicedeg.cube import monomials_upto, slice_masks
+from slicedeg.cube import monomial_array, slice_array
 from slicedeg.distinguish import _HEAD_MARGIN, _row_order
 from slicedeg.linalg import PrimeField, RankOracle, _pack_words, _rref_words
 
@@ -38,10 +38,10 @@ BANDS = (0, 100, 200, 300, 400, 600, 1000, 2000, 10**9)
 def blocks():
     for n in range(12, 16):
         for k in range(1, n):
-            pts = np.array(list(slice_masks(n, k)), dtype=np.uint64)
+            pts = slice_array(n, k)
             pts = pts[_row_order(len(pts))]
             for d in range(5):
-                full = evaluation_bool_matrix(monomials_upto(n, d), pts)
+                full = evaluation_bool_matrix(monomial_array(n, d), pts)
                 yield full[:comb(n, min(d, k, n - k)) + _HEAD_MARGIN]
                 yield full
 

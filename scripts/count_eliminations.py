@@ -9,7 +9,10 @@ operation groups runs in its own fresh interpreter, as the benchmark runs
 it.  In that interpreter ``RankOracle.extend`` (calls, rows and cells,
 the sum of rows x cols) and ``RankOracle.from_rows`` (calls) are counted;
 the constructors absorb their block with one ``extend``, so it is counted
-too.  Every exact ascent that requests a predicted rung first
+too.  ``fallback_rows`` counts the rows extended into an oracle of nonzero
+rank: the rank certificate's chunks after its head
+(``distinguish._slice_oracle``), so a change of row order shows there.
+Every exact ascent that requests a predicted rung first
 (``distinguish._ascent`` with ``predict``, at
 ``distinguish._hegedus_degree`` capped at its top) is followed to the rung
 where it stops: a predicted rung above it would be an elimination no rung
@@ -49,6 +52,8 @@ def count(ops: list) -> Counter:
         counts["extend_calls"] += 1
         counts["extend_rows"] += len(block)
         counts["extend_cells"] += len(block) * self.cols
+        if self.rank:
+            counts["fallback_rows"] += len(block)
         return extend(self, block)
 
     def counted_from_rows(cls, field, rows):
@@ -109,7 +114,7 @@ def main() -> int:
         print(json.dumps({"workload": name, "seed": args.seed,
                           **{key: total[key] for key in (
                               "extend_calls", "extend_rows", "extend_cells",
-                              "from_rows_calls",
+                              "fallback_rows", "from_rows_calls",
                               "predicted_rungs", "predicted_above_stop")}}))
     return 0
 

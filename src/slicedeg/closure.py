@@ -8,36 +8,29 @@ possibly huge ideal basis: one row reduction per candidate, or, when E is a
 union of full weight slices, one per candidate weight.
 
 A point set is a 1-D uint64 array of n-bit masks, taken as it is; any other
-iterable of ints is converted once.  Monomials are held the same way, one
-read-only array per (n, D).  Masks leave the arrays as Python ints
-(``tolist``), so no numpy scalar reaches a report.
+iterable of ints is converted once.  Monomials and weight slices are
+cached, read-only uint64 arrays (``cube.monomial_array``,
+``cube.slice_array``), and a candidate set is a uint64 array made of them
+(``Candidates.masks``: the cached slices, or the full cube as an
+``arange``).  Weights are read off the arrays by ``np.bitwise_count``.
+Masks leave the arrays as Python ints (``tolist``), so no numpy scalar
+reaches a report.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, MAX_ROWS, Caps, check_cap
-from .cube import (CHUNK_CELLS, Mask, MultilinearPoly, monomials_upto,
-                   n_monomials, point_array, popcount, slice_masks)
+from .cube import (CHUNK_CELLS, Mask, MultilinearPoly, monomial_array,
+                   n_monomials, point_array, weight_slices)
 from .linalg import PrimeField, RankOracle, pack_bool_rows  # noqa: F401 (re-export)
-
-
-@lru_cache(maxsize=32)
-def _monomial_array(n: int, degree: int) -> np.ndarray:
-    """``monomials_upto(n, degree)`` as a read-only uint64 array, converted
-    once per (n, degree) and shared by every evaluation matrix of it."""
-    monos = point_array(monomials_upto(n, degree), n)
-    monos.flags.writeable = False
-    return monos
 
 
 def evaluation_bool_matrix(monomials: Sequence[Mask],
@@ -69,7 +62,7 @@ class EvaluationMatrix:
         self.degree = degree
         self.points = point_array(points, n)
         check_cap(len(self.points), MAX_ROWS, "evaluation matrix rows")
-        self.monomials = _monomial_array(n, degree)
+        self.monomials = monomial_array(n, degree)
 
     @property
     def n_d(self) -> int:
@@ -136,16 +129,15 @@ class Candidates:
     def slices(cls, n: int, weights: Sequence[int]) -> "Candidates":
         return cls(n, "slices", tuple(sorted(set(weights))))
 
-    def masks(self, caps: Caps = DEFAULT_CAPS) -> list[Mask]:
+    def masks(self, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+        """The candidates as a uint64 array: the full cube in numeric order,
+        or the cached slices by weight."""
         if self.kind == "full":
             check_cap(1 << self.n, caps.max_slice_points, "full-cube candidates")
-            return list(range(1 << self.n))
-        total = sum(comb(self.n, w) for w in self.weights)
-        check_cap(total, caps.max_slice_points, "candidate slice points")
-        out: list[Mask] = []
-        for w in self.weights:
-            out.extend(slice_masks(self.n, w))
-        return out
+            return np.arange(1 << self.n, dtype=np.uint64)
+        check_cap(sum(comb(self.n, w) for w in self.weights),
+                  caps.max_slice_points, "candidate slice points")
+        return weight_slices(self.n, self.weights)
 
     def describe(self) -> dict:
         if self.kind == "full":
@@ -169,11 +161,9 @@ class ClosureResult:
 
     @property
     def per_slice_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for m in self.member_masks:
-            w = popcount(m)
-            counts[w] = counts.get(w, 0) + 1
-        return counts
+        weights, counts = np.unique(np.bitwise_count(
+            point_array(self.member_masks, self.n)), return_counts=True)
+        return dict(zip(weights.tolist(), counts.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,11 +180,12 @@ class ClosureResult:
         }
 
 
-def _is_slice_union(n: int, masks: Sequence[Mask]) -> bool:
+def _is_slice_union(n: int, masks: Iterable) -> bool:
     """True iff the distinct masks, all in [0, 2^n), are exactly a union of
     full weight slices of the n-cube."""
-    counts = Counter(popcount(m) for m in set(masks))
-    return all(c == comb(n, w) for w, c in counts.items())
+    counts = np.bincount(np.bitwise_count(np.unique(point_array(masks, n))),
+                         minlength=n + 1)
+    return all(c in (0, comb(n, w)) for w, c in enumerate(counts.tolist()))
 
 
 def closure(field: PrimeField, n: int, points: Iterable, degree: int,
@@ -211,17 +202,18 @@ def closure(field: PrimeField, n: int, points: Iterable, degree: int,
     oracle = ev.oracle()
     cand_masks = candidates.masks(caps)
     members = []
-    if cand_masks:
-        if _is_slice_union(n, ev.points.tolist()):
-            weights = sorted({popcount(m) for m in cand_masks})
+    if len(cand_masks):
+        if _is_slice_union(n, ev.points):
+            cand_weights = np.bitwise_count(cand_masks)
+            weights = np.unique(cand_weights).tolist()
             flags = batch_member(oracle, evaluation_bool_matrix(
                 ev.monomials, [(1 << w) - 1 for w in weights]))
-            inside = {w for w, ok in zip(weights, flags) if ok}
-            members = [m for m in cand_masks if popcount(m) in inside]
+            inside = [w for w, ok in zip(weights, flags) if ok]
+            members = cand_masks[np.isin(cand_weights, inside)].tolist()
         else:
             rows = evaluation_bool_matrix(ev.monomials, cand_masks)
             flags = batch_member(oracle, rows)
-            members = [m for m, ok in zip(cand_masks, flags) if ok]
+            members = cand_masks[np.array(flags, dtype=bool)].tolist()
     return ClosureResult(
         n=n, p=field.p, degree=degree, e_size=len(ev.points),
         rank=oracle.rank, n_d=ev.n_d, candidates=candidates,
@@ -241,9 +233,9 @@ def nie_wang_check(field: PrimeField, n: int, points: Iterable, degree: int,
     return lhs, rhs, lhs <= rhs
 
 
-def hamming_ball(n: int, radius: int) -> list[Mask]:
+def hamming_ball(n: int, radius: int) -> np.ndarray:
     """All points within Hamming distance ``radius`` of the origin."""
-    return [m for d in range(radius + 1) for m in slice_masks(n, d)]
+    return weight_slices(n, range(radius + 1))
 
 
 def ball_fact_check(field: PrimeField, n: int, d: int) -> bool:

@@ -5,8 +5,8 @@ limit and raises ``CapExceeded`` instead of thrashing.  The two limits a run
 may set (the CLI's ``--max-slice-points`` and ``--max-terms``) are the
 fields of ``Caps``, passed to the functions that read them.  The others are
 constants, each checked once where it is read: ``MAX_VARIABLES`` in
-``cube.point_array``, ``MAX_COLS`` in ``cube.monomials_upto`` and
-``MAX_ROWS`` in ``closure.EvaluationMatrix``.
+``cube.point_array`` and ``cube.slice_array``, ``MAX_COLS`` in
+``cube.monomial_array`` and ``MAX_ROWS`` in ``closure.EvaluationMatrix``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 A point of {0,1}^n and a monomial are both n-bit masks (bit i = coordinate /
 variable x_{i+1}): a Python int one at a time, a 1-D uint64 array as a set
-(``closure.EvaluationMatrix.points``).  A polynomial is a canonical map
+(``closure.EvaluationMatrix.points``).  A weight slice is one cached,
+read-only uint64 array (``slice_array``), the only enumeration of a slice
+that fits uint64, and the degree-<=d monomials are the concatenation of slices 0..d
+(``monomial_array``).  A polynomial is a canonical map
 monomial-mask -> nonzero coefficient.  Because multilinear representations
 of functions on {0,1}^n are unique, two equal functions built multilinearly
 always have identical term maps.
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, combinations
 from math import comb, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -62,9 +66,10 @@ def p_adic_part(q: int, p: int) -> int:
 def point_array(masks: Iterable[Mask], n: int = MAX_VARIABLES) -> np.ndarray:
     """The masks as a 1-D uint64 array (a uint64 array is taken as it is);
     a mask outside [0, 2^n) or one that is not an integer raises
-    ``ValueError``.  This is the one check of the ``MAX_VARIABLES`` limit:
-    every evaluation converts its points here, so an n above it raises
-    ``CapExceeded`` before any mask reaches uint64.
+    ``ValueError``.  This and ``slice_array`` check the ``MAX_VARIABLES``
+    limit: every evaluation converts its points here and every slice is
+    enumerated there, so an n above it raises ``CapExceeded`` before any
+    mask reaches uint64.
 
     Any other iterable is converted by one ``np.array`` call, which keeps
     integer dtypes and signs, so the checks on the array see every element.
@@ -91,33 +96,57 @@ def point_array(masks: Iterable[Mask], n: int = MAX_VARIABLES) -> np.ndarray:
     return pts
 
 
-def slice_masks(n: int, k: int) -> Iterator[Mask]:
-    """All weight-k masks of n bits in increasing numeric order (Gosper's hack)."""
+@lru_cache(maxsize=256)
+def slice_array(n: int, k: int) -> np.ndarray:
+    """All weight-k masks of n bits as a read-only uint64 array, in
+    increasing numeric order.
+
+    slice(n, k) is slice(n - 1, k) (bit n - 1 clear) followed by
+    slice(n - 1, k - 1) | 2^(n - 1) (bit n - 1 set), so every mask of the
+    second part exceeds every mask of the first and the order holds by
+    induction.  The recursion reads the cached arrays of n - 1, so a slice
+    costs one concatenation once its parents are built.
+    """
+    check_cap(n, MAX_VARIABLES, "variables n")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        yield 0
-        return
-    m = (1 << k) - 1
-    top = 1 << n
-    while m < top:
-        yield m
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
+    if k == 0 or k == n:
+        out = np.array([(1 << k) - 1], dtype=np.uint64)
+    else:
+        out = np.concatenate([slice_array(n - 1, k), slice_array(n - 1, k - 1)
+                              | np.uint64(1 << (n - 1))])
+    out.flags.writeable = False
+    return out
 
 
-def monomials_upto(n: int, d: int) -> list[Mask]:
-    """All monomial masks of degree <= d in canonical order.
+def slice_masks(n: int, k: int) -> list[Mask]:
+    """``slice_array(n, k)`` as a list of Python ints."""
+    return slice_array(n, k).tolist()
+
+
+def weight_slices(n: int, weights: Iterable[int]) -> np.ndarray:
+    """The slices of ``weights``, in that order, as one uint64 array."""
+    return np.concatenate([np.empty(0, dtype=np.uint64),
+                           *(slice_array(n, w) for w in weights)])
+
+
+@lru_cache(maxsize=32)
+def monomial_array(n: int, d: int) -> np.ndarray:
+    """All monomial masks of degree <= d in canonical order, as one
+    read-only uint64 array shared by every evaluation matrix of (n, d).
 
     Canonical order is graded by degree, ties broken by numeric mask value;
     this fixes the column order of every evaluation matrix.
     """
     check_cap(n_monomials(n, d), MAX_COLS, f"monomial count N_{d}")
-    out: list[Mask] = []
-    for j in range(min(d, n) + 1):
-        out.extend(slice_masks(n, j))
-    return out
+    monos = weight_slices(n, range(min(d, n) + 1))
+    monos.flags.writeable = False
+    return monos
+
+
+def monomials_upto(n: int, d: int) -> list[Mask]:
+    """``monomial_array(n, d)`` as a list of Python ints."""
+    return monomial_array(n, d).tolist()
 
 
 def n_monomials(n: int, d: int) -> int:
@@ -157,9 +186,16 @@ def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
     Mod p the same running sums run along each base-p digit axis of 0..n
     (see the module docstring), in place: the pass for order j replaces the
     entries from j - 1 on by their running sums, and the orders above the
-    largest digit a coefficient has on the axis are skipped.  Weights past
-    n pad the top axis with zero coefficients; that is exact, because the
-    value at w reads only the c_j with j digit-wise <= w, so j <= w.
+    largest digit a coefficient has on the axis are skipped.  Where no order
+    of an axis of length L is skipped, its L - 1 passes are slice adds
+    instead: G_j adds to every entry from j on its predecessor, all at once,
+    and the Pascal matrix P_L = [C(w, j)] is G_(L-1) ... G_2 G_1, since
+    G_(L-1) ... G_2 = diag(1, P_(L-1)) by induction and diag(1, P_(L-1))
+    (I + shift) = P_L by Pascal's rule.  A slice add is one numpy call, where
+    ``np.cumsum`` along a short axis costs one call per position beside it.
+    Each pass is reduced mod p.  Weights past n pad the top axis with zero
+    coefficients; that is exact, because the value at w reads only the c_j
+    with j digit-wise <= w, so j <= w.
     """
     if not p:
         vals = [0] * (n + 1)
@@ -174,7 +210,14 @@ def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
         # a coefficient index below len(low) has digit at most
         # (len(low) - 1) // stride here, and the passes along the other
         # axes keep a zero slot of this axis zero
-        orders = min(view.shape[1] - 1, (len(low) - 1) // view.shape[2] + 1)
+        length = view.shape[1]
+        orders = min(length - 1, (len(low) - 1) // view.shape[2] + 1)
+        if orders == length - 1:
+            for j in range(1, length):
+                seg = view[:, j:]
+                seg += view[:, j - 1:-1]
+                seg %= p
+            continue
         for j in range(orders, 0, -1):
             seg = view[:, j - 1:]
             np.cumsum(seg, axis=1, out=seg)
@@ -232,8 +275,6 @@ class SliceStats:
 
     @property
     def psi(self) -> Fraction:
-        if self.slice_size == 0:
-            return Fraction(0)
         return Fraction(self.nonzero_count, self.slice_size)
 
 
@@ -318,15 +359,24 @@ class MultilinearPoly:
         return self._sym is not None
 
     def terms_map(self, caps: Caps = DEFAULT_CAPS) -> dict:
-        """The canonical term map, materializing a lazy symmetric form."""
+        """The canonical term map, materializing a lazy symmetric form.
+
+        Its monomials are ``slice_array``'s; above ``MAX_VARIABLES`` they do
+        not fit uint64, so there they are built as Python ints from
+        ``combinations``.
+        """
         if self._terms is None:
             total = sum(comb(self.n, j) for j, c in enumerate(self._sym) if c)
             check_cap(total, caps.max_terms, "materialized term count")
             terms = {}
             for j, c in enumerate(self._sym):
-                if c:
-                    for m in slice_masks(self.n, j):
-                        terms[m] = c
+                if not c:
+                    continue
+                masks = (slice_array(self.n, j).tolist()
+                         if self.n <= MAX_VARIABLES else
+                         (sum(1 << i for i in vs)
+                          for vs in combinations(range(self.n), j)))
+                terms.update(dict.fromkeys(masks, c))
             self._terms = terms
         return self._terms
 
@@ -340,9 +390,12 @@ class MultilinearPoly:
         """Value on any point of weight w (symmetric polynomials only).
 
         One binomial sum, cheaper than the whole table for a single weight.
+        A weight outside [0, n] raises ``ValueError``.
         """
         if self._sym is None:
             raise ValueError("no symmetric certificate attached")
+        if not (0 <= w <= self.n):
+            raise ValueError(f"need 0 <= w <= n, got w={w}, n={self.n}")
         return sum(c * comb(w, j) for j, c in enumerate(self._sym) if c) % self.field.p
 
     def weight_values(self) -> Optional[tuple]:
@@ -434,14 +487,16 @@ def multilinearize_product(P: MultilinearPoly, Q: MultilinearPoly,
 
 
 def slice_stats(P: MultilinearPoly, m: int, caps: Caps = DEFAULT_CAPS) -> SliceStats:
-    """Exact |NZ_m(P)| and psi_m(P) on the weight-m slice."""
+    """Exact |NZ_m(P)| and psi_m(P) on the weight-m slice; a weight
+    outside [0, n] raises ``ValueError``."""
+    if not (0 <= m <= P.n):
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={P.n}")
     size = comb(P.n, m)
     if P.is_symmetric_certified:
         nz = size if P.weight_value(m) != 0 else 0
         return SliceStats(m=m, nonzero_count=nz, slice_size=size)
     check_cap(size, caps.max_slice_points, f"slice size C({P.n},{m})")
-    masks = list(slice_masks(P.n, m))
-    vals = P.evaluate_many(masks)
+    vals = P.evaluate_many(slice_array(P.n, m))
     return SliceStats(m=m, nonzero_count=int(np.count_nonzero(vals)),
                       slice_size=size)
 

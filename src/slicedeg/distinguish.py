@@ -41,7 +41,7 @@ from .config import DEFAULT_CAPS, DPS, Caps, check_cap, frac_str, mpf_fraction
 from .closure import (Candidates, EvaluationMatrix, closure,
                       evaluation_bool_matrix, poly_from_coeffs)
 from .cube import (Mask, MultilinearPoly, binomial_row, p_adic_part,
-                   point_array, slice_masks, slice_stats)
+                   slice_array, slice_stats)
 from .linalg import PrimeField, RankOracle, _rref_array
 
 
@@ -113,9 +113,24 @@ _HEAD_MARGIN, _CHUNK = 32, 64  # rows built beyond the bound; rows per later ste
 _RESTARTS = 3  # seeded error-set draws of uniform robust search
 
 
+@lru_cache(maxsize=64)
 def _row_order(size: int) -> np.ndarray:
-    """The fixed pseudo-random order in which a slice's rows are absorbed."""
-    return np.random.default_rng(0).permutation(size)
+    """The fixed pseudo-random order in which a slice's rows are absorbed:
+    the indices 0..size - 1, as a read-only array, sorted by their
+    splitmix64 hash (Steele, Lea and Flood, OOPSLA 2014), a bijection of
+    uint64, so no two keys tie.
+
+    Any order gives the same oracle: ``_slice_oracle`` stops only at the
+    Wilson rank bound or after the last row, and in both cases the oracle
+    spans the whole slice, whose RREF is unique.  The order sets only the
+    cost, by how soon the rows reach the bound.
+    """
+    z = np.arange(size, dtype=np.uint64) + 0x9E3779B97F4A7C15  # wraps mod 2^64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    order = np.argsort(z ^ (z >> 31))
+    order.flags.writeable = False
+    return order
 
 
 def _slice_oracle(field: PrimeField, n: int, k: int,
@@ -129,9 +144,10 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     oracle reaches it: then, or once every row is in, the oracle spans the
     whole slice.  Only the reads its span determines are valid (the RREF,
     ``member``, ``residue``, ``nullspace_vector``); a rank above the bound
-    raises AssertionError.
+    raises AssertionError.  As an RREF is unique, those reads are the same
+    for every row order; the order sets only how many rows are reduced.
 
-    ``monomials_upto`` is graded, so the degree-<=d columns are the first
+    ``monomial_array`` is graded, so the degree-<=d columns are the first
     N_d of every higher rung.  A rung below one already built is that rung's
     ``prefix``, with no elimination: a stored row whose pivot lies past
     column N_d is zero before it, so the rows with a pivot below N_d, cut to
@@ -140,13 +156,14 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     one is eliminated on its own, so the exact ascents request their
     predicted rung first (``_ascent``) and the sweeps their ladder's top
     (``gap_degree_sweep``).  The ladder of the last slice requested is
-    kept until another slice is requested; it enumerates the slice once, and
-    every rung's ``points`` is that one array.  Rungs share their rows, so
-    they are frozen: ``extend`` into one raises ValueError.
+    kept until another slice is requested; it reads the slice once, as the
+    cached ``slice_array``, and every rung's ``points`` is that one array.
+    Rungs share their rows, so they are frozen: ``extend`` into one raises
+    ValueError.
     """
     if (field, n, k) not in _ladder:
         _ladder.clear()
-        pts = point_array(slice_masks(n, k), n)
+        pts = slice_array(n, k)
         _ladder[field, n, k] = (pts, pts[_row_order(len(pts))], {})
     points, rows, rungs = _ladder[field, n, k]
     if d not in rungs:
@@ -421,7 +438,7 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
     total_sets = sum(comb(size_k, j) for j in range(max_removals + 1))
     check_cap(total_sets * size_k, caps.max_slice_points,
               "exhaustive robust work")
-    K_masks = list(slice_masks(n, K))
+    K_masks = slice_array(n, K)
     per_degree: dict[int, int] = {}
     for d, ev, _, escaped in _ascent(field, n, k, K, n):
         outside, removed = (len(K_masks) if escaped else 0), ()

@@ -19,13 +19,15 @@ from math import comb
 from typing import Callable
 
 import mpmath as mp
+import numpy as np
 
 from . import __version__
 from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, frac_str,
                      mpf_fraction)
 from .closure import (Candidates, IdealSampler, ball_fact_check, closure,
                       hamming_ball, nie_wang_check)
-from .cube import MultilinearPoly, n_monomials, poly_to_json_dict, slice_masks
+from .cube import (MultilinearPoly, n_monomials, poly_to_json_dict,
+                   slice_array, weight_slices)
 from .distinguish import (SliceDistinguishInstance, midslice_consistency,
                           exact_min_degree, exhaustive_robust,
                           gap_degree_sweep, p_adic_part, robust_search)
@@ -237,17 +239,17 @@ def _closure(params, seed, caps):
     n, p, D = params["n"], params["p"], params["D"]
     field = PrimeField(p)
     weights = [int(w) for w in params["e_slices"].split(",") if w != ""]
-    points = [m for w in weights for m in slice_masks(n, w)]
+    points = weight_slices(n, weights)
     if params["cand"] == "full":
         cand = Candidates.full_cube(n)
     else:
         cand = Candidates.slices(n, [int(w) for w in params["cand"].split(",")])
     res = closure(field, n, points, D, cand, caps)
-    member_set = set(res.member_masks)
-    e_in_cand = [m for m in points
-                 if cand.kind == "full" or m.bit_count() in cand.weights]
+    e_in_cand = (points if cand.kind == "full" else
+                 points[np.isin(np.bitwise_count(points), cand.weights)])
+    members = np.array(res.member_masks, dtype=np.uint64)
     checks = [Check("E-inside-its-closure",
-                    all(m in member_set for m in e_in_cand),
+                    bool(np.isin(e_in_cand, members).all()),
                     f"|E|={len(points)}, closure={res.closure_count}")]
     return checks, {"closure": [res.to_json_dict()]}, []
 
@@ -299,7 +301,7 @@ def _claimA1(params, seed, caps):
         field = PrimeField(p)
         for (n, pts, D, b) in (
             (3, [0b111], 1, 0),
-            (4, list(slice_masks(4, 2)), 2, 0b1111),
+            (4, slice_array(4, 2), 2, 0b1111),
         ):
             sampler = IdealSampler(field, n, pts, D, seed=seed, caps=caps)
             vals = sampler.exhaustive_values_at(b)
@@ -314,8 +316,8 @@ def _claimA1(params, seed, caps):
     for p in (2, 3):
         field = PrimeField(p)
         n, k, K, D = 10, 5, 7, 2
-        pts = list(slice_masks(n, k))
-        b = next(slice_masks(n, K))
+        pts = slice_array(n, k)
+        b = (1 << K) - 1
         sampler = IdealSampler(field, n, pts, D, seed=seed + p, caps=caps)
         vals = sampler.sample_values_at(b, params["samples"])
         freq = sum(1 for v in vals if v) / len(vals)

@@ -160,7 +160,11 @@ def _rref_words(w: np.ndarray) -> dict[int, int]:
     are zero left of the strip, so a table of all 2^kp sums of the strip's
     kp pivot rows needs only the words from the strip's own word onward.
     Every row XORs the one table row that agrees with it on the strip's
-    pivot columns (``lut`` of its byte), which clears them.
+    pivot columns (``lut`` of its byte), which clears them.  The pivots come
+    from the distinct strip bytes of the free rows, taken in the order of
+    the first row that holds each, until 8 are independent: in byte-value
+    order a full-rank strip would walk at least 128 values to reach bit 7.
+    The RREF is unique, so the order changes no pivot row.
     """
     rows, words = w.shape
     strips = w.view(np.uint8)
@@ -173,8 +177,9 @@ def _rref_words(w: np.ndarray) -> dict[int, int]:
             continue
         basis: dict[int, int] = {}  # lowest set bit -> reduced strip byte
         chosen = []  # one row per basis byte
-        vals, first = np.unique(byte[cand], return_index=True)
-        for v, row in zip(vals.tolist(), cand[first].tolist()):
+        # each distinct byte at the first row that holds it, in row order
+        rows_first = cand[np.sort(np.unique(byte[cand], return_index=True)[1])]
+        for v, row in zip(byte[rows_first].tolist(), rows_first.tolist()):
             while v and v & -v in basis:
                 v ^= basis[v & -v]
             if v:

@@ -38,7 +38,7 @@ def slice_union_cases(n, rng):
     sk = list(slice_masks(n, k))
     union = sk + list(slice_masks(n, rng.choice([0, j, n])))
     return [(sk, True), (union + [union[-1]], True),
-            (sk[:-1], False), (sk + [next(slice_masks(n, j))], False)]
+            (sk[:-1], False), (sk + [(1 << j) - 1], False)]
 
 
 def closure_by_basis(field, n, points, degree):
@@ -114,7 +114,7 @@ class TestIdealBasis:
         # ValueError, not OverflowError
         with pytest.raises(ValueError, match="outside"):
             if point is None:
-                evaluation_bool_matrix(monomials_upto(70, 1), [0])
+                evaluation_bool_matrix([0, 1 << 69], [0])
             else:
                 EvaluationMatrix(F3, 3, 1, [0b111, point])
 

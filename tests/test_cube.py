@@ -12,8 +12,9 @@ from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, _digit_axes,
                            ecoeffs_from_weight_values, monomials_upto,
                            multilinearize_product, point_array,
-                           poly_to_json_dict, popcount, slice_masks,
-                           slice_stats, weight_values_from_ecoeffs)
+                           poly_to_json_dict, popcount, slice_array,
+                           slice_masks, slice_stats,
+                           weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -49,7 +50,54 @@ def mobius_reconstruct(n, field, values):
     return MultilinearPoly.from_terms(n, field, terms)
 
 
+def gosper_slice(n, k):
+    """Reference enumeration of slice k in numeric order (Gosper's hack):
+    the next mask with k bits set after m."""
+    if k == 0:
+        yield 0
+        return
+    m, top = (1 << k) - 1, 1 << n
+    while m < top:
+        yield m
+        c = m & -m
+        r = m + c
+        m = (((r ^ m) >> 2) // c) | r
+
+
 class TestSliceEnumeration:
+    def test_slice_array_matches_gosper(self):
+        for n in range(21):
+            for k in range(n + 1):
+                got = slice_array(n, k)
+                assert got.dtype == np.uint64
+                assert got.tolist() == list(gosper_slice(n, k)), (n, k)
+        for k in range(3):
+            assert slice_array(64, k).tolist() == list(gosper_slice(64, k))
+
+    def test_slice_array_is_cached_and_read_only(self):
+        a = slice_array(9, 4)
+        assert slice_array(9, 4) is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+    @pytest.mark.parametrize("n, k", [(5, -1), (5, 6), (0, 1), (64, 65)])
+    def test_weight_outside_the_cube_raises(self, n, k):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            slice_array(n, k)
+
+    def test_more_than_64_variables_is_a_cap(self):
+        for k in (0, 1):
+            with pytest.raises(CapExceeded, match="variables n"):
+                slice_array(65, k)
+
+    def test_term_map_above_64_variables(self):
+        # its masks do not fit uint64, but a term map holds Python ints
+        poly = MultilinearPoly.from_sym(70, F3, [1, 0, 2])
+        terms = poly.terms_map()
+        assert terms == {0: 1, **dict.fromkeys(gosper_slice(70, 2), 2)}
+        assert poly_to_json_dict(poly)["terms"][:2] == [
+            {"mask": "0x0", "c": 1}, {"mask": "0x3", "c": 2}]
+
     def test_weight_zero(self):
         assert list(slice_masks(3, 0)) == [0]
 
@@ -223,6 +271,16 @@ class TestSliceStats:
         e2 = elementary_symmetric(4, 2, F2)
         st_ = slice_stats(e2, 3)
         assert st_.psi == 1 and st_.nonzero_count == 4
+
+    @pytest.mark.parametrize("w", [-1, 6, 7])
+    def test_weight_outside_the_cube_raises(self, w):
+        sym = MultilinearPoly.from_sym(5, F3, [1, 2, 1])
+        by_terms = MultilinearPoly.from_terms(5, F3, sym.terms_map())
+        for poly in (sym, by_terms):
+            with pytest.raises(ValueError, match="<= n"):
+                slice_stats(poly, w)
+        with pytest.raises(ValueError, match="<= n"):
+            sym.weight_value(w)
 
     def test_non_symmetric_at_64_variables(self):
         # points at and above 2^63 are enumerated and evaluated like the rest

@@ -1,6 +1,7 @@
 """Exact and robust minimum slice-distinguishing degree."""
 
 import functools
+import hashlib
 import itertools
 import random
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 from slicedeg import distinguish
 from slicedeg.closure import EvaluationMatrix, evaluation_bool_matrix
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import MultilinearPoly, monomials_upto, slice_masks
+from slicedeg.cube import (MultilinearPoly, monomials_upto, slice_array,
+                           slice_masks)
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
                                   exact_min_degree, exhaustive_robust,
                                   gap_degree_sweep, p_adic_part, robust_search)
@@ -242,7 +244,7 @@ class TestExactMinDegree:
         for (n, k, K) in ((12, 5, 7), (12, 4, 8), (11, 3, 6)):
             rep = exact_min_degree(n, 2, k, K, want_witness=False)
             k_masks = np.array(list(slice_masks(n, k)), dtype=np.uint64)
-            b = next(slice_masks(n, K))
+            b = (1 << K) - 1
             for d in range(rep.degree + 1):
                 monos = np.array(monomials_upto(n, d), dtype=np.uint64)
                 rows = ((monos[None, :] & ~k_masks[:, None]) == 0).astype(np.uint8)
@@ -694,6 +696,33 @@ class TestRobustSearch:
         assert reports() == want
 
 
+def splitmix64(x):
+    """Reference splitmix64 of one index, in Python ints mod 2^64."""
+    mask = (1 << 64) - 1
+    z = (x + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("size", [0, 1, 2, 56, 3432])
+    def test_a_permutation_sorted_by_splitmix64(self, size):
+        order = distinguish._row_order(size)
+        assert sorted(order.tolist()) == list(range(size))
+        assert order.tolist() == sorted(range(size), key=splitmix64)
+        assert not order.flags.writeable
+
+    @pytest.mark.parametrize("size, digest", [
+        (2, "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"),
+        (56, "2b7c1bf9a5f2525075c0fbbd22d64ae43ec4af6008d6198de64b8559c766ac14"),
+        (12870, "9ad04f455719098924b6b3f25304a3ba62875427934ec55820f1a5c79c2771ec"),
+    ])
+    def test_pinned(self, size, digest):
+        order = distinguish._row_order(size).astype("<u8")
+        assert hashlib.sha256(order.tobytes()).hexdigest() == digest
+
+
 class TestSliceOracleProvider:
     def test_exact_after_budget_zero_builds_nothing(self, monkeypatch):
         # both degree-only answers read one ladder, up to the rung below
@@ -728,9 +757,9 @@ class TestSliceOracleProvider:
 
     def test_the_ladder_enumerates_each_slice_once(self, monkeypatch):
         calls = []
-        slice_masks_ = distinguish.slice_masks
-        monkeypatch.setattr(distinguish, "slice_masks", lambda n, k: (
-            calls.append((n, k)) or slice_masks_(n, k)))
+        slice_array_ = distinguish.slice_array
+        monkeypatch.setattr(distinguish, "slice_array", lambda n, k: (
+            calls.append((n, k)) or slice_array_(n, k)))
         degrees = []
         for gaps in ("ppower", "composite"):
             calls.clear()
@@ -853,7 +882,11 @@ class TestSliceOracleProvider:
         res = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 1
-        assert "AssertionError: rank 28 of slice (8, 3)" in res.stderr
+        # with the bound patched to 1 the head is the first 1 + 32 rows
+        head = slice_array(8, 3)[distinguish._row_order(comb(8, 3))]
+        rank = RankOracle.from_rows(PrimeField(3), evaluation_bool_matrix(
+            monomials_upto(8, 2), head[:1 + distinguish._HEAD_MARGIN])).rank
+        assert f"AssertionError: rank {rank} of slice (8, 3)" in res.stderr
 
     def test_empty_error_set_takes_the_provider_oracle(self, monkeypatch):
         n, p, k, K = 8, 2, 4, 6
