@@ -12,7 +12,10 @@ iterable of ints is converted once.  Monomials and weight slices are
 cached, read-only uint64 arrays (``cube.monomial_array``,
 ``cube.slice_array``), and a candidate set is a uint64 array made of them
 (``Candidates.masks``: the cached slices, or the full cube as an
-``arange``).  Weights are read off the arrays by ``np.bitwise_count``.
+``arange``).  Weights are read off the arrays by ``np.bitwise_count``;
+distinct masks and weights are found by sorting and ``np.bincount``, since
+``np.unique`` without an index or count output, and so ``np.isin``, loads
+``numpy.ma`` (numpy 2.4).
 Masks leave the arrays as Python ints (``tolist``), so no numpy scalar
 reaches a report.
 """
@@ -183,8 +186,10 @@ class ClosureResult:
 def _is_slice_union(n: int, masks: Iterable) -> bool:
     """True iff the distinct masks, all in [0, 2^n), are exactly a union of
     full weight slices of the n-cube."""
-    counts = np.bincount(np.bitwise_count(np.unique(point_array(masks, n))),
-                         minlength=n + 1)
+    pts = np.sort(point_array(masks, n))
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = pts[1:] != pts[:-1]
+    counts = np.bincount(np.bitwise_count(pts[first]), minlength=n + 1)
     return all(c in (0, comb(n, w)) for w, c in enumerate(counts.tolist()))
 
 
@@ -205,11 +210,11 @@ def closure(field: PrimeField, n: int, points: Iterable, degree: int,
     if len(cand_masks):
         if _is_slice_union(n, ev.points):
             cand_weights = np.bitwise_count(cand_masks)
-            weights = np.unique(cand_weights).tolist()
-            flags = batch_member(oracle, evaluation_bool_matrix(
-                ev.monomials, [(1 << w) - 1 for w in weights]))
-            inside = [w for w, ok in zip(weights, flags) if ok]
-            members = cand_masks[np.isin(cand_weights, inside)].tolist()
+            weights = np.flatnonzero(np.bincount(cand_weights))
+            inside = np.zeros(n + 1, dtype=bool)
+            inside[weights] = batch_member(oracle, evaluation_bool_matrix(
+                ev.monomials, [(1 << w) - 1 for w in weights.tolist()]))
+            members = cand_masks[inside[cand_weights]].tolist()
         else:
             rows = evaluation_bool_matrix(ev.monomials, cand_masks)
             flags = batch_member(oracle, rows)

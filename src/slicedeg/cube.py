@@ -99,29 +99,38 @@ def point_array(masks: Iterable[Mask], n: int = MAX_VARIABLES) -> np.ndarray:
 @lru_cache(maxsize=256)
 def slice_array(n: int, k: int) -> np.ndarray:
     """All weight-k masks of n bits as a read-only uint64 array, in
-    increasing numeric order.
-
-    slice(n, k) is slice(n - 1, k) (bit n - 1 clear) followed by
-    slice(n - 1, k - 1) | 2^(n - 1) (bit n - 1 set), so every mask of the
-    second part exceeds every mask of the first and the order holds by
-    induction.  The recursion reads the cached arrays of n - 1, so a slice
-    costs one concatenation once its parents are built.
-    """
+    increasing numeric order (built by ``_enumerate_slice``; only the
+    slices asked for are cached)."""
     check_cap(n, MAX_VARIABLES, "variables n")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0 or k == n:
-        out = np.array([(1 << k) - 1], dtype=np.uint64)
-    else:
-        out = np.concatenate([slice_array(n - 1, k), slice_array(n - 1, k - 1)
-                              | np.uint64(1 << (n - 1))])
+    out = _enumerate_slice(n, k)
     out.flags.writeable = False
     return out
 
 
-def slice_masks(n: int, k: int) -> list[Mask]:
-    """``slice_array(n, k)`` as a list of Python ints."""
-    return slice_array(n, k).tolist()
+def _enumerate_slice(n: int, k: int) -> np.ndarray:
+    """slice(n, k) in increasing order, through slice(n - k + j, j) for
+    j = 0 .. k.
+
+    The weight-j masks below 2^m, by their top bit h = j - 1 .. m - 1, are
+    the weight-(j - 1) masks below 2^h with bit h set; those are the first
+    C(h, j - 1) of slice(m - 1, j - 1), because its order is increasing.
+    So each j is one gather and one OR, the blocks of larger h hold larger
+    masks, and the order holds by induction.  Above k = n / 2 the slice is
+    the complement of slice(n, n - k), reversed.
+    """
+    if 2 * k > n:
+        return np.uint64((1 << n) - 1) ^ _enumerate_slice(n, n - k)[::-1]
+    out = np.zeros(1, dtype=np.uint64)
+    for j in range(1, k + 1):
+        tops = range(j - 1, n - k + j)
+        counts = np.array([comb(h, j - 1) for h in tops])
+        starts = np.cumsum(counts) - counts
+        prefix = np.arange(counts.sum()) - np.repeat(starts, counts)
+        bits = np.uint64(1) << np.arange(tops.start, tops.stop, dtype=np.uint64)
+        out = out[prefix] | np.repeat(bits, counts)
+    return out
 
 
 def weight_slices(n: int, weights: Iterable[int]) -> np.ndarray:
@@ -183,19 +192,16 @@ def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
     The inverse of ``ecoeffs_from_weight_values``: g_j(w) = c_j +
     sum_{u<w} g_{j+1}(u), starting from the top coefficient, makes g_0 the
     table.  Over the integers each g_j is one running sum of Python ints.
-    Mod p the same running sums run along each base-p digit axis of 0..n
-    (see the module docstring), in place: the pass for order j replaces the
-    entries from j - 1 on by their running sums, and the orders above the
-    largest digit a coefficient has on the axis are skipped.  Where no order
-    of an axis of length L is skipped, its L - 1 passes are slice adds
-    instead: G_j adds to every entry from j on its predecessor, all at once,
-    and the Pascal matrix P_L = [C(w, j)] is G_(L-1) ... G_2 G_1, since
-    G_(L-1) ... G_2 = diag(1, P_(L-1)) by induction and diag(1, P_(L-1))
-    (I + shift) = P_L by Pascal's rule.  A slice add is one numpy call, where
-    ``np.cumsum`` along a short axis costs one call per position beside it.
-    Each pass is reduced mod p.  Weights past n pad the top axis with zero
-    coefficients; that is exact, because the value at w reads only the c_j
-    with j digit-wise <= w, so j <= w.
+    Mod p the binomial matrix runs along each base-p digit axis of 0..n
+    (see the module docstring), in place, as L - 1 slice adds on an axis of
+    length L: G_j adds to every entry from j on its predecessor, all at
+    once, and the Pascal matrix P_L = [C(w, j)] is G_(L-1) ... G_2 G_1,
+    since G_(L-1) ... G_2 = diag(1, P_(L-1)) by induction and
+    diag(1, P_(L-1)) (I + shift) = P_L by Pascal's rule.  A slice add is one
+    numpy call, where ``np.cumsum`` along a short axis costs one call per
+    position beside it.  Each pass is reduced mod p.  Weights past n pad the
+    top axis with zero coefficients; that is exact, because the value at w
+    reads only the c_j with j digit-wise <= w, so j <= w.
     """
     if not p:
         vals = [0] * (n + 1)
@@ -207,20 +213,9 @@ def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
     low = [c % p for c in coeffs[:n + 1]]
     table[:len(low)] = low
     for view in _digit_views(table, axes):
-        # a coefficient index below len(low) has digit at most
-        # (len(low) - 1) // stride here, and the passes along the other
-        # axes keep a zero slot of this axis zero
-        length = view.shape[1]
-        orders = min(length - 1, (len(low) - 1) // view.shape[2] + 1)
-        if orders == length - 1:
-            for j in range(1, length):
-                seg = view[:, j:]
-                seg += view[:, j - 1:-1]
-                seg %= p
-            continue
-        for j in range(orders, 0, -1):
-            seg = view[:, j - 1:]
-            np.cumsum(seg, axis=1, out=seg)
+        for j in range(1, view.shape[1]):
+            seg = view[:, j:]
+            seg += view[:, j - 1:-1]
             seg %= p
     return table[:n + 1].tolist()
 

@@ -17,7 +17,7 @@ from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               ideal_basis, nie_wang_check)
 from slicedeg.config import MAX_COLS, CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, monomials_upto, n_monomials,
-                           popcount, slice_masks)
+                           popcount, slice_array)
 from slicedeg.linalg import PrimeField, RankOracle
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -35,8 +35,8 @@ def slice_union_cases(n, rng):
     """(E, is a union of full slices): one slice, two slices with a
     duplicated point, and the near misses of a slice minus or plus a point."""
     k, j = rng.sample(range(1, n), 2)
-    sk = list(slice_masks(n, k))
-    union = sk + list(slice_masks(n, rng.choice([0, j, n])))
+    sk = slice_array(n, k).tolist()
+    union = sk + slice_array(n, rng.choice([0, j, n])).tolist()
     return [(sk, True), (union + [union[-1]], True),
             (sk[:-1], False), (sk + [(1 << j) - 1], False)]
 
@@ -56,9 +56,9 @@ class TestEvaluationBoolMatrix:
     @pytest.mark.parametrize("n,k,d", [(6, 3, 2), (7, 0, 3), (5, 5, 1)])
     def test_generator_of_masks_equals_list(self, n, k, d):
         monos = list(monomials_upto(n, d))
-        got = evaluation_bool_matrix(monos, slice_masks(n, k))
+        got = evaluation_bool_matrix(monos, slice_array(n, k).tolist())
         assert np.array_equal(got, evaluation_bool_matrix(
-            monos, list(slice_masks(n, k))))
+            monos, slice_array(n, k).tolist()))
         assert got.shape == (comb(n, k), len(monos))
 
     def test_empty_iterable(self):
@@ -77,7 +77,7 @@ class TestIdealBasis:
     def test_slice42_degree1(self):
         # e_1 - 2 vanishes on the weight-2 slice over every field, so the
         # 6x5 evaluation matrix always has rank 4 and the ideal is 1-dim
-        pts = list(slice_masks(4, 2))
+        pts = slice_array(4, 2).tolist()
         b2 = ideal_basis(F2, 4, pts, 1)
         assert len(b2) == 1
         assert b2[0].terms_map() == {1: 1, 2: 1, 4: 1, 8: 1}  # e_1 mod 2
@@ -168,7 +168,7 @@ class TestClosure:
         assert res.closure_count == 16
 
     def test_candidate_slices(self):
-        pts = list(slice_masks(5, 2))
+        pts = slice_array(5, 2).tolist()
         res = closure(F2, 5, pts, 1, Candidates.slices(5, [2, 4]))
         assert set(res.per_slice_counts) <= {2, 4}
         assert res.per_slice_counts[2] == comb(5, 2)  # E inside its closure
@@ -223,7 +223,7 @@ class TestClosure:
         field = PrimeField(p)
         rng = random.Random(seed)
         weights = [w for w in range(n + 1) if rng.random() < 0.4]
-        pts = [m for w in weights for m in slice_masks(n, w)]
+        pts = [m for w in weights for m in slice_array(n, w).tolist()]
         d = rng.randrange(0, 3)
         members = closure(field, n, pts, d,
                           Candidates.full_cube(n)).member_masks
@@ -341,7 +341,7 @@ class TestIdealSampler:
     def test_exhaustive_order_matches_digit_decoding(self, p):
         # element idx has base-p digits t_i (t_0 least significant) as its
         # coefficients on the basis
-        sampler = IdealSampler(PrimeField(p), 4, list(slice_masks(4, 2)), 2,
+        sampler = IdealSampler(PrimeField(p), 4, slice_array(4, 2).tolist(), 2,
                                seed=0)
         assert sampler.dim >= 2
         row = evaluation_bool_matrix(sampler.monomials, [0b1011])[0]
@@ -353,7 +353,7 @@ class TestIdealSampler:
         assert sampler.exhaustive_values_at(0b1011) == want
 
     def test_exhaustive_respects_slice_point_cap(self):
-        pts = list(slice_masks(4, 2))
+        pts = slice_array(4, 2).tolist()
         dim = IdealSampler(F3, 4, pts, 2, seed=0).dim
         tight = IdealSampler(F3, 4, pts, 2, seed=0,
                              caps=Caps(max_slice_points=3 ** dim))
@@ -364,14 +364,14 @@ class TestIdealSampler:
             over.exhaustive_values_at(0)
 
     def test_empirical_frequency(self):
-        pts = list(slice_masks(4, 2))
+        pts = slice_array(4, 2).tolist()
         sampler = IdealSampler(F2, 4, pts, 2, seed=42)
         vals = sampler.sample_values_at(0b1111, 5000)
         freq = sum(1 for v in vals if v) / len(vals)
         assert abs(freq - 0.5) <= 0.02
 
     def test_samples_vanish_on_points(self):
-        pts = list(slice_masks(5, 2))
+        pts = slice_array(5, 2).tolist()
         sampler = IdealSampler(F3, 5, pts, 2, seed=9)
         for poly in (sampler.sample() for _ in range(10)):
             assert all(poly.evaluate(m) == 0 for m in pts)

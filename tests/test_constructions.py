@@ -22,7 +22,7 @@ from slicedeg.constructions import (CoinInstance, GalvinFamily, WeightWindow,
                                     junta_exact_slice_error, lucas_poly,
                                     sampling_poly)
 from slicedeg.cube import (MultilinearPoly, binomial_row,
-                           multilinearize_product, popcount, slice_masks,
+                           multilinearize_product, popcount, slice_array,
                            slice_stats)
 from slicedeg.experiments import ExperimentSpec, run
 from slicedeg.linalg import PrimeField
@@ -53,8 +53,8 @@ class TestLucasPoly:
             w = popcount(m)
             expect = comb(w, 2) % 2
             assert poly.evaluate(m) == expect
-        assert all(poly.evaluate(m) == 0 for m in slice_masks(4, 1))
-        assert all(poly.evaluate(m) == 1 for m in slice_masks(4, 3))
+        assert all(poly.evaluate(m) == 0 for m in slice_array(4, 1).tolist())
+        assert all(poly.evaluate(m) == 1 for m in slice_array(4, 3).tolist())
 
     def test_gap3_f3(self):
         poly = lucas_poly(6, 1, 3, 3)
@@ -120,7 +120,7 @@ class TestInterpolation:
         win = WeightWindow(8, 2, 5, (1, 0, 0, 1))
         poly = interpolate_window_int(win).reduce_mod(F3)
         for w in range(2, 6):
-            for m in list(slice_masks(8, w))[:5]:
+            for m in slice_array(8, w).tolist()[:5]:
                 assert poly.evaluate(m) == win.values[w - 2]
 
     def test_majority_window_exact(self):
@@ -190,7 +190,7 @@ class TestSampledJunta:
             exact = junta_exact_slice_error(junta, w, target)
             miss = 0
             total = 0
-            for m in slice_masks(12, w):
+            for m in slice_array(12, w).tolist():
                 total += 1
                 v = junta_value(junta, m)
                 bad = (v != 0) if target == "zero" else (v == 0)
@@ -585,7 +585,7 @@ class TestGalvin:
         assert galvin_coverage(fam) == 1
 
     def test_coverage_matches_direct_enumeration(self):
-        pts = list(slice_masks(8, 4))
+        pts = slice_array(8, 4).tolist()
         for u in (0b00001111, 0b10101010):
             fam = GalvinFamily(8, ((u, 1), (u, 2), (u, 7)))
             hits = sum(any(popcount(v & u) == b for _, b in fam.items)

@@ -13,7 +13,7 @@ from slicedeg.cube import (MultilinearPoly, _digit_axes,
                            ecoeffs_from_weight_values, monomials_upto,
                            multilinearize_product, point_array,
                            poly_to_json_dict, popcount, slice_array,
-                           slice_masks, slice_stats,
+                           slice_stats,
                            weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
 
@@ -71,12 +71,15 @@ class TestSliceEnumeration:
                 got = slice_array(n, k)
                 assert got.dtype == np.uint64
                 assert got.tolist() == list(gosper_slice(n, k)), (n, k)
-        for k in range(3):
+        for k in (0, 1, 2, 62, 63, 64):
             assert slice_array(64, k).tolist() == list(gosper_slice(64, k))
 
     def test_slice_array_is_cached_and_read_only(self):
+        slice_array.cache_clear()
         a = slice_array(9, 4)
         assert slice_array(9, 4) is a
+        # the smaller slices it is built from are not kept
+        assert slice_array.cache_info().currsize == 1
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -99,13 +102,13 @@ class TestSliceEnumeration:
             {"mask": "0x0", "c": 1}, {"mask": "0x3", "c": 2}]
 
     def test_weight_zero(self):
-        assert list(slice_masks(3, 0)) == [0]
+        assert slice_array(3, 0).tolist() == [0]
 
     def test_order_is_numeric(self):
-        assert list(slice_masks(3, 2)) == [0b011, 0b101, 0b110]
+        assert slice_array(3, 2).tolist() == [0b011, 0b101, 0b110]
 
     def test_large_slice_count_and_first(self):
-        pts = list(slice_masks(14, 7))
+        pts = slice_array(14, 7).tolist()
         assert len(pts) == comb(14, 7) == 3432
         assert pts[0] == 0b1111111
         assert pts == sorted(pts)
@@ -289,7 +292,7 @@ class TestSliceStats:
         assert not poly.is_symmetric_certified
         for m in (1, 2, 3):
             got = slice_stats(poly, m)
-            want = sum(1 for x in slice_masks(64, m) if poly.evaluate(x))
+            want = sum(1 for x in slice_array(64, m).tolist() if poly.evaluate(x))
             assert (got.nonzero_count, got.slice_size) == (want, comb(64, m))
             assert 0 < want < comb(64, m)
 
@@ -338,7 +341,7 @@ class TestSymmetricTable:
         e2 = elementary_symmetric(5, 2, F3)
         raw = MultilinearPoly.from_terms(5, F3, e2.terms_map())
         assert not raw.is_symmetric_certified
-        assert tuple(set(raw.evaluate_many(list(slice_masks(5, w))).tolist())
+        assert tuple(set(raw.evaluate_many(slice_array(5, w).tolist()).tolist())
                      for w in range(6)) == tuple({v} for v in e2.weight_values())
 
     def test_ecoeff_table_roundtrip(self):
@@ -503,7 +506,7 @@ class TestElementarySymmetric:
         coeffs = [rng.randrange(p) for _ in range(rng.randrange(n + 2))]
         # the term map an eager construction builds: c_j on every |m| = j
         eager = {m: c % p for j, c in enumerate(coeffs) if c % p
-                 for m in slice_masks(n, j)}
+                 for m in slice_array(n, j).tolist()}
         poly = MultilinearPoly.from_sym(n, field, coeffs)
         assert poly._terms is None
         by_terms = MultilinearPoly.from_terms(n, field, eager)

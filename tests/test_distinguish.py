@@ -16,8 +16,7 @@ import pytest
 from slicedeg import distinguish
 from slicedeg.closure import EvaluationMatrix, evaluation_bool_matrix
 from slicedeg.config import CapExceeded, Caps
-from slicedeg.cube import (MultilinearPoly, monomials_upto, slice_array,
-                           slice_masks)
+from slicedeg.cube import (MultilinearPoly, monomials_upto, slice_array)
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
                                   exact_min_degree, exhaustive_robust,
                                   gap_degree_sweep, p_adic_part, robust_search)
@@ -34,8 +33,8 @@ def brute_min_degree(n, p, k, K, dmax):
     polynomial vanishing on all of slice k and nonzero somewhere on slice K.
     """
     field = PrimeField(p)
-    k_masks = list(slice_masks(n, k))
-    K_masks = list(slice_masks(n, K))
+    k_masks = slice_array(n, k).tolist()
+    K_masks = slice_array(n, K).tolist()
     for d in range(dmax + 1):
         monos = monomials_upto(n, d)
         assert p ** len(monos) <= 200_000, "oracle instance too large"
@@ -52,8 +51,8 @@ def brute_min_degree(n, p, k, K, dmax):
 
 def brute_robust_min_degree_gf2(n, k, K, removals):
     """Independent numpy-only oracle for the robust minimum over GF(2)."""
-    k_masks = list(slice_masks(n, k))
-    K_masks = list(slice_masks(n, K))
+    k_masks = slice_array(n, k).tolist()
+    K_masks = slice_array(n, K).tolist()
     for d in range(n + 1):
         monos = np.array(monomials_upto(n, d), dtype=np.uint64)
         rows_k = ((monos[None, :] & ~np.array(k_masks, dtype=np.uint64)[:, None])
@@ -81,7 +80,7 @@ def greedy_reference(p, n, k, d, removals):
     ``removals`` pivots with the fewest (ties to the lower column)."""
     monos = monomials_upto(n, d)
     pivots, owner, deps = {}, {}, {}
-    for m in slice_masks(n, k):
+    for m in slice_array(n, k).tolist():
         row = [int(mono & ~m == 0) for mono in monos]
         for c in sorted(pivots):
             if row[c]:
@@ -127,8 +126,8 @@ def _exhaustive_by_rebuild(n, p, k, K, max_removals):
     remaining slice-k rows for every error set, in the same order."""
     field = PrimeField(p)
     size_k = comb(n, k)
-    k_masks = list(slice_masks(n, k))
-    K_masks = list(slice_masks(n, K))
+    k_masks = slice_array(n, k).tolist()
+    K_masks = slice_array(n, K).tolist()
     per_degree = {}
     for d in range(n + 1):
         ev, full = distinguish._slice_oracle(field, n, k, d)
@@ -223,9 +222,9 @@ class TestExactMinDegree:
         def outside(n, p, k, K, d):
             monos = monomials_upto(n, d)
             oracle = RankOracle.from_rows(PrimeField(p), evaluation_bool_matrix(
-                monos, list(slice_masks(n, k))))
+                monos, slice_array(n, k).tolist()))
             return oracle.members(evaluation_bool_matrix(
-                monos, list(slice_masks(n, K)))).count(False)
+                monos, slice_array(n, K).tolist())).count(False)
 
         for (n, p, k, K) in ((6, 2, 2, 4), (7, 3, 2, 5), (8, 2, 4, 6)):
             rep = exact_min_degree(n, p, k, K, want_witness=False)
@@ -235,7 +234,7 @@ class TestExactMinDegree:
 
     def test_witness_vanishes_pointwise(self):
         rep = exact_min_degree(7, 2, 2, 4)
-        for m in slice_masks(7, 2):
+        for m in slice_array(7, 2).tolist():
             assert rep.witness.evaluate(m) == 0
 
     def test_matches_independent_rank_route_midsize(self):
@@ -243,7 +242,7 @@ class TestExactMinDegree:
         from slicedeg.cube import monomials_upto
         for (n, k, K) in ((12, 5, 7), (12, 4, 8), (11, 3, 6)):
             rep = exact_min_degree(n, 2, k, K, want_witness=False)
-            k_masks = np.array(list(slice_masks(n, k)), dtype=np.uint64)
+            k_masks = slice_array(n, k)
             b = (1 << K) - 1
             for d in range(rep.degree + 1):
                 monos = np.array(monomials_upto(n, d), dtype=np.uint64)
@@ -642,7 +641,7 @@ class TestRobustSearch:
         from slicedeg.closure import IdealSampler
         from slicedeg.cube import slice_stats
         n, k, K, d = 8, 4, 6, 2
-        pts = list(slice_masks(n, k))
+        pts = slice_array(n, k).tolist()
         sampler = IdealSampler(F2, n, pts, d, seed=11)
         rep = exact_min_degree(n, 2, k, K, want_witness=False)
         c_out = rep.outside_count
@@ -750,7 +749,7 @@ class TestSliceOracleProvider:
         assert {key: set(rungs) for key, (_, _, rungs) in ladder.items()} == {
             (F2, 7, 4): {2}}
         points, shuffled, _ = ladder[F2, 7, 4]
-        assert points.tolist() == list(slice_masks(7, 4))
+        assert points.tolist() == slice_array(7, 4).tolist()
         assert shuffled.tolist() == points[distinguish._row_order(35)].tolist()
         again = distinguish._slice_oracle(F2, 7, 3, 2)
         assert again is not first and list(ladder) == [(F2, 7, 3)]
@@ -787,7 +786,7 @@ class TestSliceOracleProvider:
         robust_search(inst, Fraction(3, comb(n, k)), strategy="greedy")
         points, shuffled, rungs = distinguish._ladder[PrimeField(p), n, k]
         assert len(rungs) >= 2
-        assert points.tolist() == list(slice_masks(n, k))
+        assert points.tolist() == slice_array(n, k).tolist()
         assert sorted(shuffled.tolist()) == points.tolist()
         for d, (ev, oracle) in rungs.items():
             assert ev.degree == d and ev.points is points
@@ -853,7 +852,7 @@ class TestSliceOracleProvider:
         # in slice order the last pivot comes late, so the head stalls
         field, n, k, d = PrimeField(3), 10, 4, 3
         bound = comb(n, min(d, k, n - k))
-        masks = list(slice_masks(n, k))
+        masks = slice_array(n, k).tolist()
         head = RankOracle.from_rows(field, evaluation_bool_matrix(
             monomials_upto(n, d), masks[:bound + distinguish._HEAD_MARGIN]))
         assert head.rank < bound
@@ -882,11 +881,9 @@ class TestSliceOracleProvider:
         res = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 1
-        # with the bound patched to 1 the head is the first 1 + 32 rows
-        head = slice_array(8, 3)[distinguish._row_order(comb(8, 3))]
-        rank = RankOracle.from_rows(PrimeField(3), evaluation_bool_matrix(
-            monomials_upto(8, 2), head[:1 + distinguish._HEAD_MARGIN])).rank
-        assert f"AssertionError: rank {rank} of slice (8, 3)" in res.stderr
+        # with the bound patched to 1 the head is the first 1 + 32 rows of
+        # the splitmix64 order, whose rank over F_3 at degree 2 is 27
+        assert "AssertionError: rank 27 of slice (8, 3)" in res.stderr
 
     def test_empty_error_set_takes_the_provider_oracle(self, monkeypatch):
         n, p, k, K = 8, 2, 4, 6
@@ -902,7 +899,7 @@ class TestSliceOracleProvider:
         provider = list(absorbed)
 
         def absorb_every_row(field, n, k, d):
-            ev = EvaluationMatrix(field, n, d, list(slice_masks(n, k)))
+            ev = EvaluationMatrix(field, n, d, slice_array(n, k).tolist())
             oracle = RankOracle(field, ev.n_d)
             oracle.extend(ev.bool_matrix())
             return ev, oracle

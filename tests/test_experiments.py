@@ -215,22 +215,24 @@ class TestChecksShape:
         assert info.hits == len(keys) - info.misses
 
 
-def test_no_report_imports_numpy_random():
-    # numpy loads numpy.random (and secrets, hmac, base64) on first use, in
-    # every fresh interpreter that runs a report
+def test_no_report_imports_numpy_random_or_numpy_ma():
+    # numpy loads numpy.random (and secrets, hmac, base64) on first use, and
+    # numpy.ma inside np.unique without an index or count output, and so
+    # inside np.isin (numpy 2.4), in every fresh interpreter that calls them
     code = (
         "import sys\n"
         "from slicedeg.experiments import ExperimentSpec, run\n"
         "run(ExperimentSpec('hegedus-sweep', {'p': 2, 'n_min': 6, 'n_max': 8}))\n"
         "run(ExperimentSpec('mindeg', {'n': 8, 'p': 2, 'k': 3, 'K': 5}))\n"
-        "run(ExperimentSpec('closure', {'n': 8, 'p': 3, 'D': 2,\n"
-        "                               'e_slices': '3', 'cand': 'full'}))\n"
-        "print('numpy.random' in sys.modules)\n"
+        "for cand in ('full', '2,4'):\n"
+        "    run(ExperimentSpec('closure', {'n': 8, 'p': 3, 'D': 2,\n"
+        "                                   'e_slices': '3,4', 'cand': cand}))\n"
+        "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"
 
 
 def _cli(*args):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from slicedeg import distinguish, linalg
 from slicedeg.closure import evaluation_bool_matrix
-from slicedeg.cube import monomials_upto, slice_masks
+from slicedeg.cube import monomials_upto, slice_array
 from slicedeg.linalg import (GF2_BATCH_ROWS, PrimeField, RankOracle,
                              _growth_bound, _pack_words, _rref_array,
                              _rref_words, _work_dtype, is_prime)
@@ -639,8 +639,8 @@ class TestWilsonRank:
     def test_degree_t_slice_rank(self, instance):
         p, n, k, t = instance
         # rows: the k-slice; columns: the degree-exactly-t monomials
-        block = evaluation_bool_matrix(list(slice_masks(n, t)),
-                                       list(slice_masks(n, k)))
+        block = evaluation_bool_matrix(slice_array(n, t).tolist(),
+                                       slice_array(n, k).tolist())
         oracle = RankOracle.from_rows(PrimeField(p), block)
         assert oracle.rank == wilson_rank(p, n, k, t)
 
@@ -655,7 +655,7 @@ def absorb_pivots(block):
 
 
 def slice_block(n, k, d):
-    return evaluation_bool_matrix(monomials_upto(n, d), list(slice_masks(n, k)))
+    return evaluation_bool_matrix(monomials_upto(n, d), slice_array(n, k).tolist())
 
 
 @st.composite
