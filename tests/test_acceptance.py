@@ -70,3 +70,28 @@ def test_criterion_12b_bounded_part_bound():
 
 def test_criterion_12c_classifier_and_periodic():
     _check(acceptance.criterion_12c_classifier_and_periodic())
+
+
+# The details strings of the three brute-force scans, as first recorded.
+# Each scan checks every word, spectrum or candidate it names, so a faster
+# scan must reproduce these strings byte for byte.
+
+def test_commuting_words_details_are_pinned():
+    report = acceptance._run("stringlemma", maxlen=18)
+    assert [c.details for c in report.checks] == [
+        "1662 commuting splits checked, 0 violations"]
+
+
+def test_decomposition_details_are_pinned():
+    assert acceptance.criterion_12a_decomposition_core().details == (
+        "65520 spectra, n in [3,14]; violations=0")
+    assert acceptance.criterion_12b_bounded_part_bound().details == (
+        "65520 spectra; B(h) <= ceil(n/3) violations=32744, first at n=3 "
+        "spectrum=0100 B_h=2 > 1; B(h) <= ceil(n/3)+1 violations=0")
+
+
+def test_frontier_candidate_details_are_pinned():
+    report = acceptance._run("robust-frontier", seed=13, n_min=6, n_max=14,
+                             cand_n=64, cand_t=8, candidates=10**4)
+    assert report.checks[-1].details == (
+        "10000 candidates, 0 satisfied the hypotheses, 0 violations")
