@@ -12,11 +12,13 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .constructions import WeightWindow, interpolate_window_int
 from .experiments import ExperimentSpec, run
 from .linalg import PrimeField
-from .spectra import (Spectrum, classify_pdeg, ethr_spectrum, mod_spectrum,
-                      periodic_exact_poly, standard_decomposition)
+from .spectra import (classify_pdeg, decomposition_window, ethr_spectrum,
+                      mod_spectrum, periodic_exact_poly)
 
 
 @dataclass
@@ -150,35 +152,76 @@ def criterion_11_galvin() -> CriterionResult:
     return _from_report("11 covering family tightness", report)
 
 
+def _least_period(x: np.ndarray, length: int) -> np.ndarray:
+    """The least period of each ``length``-bit string x[i] (bit j is position
+    j): the least c >= 1 with bits j and j + c equal for all j, that is
+    ((x ^ (x >> c)) & (2^(length - c) - 1)) == 0; c = length always holds."""
+    least = np.full_like(x, length)
+    for c in range(length - 1, 0, -1):
+        least[((x ^ (x >> c)) & ((1 << (length - c)) - 1)) == 0] = c
+    return least
+
+
+def _decompose(n: int) -> tuple:
+    """``standard_decomposition`` of all 2^(n+1) spectra of one n at once.
+
+    Spectrum number x has Spec f(i) = bit i of x.  Returns (g, per(g), B(h),
+    fallback): three int64 arrays indexed by x, with g as a spectrum number,
+    and whether the agreement window of n is empty (then g = 0).  g extends
+    the window's least period b bit by bit, and per(g) is computed again
+    from g: a per(g) other than b raises ``AssertionError``.  B(h) of
+    h = f xor g is the least k at which the bits k..n-k of h are all 0 or
+    all 1; from k = floor(n/2) + 1 on, that segment is empty.
+    """
+    x = np.arange(1 << (n + 1), dtype=np.int64)
+    lo, hi = decomposition_window(n)
+    fallback = lo > hi
+    g = np.zeros_like(x)
+    if not fallback:
+        width = hi - lo + 1
+        window = (x >> lo) & ((1 << width) - 1)
+        b = _least_period(window, width)
+        for i in range(n + 1):
+            g |= ((window >> ((i - lo) % b)) & 1) << i
+    per_g = _least_period(g, n + 1)
+    if not fallback and not np.array_equal(per_g, b):
+        raise AssertionError("periodic extension must realize the window period")
+    h = x ^ g
+    B_h = np.full_like(x, n // 2 + 1)
+    for k in range(n // 2, -1, -1):
+        seg = ((1 << (n - 2 * k + 1)) - 1) << k
+        part = h & seg
+        B_h[(part == 0) | (part == seg)] = k
+    return g, per_g, B_h, fallback
+
+
 @lru_cache(maxsize=1)
-def _decomposition_scan() -> tuple:
-    """One ``standard_decomposition`` of each of the 65,520 spectra with n in
-    [3, 14], the scan criteria 12a and 12b share.
+def _decomposition_scan(n_max: int = 14) -> tuple:
+    """The standard decomposition of each spectrum with n in [3, n_max], the
+    scan criteria 12a and 12b share (65,520 spectra at n_max = 14); one
+    ``_decompose`` per n.
 
     Returns (spectra, core violations, B(h) > ceil(n/3) count, B(h) >
     ceil(n/3)+1 count, first B(h) > ceil(n/3) case or None).  A core
-    violation is f != g xor h or, outside the fallback, per(g) > floor(n/3).
+    violation is, outside the fallback, per(g) > floor(n/3), with per(g)
+    computed from g itself.  f = g xor h holds by construction, because
+    h is f xor g.
     """
     total = core_bad = bad = bad_plus_one = 0
     first = None
-    for n in range(3, 15):
+    for n in range(3, n_max + 1):
+        g, per_g, B_h, fallback = _decompose(n)
         ceil_third = -(-n // 3)
-        for code in range(1 << (n + 1)):
-            bits = tuple((code >> i) & 1 for i in range(n + 1))
-            spec = Spectrum(n, bits)
-            dec = standard_decomposition(spec)
-            total += 1
-            if any(g ^ h != f for g, h, f in
-                   zip(dec.g.bits, dec.h.bits, spec.bits)):
-                core_bad += 1
-            elif not dec.fallback and dec.per_g > n // 3:
-                core_bad += 1
-            if dec.B_h > ceil_third:
-                bad += 1
-                if first is None:
-                    first = (n, "".join(map(str, bits)), dec.B_h, ceil_third)
-            if dec.B_h > ceil_third + 1:
-                bad_plus_one += 1
+        total += len(g)
+        if not fallback:
+            core_bad += int(np.count_nonzero(per_g > n // 3))
+        over = B_h > ceil_third
+        bad += int(np.count_nonzero(over))
+        bad_plus_one += int(np.count_nonzero(B_h > ceil_third + 1))
+        if first is None and over.any():
+            x = int(np.argmax(over))
+            first = (n, "".join(str((x >> i) & 1) for i in range(n + 1)),
+                     int(B_h[x]), ceil_third)
     return total, core_bad, bad, bad_plus_one, first
 
 
@@ -262,7 +305,3 @@ ALL_CRITERIA = [
     criterion_12b_bounded_part_bound,
     criterion_12c_classifier_and_periodic,
 ]
-
-
-def run_all() -> list[CriterionResult]:
-    return [fn() for fn in ALL_CRITERIA]

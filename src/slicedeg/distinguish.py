@@ -614,6 +614,8 @@ def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
         raise ValueError(f"t={t} must be a power of p={p}")
     if witness.n != n:
         raise ValueError("witness arity mismatch")
+    if witness.field.p != p:
+        raise ValueError(f"witness is over F_{witness.field.p}, not F_{p}")
     m = n // 2
     if m - t < 0:
         raise ValueError("t too large for n")

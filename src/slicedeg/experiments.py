@@ -19,14 +19,15 @@ from math import comb
 from typing import Callable
 
 import mpmath as mp
+import numpy as np
 
 from . import __version__
-from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, frac_str,
-                     mpf_fraction)
+from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
+                     frac_str, mpf_fraction)
 from .closure import (Candidates, IdealSampler, ball_fact_check, closure,
                       hamming_ball, nie_wang_check)
-from .cube import (MultilinearPoly, n_monomials, poly_to_json_dict,
-                   slice_array, weight_slices)
+from .cube import (MultilinearPoly, binomial_row, n_monomials,
+                   poly_to_json_dict, slice_array, weight_slices)
 from .distinguish import (SliceDistinguishInstance, midslice_consistency,
                           exact_min_degree, exhaustive_robust,
                           gap_degree_sweep, p_adic_part, robust_search)
@@ -355,18 +356,25 @@ def _ballfact(params, seed, caps):
             {"maxlen": (int, TOLERANCES["stringlemma_maxlen"], "max |uv|")},
             "commuting concatenations force a proper power")
 def _stringlemma(params, seed, caps):
+    # u v = v u for the split at cut = |u| exactly when the word w = uv is
+    # its own rotation w[cut:] + w[:cut]; read with its first letter as the
+    # top bit, that rotation of the L-bit word x is x rotated left by cut.
+    # So one array of all 2^L words per length finds every commuting split,
+    # and primitive_root checks each of them
     maxlen = params["maxlen"]
     violations = 0
     commuting = 0
     for L in range(2, maxlen + 1):
-        for x in range(1 << L):
-            w = format(x, f"0{L}b")
-            for cut in range(1, L):
-                if w == w[cut:] + w[:cut]:
-                    commuting += 1
-                    _, k = primitive_root(w)
-                    if k < 2:
-                        violations += 1
+        check_cap(1 << L, caps.max_slice_points, f"words of length {L}")
+        words = np.arange(1 << L, dtype=np.int64)
+        top = (1 << L) - 1
+        for cut in range(1, L):
+            rotated = ((words << cut) | (words >> (L - cut))) & top
+            for x in np.flatnonzero(words == rotated).tolist():
+                commuting += 1
+                _, k = primitive_root(format(x, f"0{L}b"))
+                if k < 2:
+                    violations += 1
     checks = [Check("zero-violations", violations == 0,
                     f"{commuting} commuting splits checked, "
                     f"{violations} violations")]
@@ -724,30 +732,88 @@ def _frontier(params, seed, caps):
             prev = ex.degree
     checks.append(Check("exhaustive-monotone", mono_ok, ""))
     checks.append(Check("heuristic-never-below-oracle", above_ok, ""))
-    # (c) no low-degree candidate satisfies the special-case hypotheses
-    n, t = params["cand_n"], params["cand_t"]
-    field = PrimeField(2)
-    rng = random.Random(seed)
-    violations = 0
-    hypothesis_hits = 0
-    for idx in range(params["candidates"]):
-        if idx == 0:
-            cand = lucas_poly(n, n // 2 - t, t, 2)
-        elif idx == 1:
-            cand = periodic_exact_poly(
-                n, t, [1 if r == (n // 2) % t else 0 for r in range(t)],
-                field)
-        else:
-            deg = rng.randrange(0, 2 * t + 1)
-            coeffs = [rng.randrange(2) for _ in range(deg + 1)]
-            cand = MultilinearPoly.from_sym(n, field, coeffs)
-        rep = midslice_consistency(n, t, 2, cand, caps)
-        if rep.hypotheses_hold:
-            hypothesis_hits += 1
-        if not rep.consistent:
-            violations += 1
+    # (c) no low-degree candidate satisfies the special-case hypotheses; the
+    # scan checks every candidate, and compares each distinct (psi_low,
+    # psi_mid, degree) against the thresholds once (see _candidate_scan)
+    hypothesis_hits, violations = _candidate_scan(
+        params["cand_n"], params["cand_t"], params["candidates"], seed, caps)
     checks.append(Check(
         "no-low-degree-counterexample", violations == 0,
         f"{params['candidates']} candidates, {hypothesis_hits} satisfied the "
         f"hypotheses, {violations} violations"))
     return checks, {"frontier": frontier_rows}, []
+
+
+# cells per block of _candidate_scan: a block of 2t + 1 columns and its int64
+# product stay within 128 KB
+_CANDIDATE_CELLS = 1 << 14
+
+
+def _candidate_scan(n: int, t: int, count: int, seed: int,
+                    caps: Caps) -> tuple[int, int]:
+    """(hypothesis hits, violations) of part (c)'s ``count`` candidates
+    against ``midslice_consistency(n, t, 2, ., caps)``.
+
+    Candidate 0 is the Lucas polynomial that vanishes on slice n//2 - t,
+    candidate 1 the t-periodic indicator of weight n//2 mod t, and every
+    other one sum_j c_j e_j, with its degree d and then its bits c_0..c_d
+    drawn by ``random.Random(seed).randrange``.  The coefficients of a block
+    of candidates go into one uint8 array, a row each.
+
+    Every candidate is symmetric, so its value at weight w is
+    sum_j c_j C(w, j) mod p, and its nonzero fraction on a slice is 0 or 1:
+    one product with the binomial rows C(m - t, j) and C(m, j) mod p reads
+    psi_low and psi_mid of every row, and the last nonzero column its
+    degree.  Every ``MidsliceConsistencyReport`` field is a function of
+    (n, t, p, psi_low, psi_mid, degree): ell and the thresholds of n and t,
+    the window tests of those and the two fractions, the degree test of t
+    and the degree.  So ``midslice_consistency`` runs once per distinct
+    (psi_low, psi_mid, degree), on the first candidate with that key, and
+    its report counts once for each candidate with the key.  That is exact:
+    every candidate's report is the one it would get on its own.
+    """
+    p = 2
+    field = PrimeField(p)
+    m, width = n // 2, 2 * t + 1
+    fixed = []
+    if count > 0:
+        fixed.append(lucas_poly(n, m - t, t, p).sym_coeffs)
+    if count > 1:
+        fixed.append(periodic_exact_poly(
+            n, t, [1 if r == m % t else 0 for r in range(t)],
+            field).sym_coeffs)
+    binom = np.array([[c % p for c in binomial_row(w, 0, width - 1)]
+                      for w in (m - t, m)], dtype=np.int64).T
+    columns = np.arange(width)
+    counts = np.zeros(4 * width, dtype=np.int64)
+    reports = {}
+    randrange = random.Random(seed).randrange
+    step = max(1, _CANDIDATE_CELLS // width)
+    for lo in range(0, count, step):
+        lengths, bits = [], []
+        for idx in range(lo, min(lo + step, count)):
+            if idx < len(fixed):
+                coeffs = fixed[idx]
+            else:
+                deg = randrange(0, width)
+                coeffs = [randrange(2) for _ in range(deg + 1)]
+            lengths.append(len(coeffs))
+            bits.extend(coeffs)
+        block = np.zeros((len(lengths), width), dtype=np.uint8)
+        block[columns < np.array(lengths)[:, None]] = bits
+        low, mid = ((block @ binom) % p != 0).T
+        nonzero = block != 0
+        degree = np.where(nonzero.any(axis=1),
+                          width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        keys = (degree * 2 + low) * 2 + mid
+        block_counts = np.bincount(keys, minlength=counts.size)
+        counts += block_counts
+        for key in np.flatnonzero(block_counts).tolist():
+            if key not in reports:
+                row = block[np.argmax(keys == key)].tolist()
+                reports[key] = midslice_consistency(
+                    n, t, p, MultilinearPoly.from_sym(n, field, row), caps)
+    hits = sum(int(counts[k]) for k, r in reports.items() if r.hypotheses_hold)
+    violations = sum(int(counts[k]) for k, r in reports.items()
+                     if not r.consistent)
+    return hits, violations

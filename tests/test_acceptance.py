@@ -8,7 +8,10 @@ target with composed degree strictly below the gap) and criterion 12b
 verified alongside with zero violations).
 """
 
+import pytest
+
 from slicedeg import acceptance
+from slicedeg.spectra import Spectrum, standard_decomposition
 
 
 def _check(result):
@@ -95,3 +98,46 @@ def test_frontier_candidate_details_are_pinned():
                              cand_n=64, cand_t=8, candidates=10**4)
     assert report.checks[-1].details == (
         "10000 candidates, 0 satisfied the hypotheses, 0 violations")
+
+
+def _decomposition_loop(n_max):
+    """Criteria 12a/12b's scan one ``standard_decomposition`` at a time, as
+    it ran before the array scan: the reference for
+    ``acceptance._decomposition_scan``."""
+    total = core_bad = bad = bad_plus_one = 0
+    first = None
+    for n in range(3, n_max + 1):
+        ceil_third = -(-n // 3)
+        for code in range(1 << (n + 1)):
+            bits = tuple((code >> i) & 1 for i in range(n + 1))
+            spec = Spectrum(n, bits)
+            dec = standard_decomposition(spec)
+            total += 1
+            if any(g ^ h != f for g, h, f in
+                   zip(dec.g.bits, dec.h.bits, spec.bits)):
+                core_bad += 1
+            elif not dec.fallback and dec.per_g > n // 3:
+                core_bad += 1
+            if dec.B_h > ceil_third:
+                bad += 1
+                if first is None:
+                    first = (n, "".join(map(str, bits)), dec.B_h, ceil_third)
+            if dec.B_h > ceil_third + 1:
+                bad_plus_one += 1
+    return total, core_bad, bad, bad_plus_one, first
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_decompose_matches_standard_decomposition(n):
+    g, per_g, B_h, fallback = acceptance._decompose(n)
+    for code in range(1 << (n + 1)):
+        dec = standard_decomposition(
+            Spectrum(n, tuple((code >> i) & 1 for i in range(n + 1))))
+        assert dec.fallback == fallback
+        assert (int(g[code]), int(per_g[code]), int(B_h[code])) == (
+            sum(b << i for i, b in enumerate(dec.g.bits)), dec.per_g,
+            dec.B_h), code
+
+
+def test_decomposition_scan_matches_the_loop():
+    assert acceptance._decomposition_scan(12) == _decomposition_loop(12)

@@ -970,6 +970,12 @@ class TestMidsliceConsistency:
         with pytest.raises(ValueError):
             midslice_consistency(64, 6, 2, MultilinearPoly.zero(64, F2))
 
+    def test_requires_the_witness_field(self):
+        # an F_3 witness has other slice fractions than over F_2
+        poly = MultilinearPoly.from_sym(64, PrimeField(3), [2, 1])
+        with pytest.raises(ValueError, match="F_3, not F_2"):
+            midslice_consistency(64, 8, 2, poly)
+
     def test_matches_inline_threshold_expressions(self):
         rng = random.Random(4)
         cases = [(40000, 2048, lucas_poly(40000, 20000 - 2048, 2048, 2)),

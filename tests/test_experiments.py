@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,11 +11,13 @@ import pytest
 
 from slicedeg import cli, distinguish, experiments
 from slicedeg.closure import Candidates, EvaluationMatrix
-from slicedeg.config import DEFAULT_CAPS
-from slicedeg.constructions import C_LADDER
+from slicedeg.config import DEFAULT_CAPS, CapExceeded
+from slicedeg.constructions import C_LADDER, lucas_poly
+from slicedeg.cube import MultilinearPoly
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
                                   list_experiments, run)
-from slicedeg.linalg import RankOracle
+from slicedeg.linalg import PrimeField, RankOracle
+from slicedeg.spectra import periodic_exact_poly, primitive_root
 
 REQUIRED_EXPERIMENTS = {
     "mindeg", "closure", "niewang", "hegedus-sweep", "extension-sweep",
@@ -194,25 +197,98 @@ class TestChecksShape:
         assert all(d <= first[key] for key, d, _ in swept)
 
     def test_frontier_candidates_compare_once_per_key(self, monkeypatch):
-        # part (c)'s candidates are symmetric, so their nonzero fractions
-        # are 0 or 1: the mpmath comparisons run once per distinct
-        # (n, t, psi_low, psi_mid), and every other candidate reads the memo
+        # part (c)'s candidates are symmetric, so a report is a function of
+        # (psi_low, psi_mid, degree): midslice_consistency runs once per
+        # distinct key, and the counts equal a per-candidate loop's.  At
+        # (40000, 2048), ell = t^2/n = 104.9 puts the eps window inside
+        # [2^(-n/100), e^(-200)], so some candidates satisfy the hypotheses
         keys = []
         check = experiments.midslice_consistency
 
         def recorded(n, t, p, witness, caps):
             rep = check(n, t, p, witness, caps)
-            keys.append((n, t, rep.psi_low, rep.psi_mid))
+            keys.append((rep.psi_low, rep.psi_mid, rep.degree))
             return rep
 
         monkeypatch.setattr(experiments, "midslice_consistency", recorded)
-        distinguish._midslice_window.cache_clear()
-        rep = run(ExperimentSpec("robust-frontier", {
-            "n_min": 2, "n_max": 3, "candidates": 6000}, 13))
-        assert rep.all_passed and len(keys) == 6000
-        info = distinguish._midslice_window.cache_info()
-        assert info.misses == len(set(keys)) < 10
-        assert info.hits == len(keys) - info.misses
+        cases = [(64, 8, 6000, seed) for seed in range(13, 21)]
+        for n, t, count, seed in cases + [(40000, 2048, 10, 13)]:
+            keys.clear()
+            hits, violations = experiments._candidate_scan(
+                n, t, count, seed, DEFAULT_CAPS)
+            ref_hits, ref_violations, ref_keys = _candidate_loop(
+                n, t, count, seed)
+            assert len(keys) == len(set(keys)) and set(keys) == ref_keys
+            assert (hits, violations) == (ref_hits, ref_violations)
+        assert hits > 0
+
+
+def _candidate_loop(n, t, count, seed):
+    """Part (c) of robust-frontier one candidate at a time, as it ran before
+    the scan: (hypothesis hits, violations, keys (psi_low, psi_mid,
+    degree) seen), the reference for ``experiments._candidate_scan``."""
+    field = PrimeField(2)
+    rng = random.Random(seed)
+    hits = violations = 0
+    keys = set()
+    for idx in range(count):
+        if idx == 0:
+            cand = lucas_poly(n, n // 2 - t, t, 2)
+        elif idx == 1:
+            cand = periodic_exact_poly(
+                n, t, [1 if r == (n // 2) % t else 0 for r in range(t)],
+                field)
+        else:
+            deg = rng.randrange(0, 2 * t + 1)
+            coeffs = [rng.randrange(2) for _ in range(deg + 1)]
+            cand = MultilinearPoly.from_sym(n, field, coeffs)
+        rep = distinguish.midslice_consistency(n, t, 2, cand)
+        hits += rep.hypotheses_hold
+        violations += not rep.consistent
+        keys.add((rep.psi_low, rep.psi_mid, rep.degree))
+    return hits, violations, keys
+
+
+def _stringlemma_loop(maxlen):
+    """The commuting-words check one string and one cut at a time, as it ran
+    before the rotation scan: (commuting splits, violations)."""
+    commuting = violations = 0
+    for L in range(2, maxlen + 1):
+        for x in range(1 << L):
+            w = format(x, f"0{L}b")
+            for cut in range(1, L):
+                if w == w[cut:] + w[:cut]:
+                    commuting += 1
+                    _, k = primitive_root(w)
+                    if k < 2:
+                        violations += 1
+    return commuting, violations
+
+
+class TestStringLemma:
+    @pytest.mark.parametrize("maxlen", [1, 2, 5, 12])
+    def test_scan_matches_the_string_loop(self, maxlen):
+        rep = run(ExperimentSpec("stringlemma", {"maxlen": maxlen}))
+        assert rep.checks[0].details == (
+            "%d commuting splits checked, %d violations"
+            % _stringlemma_loop(maxlen))
+
+    def test_every_commuting_split_is_checked(self, monkeypatch):
+        # a root that never reports a proper power makes each commuting
+        # split a violation, so primitive_root ran on every one of them
+        monkeypatch.setattr(experiments, "primitive_root", lambda w: (w, 1))
+        rep = run(ExperimentSpec("stringlemma", {"maxlen": 12}))
+        commuting, _ = _stringlemma_loop(12)
+        assert commuting > 0 and not rep.all_passed
+        assert rep.checks[0].details == (
+            f"{commuting} commuting splits checked, {commuting} violations")
+
+    def test_too_many_words_raise(self):
+        caps = replace(DEFAULT_CAPS, max_slice_points=1 << 10)
+        assert run(ExperimentSpec("stringlemma", {"maxlen": 10}),
+                   caps).all_passed
+        with pytest.raises(CapExceeded, match="words of length 11"):
+            run(ExperimentSpec("stringlemma", {"maxlen": 11}), caps)
 
 
 def test_no_report_imports_numpy_random_or_numpy_ma():
@@ -227,6 +303,9 @@ def test_no_report_imports_numpy_random_or_numpy_ma():
         "for cand in ('full', '2,4'):\n"
         "    run(ExperimentSpec('closure', {'n': 8, 'p': 3, 'D': 2,\n"
         "                                   'e_slices': '3,4', 'cand': cand}))\n"
+        "run(ExperimentSpec('robust-frontier', {'n_min': 2, 'n_max': 3,\n"
+        "                                       'candidates': 300}))\n"
+        "run(ExperimentSpec('stringlemma', {'maxlen': 8}))\n"
         "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,

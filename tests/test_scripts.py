@@ -1,5 +1,6 @@
-"""Every script under ``scripts/`` still imports, and the exact-sums
-benchmark still computes the results it first recorded.
+"""Every script under ``scripts/`` still imports, the exact-sums benchmark
+still computes the results it first recorded, and the acceptance runner runs
+the criteria it is given.
 
 The bench scripts import private library names (``_rref_words``,
 ``_pack_words``, ``_rref_array``, ``_HEAD_MARGIN``, ``_row_order``).  A
@@ -10,7 +11,10 @@ script; this test loads each script by file path, as a module that is not
 
 import hashlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +46,31 @@ def test_exact_sums_digest_is_pinned():
     _load(path).run_once(digest)
     assert digest.hexdigest() == (
         "05ec7c1fcb469d8f00d7902c8b83b6a63be13fde6a75c3a5d702611b59e9232b")
+
+
+def _acceptance(*ids):
+    path = next(s for s in SCRIPTS if s.name == "run_acceptance.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(path.parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, str(path), *ids], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_acceptance_runs_the_named_criteria():
+    # only the named criteria run, in the order given, and the exit code
+    # counts their failures: 12b is red by design
+    res = _acceptance("12c", "05")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "[PASS] 12c classifier branches and periodic exactness",
+        "[PASS] 05 integer window interpolation"]
+    assert lines[2:] == ["", "2/2 criteria passed"]
+    res = _acceptance("05", "12b")
+    assert res.returncode == 1 and res.stdout.endswith("1/2 criteria passed\n")
+
+
+def test_acceptance_rejects_an_unknown_id():
+    res = _acceptance("05", "13")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "unknown criterion id(s): 13" in res.stderr
