@@ -385,16 +385,22 @@ class MultilinearPoly:
         """Value on any point of weight w (symmetric polynomials only).
 
         One binomial sum, cheaper than the whole table for a single weight.
-        Its row C(w, j) is ``binomial_row``'s: one small multiply and divide
-        per term, where a ``comb`` per term would cost a product of up to j
-        factors.  A weight outside [0, n] raises ``ValueError``.
+        C(w, j) steps by ``binomial_row``'s exact recurrence, one small
+        multiply and divide per term, where a ``comb`` per term costs a
+        product of up to j factors; inline, without the row's list, it is
+        also cheaper than ``comb`` at the few-term separators of the
+        sweeps.  A weight outside [0, n] raises ``ValueError``.
         """
         if self._sym is None:
             raise ValueError("no symmetric certificate attached")
         if not (0 <= w <= self.n):
             raise ValueError(f"need 0 <= w <= n, got w={w}, n={self.n}")
-        row = binomial_row(w, 0, len(self._sym) - 1)
-        return sum(c * b for c, b in zip(self._sym, row) if c) % self.field.p
+        acc, binom = 0, 1
+        for j, c in enumerate(self._sym):
+            if c:
+                acc += c * binom
+            binom = binom * (w - j) // (j + 1)
+        return acc % self.field.p
 
     def weight_values(self) -> Optional[tuple]:
         """Weight -> value table when certified symmetric, else None."""

@@ -325,6 +325,23 @@ class TestSymmetricTable:
                 for w in range(n + 1):
                     assert table[w] == self.lucas_digits_binom(w, j, p)
 
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_weight_value_matches_the_table_and_comb(self, p):
+        # one weight by the binomial recurrence: the table's entry at every
+        # weight, and the sum of comb terms where the degree passes w
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for n in (1, 7, 20):
+            poly = MultilinearPoly.from_sym(
+                n, field, [rng.randrange(p) for _ in range(n + 1)])
+            assert tuple(poly.weight_value(w)
+                         for w in range(n + 1)) == poly.weight_values()
+        coeffs = [rng.randrange(p) for _ in range(600)]
+        poly = MultilinearPoly.from_sym(3000, field, coeffs)
+        for w in (0, 5, 599, 1500, 3000):
+            assert poly.weight_value(w) == sum(
+                c * comb(w, j) for j, c in enumerate(coeffs)) % p
+
     def test_not_symmetric(self):
         # a polynomial built from terms carries no weight table
         x1 = MultilinearPoly.from_terms(2, F2, {0b01: 1})
