@@ -12,14 +12,12 @@ the constructors absorb their block with one ``extend``, so it is counted
 too.  ``fallback_rows`` counts the rows extended into an oracle of nonzero
 rank: the rank certificate's chunks after its head
 (``distinguish._slice_oracle``), so a change of row order shows there.
-Every exact ascent that requests a predicted rung first
-(``distinguish._ascent`` with ``predict``, at
-``distinguish._hegedus_degree`` capped at its top) is followed to the rung
-where it stops: a predicted rung above it would be an elimination no rung
-needed, and the count of those is expected to be 0.  A degree-only answer
-(``distinguish._escape_degree``) caps its ascent below q' =
-``p_adic_part(|K - k|, p)``, which a separator certifies, so it predicts
-rung q' - 1 and stops there.  Prints one JSON line per workload.
+An exact question is one call of ``distinguish._exact_report`` or, from the
+sweeps, of ``distinguish._escape_degree``, the degree-only answer;
+``exact_questions`` counts them and ``exact_rungs_read`` the rungs their
+ascents (``distinguish._ascent``) read, one each where Hegedus's lemma
+fixes the degree (``distinguish._hegedus_degree``) and one per rung of a
+bottom-up climb outside its range.  Prints one JSON line per workload.
 """
 
 from __future__ import annotations
@@ -39,6 +37,8 @@ from slicedeg.linalg import RankOracle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+KEYS = ("extend_calls", "extend_rows", "extend_cells", "fallback_rows",
+        "from_rows_calls", "exact_questions", "exact_rungs_read")
 
 
 def count(ops: list) -> Counter:
@@ -46,7 +46,7 @@ def count(ops: list) -> Counter:
     counts: Counter = Counter()
     extend, from_rows = RankOracle.extend, RankOracle.from_rows.__func__
     ascent = distinguish._ascent
-    predicted = []  # [predicted rung, last rung the ascent reached]
+    depth = [0]  # exact questions in progress: one asks the other
 
     def counted_extend(self, block):
         counts["extend_calls"] += 1
@@ -60,23 +60,28 @@ def count(ops: list) -> Counter:
         counts["from_rows_calls"] += 1
         return from_rows(cls, field, rows)
 
-    def followed_ascent(field, n, k, K, top, predict=False):
-        q = distinguish._hegedus_degree(n, field.p, k, K) if predict else None
-        entry = [min(q, top), -1] if q is not None else None
-        if entry:
-            predicted.append(entry)
-        for step in ascent(field, n, k, K, top, predict):
-            if entry:
-                entry[1] = step[0]
+    def question(fn):
+        def asked(*args, **kwargs):
+            counts["exact_questions"] += not depth[0]
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return asked
+
+    def counted_ascent(*args):
+        for step in ascent(*args):
+            counts["exact_rungs_read"] += depth[0] > 0
             yield step
 
     RankOracle.extend = counted_extend
     RankOracle.from_rows = classmethod(counted_from_rows)
-    distinguish._ascent = followed_ascent
+    distinguish._escape_degree = question(distinguish._escape_degree)
+    distinguish._exact_report = question(distinguish._exact_report)
+    distinguish._ascent = counted_ascent
     for o in ops:
         run(ExperimentSpec(o["name"], o["params"], o["seed"]))
-    counts["predicted_rungs"] += len(predicted)
-    counts["predicted_above_stop"] += sum(d > stop for d, stop in predicted)
     return counts
 
 
@@ -103,7 +108,8 @@ def main() -> int:
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
-        print(json.dumps(count(json.load(sys.stdin))))
+        counts = count(json.load(sys.stdin))
+        print(json.dumps({key: counts[key] for key in KEYS}))
         return 0
     wl = _workloads()
     golden = wl.load_golden()
@@ -112,10 +118,7 @@ def main() -> int:
         for group in wl.generate(name, args.seed, golden):
             total += count_in_fresh_process(group)
         print(json.dumps({"workload": name, "seed": args.seed,
-                          **{key: total[key] for key in (
-                              "extend_calls", "extend_rows", "extend_cells",
-                              "fallback_rows", "from_rows_calls",
-                              "predicted_rungs", "predicted_above_stop")}}))
+                          **{key: total[key] for key in KEYS}}))
     return 0
 
 

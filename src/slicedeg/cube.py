@@ -53,9 +53,9 @@ def popcount(x: int) -> int:
 
 
 def p_adic_part(q: int, p: int) -> int:
-    """Largest power of p dividing q."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    """Largest power of p dividing q; p < 2 has none and raises ValueError."""
+    if q <= 0 or p < 2:
+        raise ValueError(f"a p-adic part needs q >= 1 and p >= 2, got {q}, {p}")
     out = 1
     while q % p == 0:
         q //= p
@@ -490,12 +490,15 @@ def multilinearize_product(P: MultilinearPoly, Q: MultilinearPoly,
     return MultilinearPoly(P.n, P.field, terms=acc)
 
 
+_slice_size = lru_cache(maxsize=256)(comb)  # C(n, m): 25 ms at n = 40000
+
+
 def slice_stats(P: MultilinearPoly, m: int, caps: Caps = DEFAULT_CAPS) -> SliceStats:
     """Exact |NZ_m(P)| and psi_m(P) on the weight-m slice; a weight
     outside [0, n] raises ``ValueError``."""
     if not (0 <= m <= P.n):
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={P.n}")
-    size = comb(P.n, m)
+    size = _slice_size(P.n, m)
     if P.is_symmetric_certified:
         nz = size if P.weight_value(m) != 0 else 0
         return SliceStats(m=m, nonzero_count=nz, slice_size=size)

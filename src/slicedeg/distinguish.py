@@ -7,15 +7,14 @@ k's evaluation matrix.  Because both slices are orbits of the symmetric
 group and the row space of a full slice is permutation-invariant, escape at
 one representative point settles the whole slice; small-case tests verify
 this against full closure computations.  One ascent of slice k's degree
-ladder (``_ascent``) makes this test for all four solvers.  Complementing
-every coordinate also preserves degree and maps slice k onto slice n - k,
-so a search that needs only the degree climbs the smaller-weight ladder
-(``_escape_degree``).  The p-adic part q' of the gap bounds the degree
-from above by one explicit polynomial (``_separates``), so the degree-only
-answer climbs only the rungs below q'.  Where Hegedus's lemma applies, the
-exact degree is known in advance (``_hegedus_degree``): the witness ascent
-builds that rung first, the degree-only ascent the rung below it, and each
-reads every rung below the one it built as a projection.
+ladder (``_ascent``) makes this test for all four solvers, by one read per
+rung.  Complementing every coordinate also preserves degree and maps slice
+k onto slice n - k, so a search that needs only the degree climbs the
+smaller-weight ladder (``_escape_degree``).  The p-adic part q' of the gap
+bounds the degree from above by one explicit polynomial (``_separates``).
+Where Hegedus's lemma applies it is the exact degree (``_hegedus_degree``):
+one read of rung q' gives the degree and a witness, one of rung q' - 1 the
+degree alone.
 
 Robust variants relax the vanishing constraint on an explicit error set,
 either heuristically (upper bound) or exactly over all small error sets,
@@ -40,8 +39,8 @@ import numpy as np
 from .config import DEFAULT_CAPS, DPS, Caps, check_cap, frac_str, mpf_fraction
 from .closure import (Candidates, EvaluationMatrix, closure,
                       evaluation_bool_matrix, poly_from_coeffs)
-from .cube import (Mask, MultilinearPoly, binomial_row, p_adic_part,
-                   slice_array, slice_stats)
+from .cube import (MultilinearPoly, binomial_row, p_adic_part, slice_array,
+                   slice_stats)
 from .linalg import PrimeField, RankOracle, _rref_array
 
 
@@ -143,7 +142,7 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     p never exceeds it, so rows in ``_row_order`` are absorbed only until the
     oracle reaches it: then, or once every row is in, the oracle spans the
     whole slice.  Only the reads its span determines are valid (the RREF,
-    ``member``, ``residue``, ``nullspace_vector``); a rank above the bound
+    ``member``, ``first_escape``, ``nullspace_vector``); a rank above the bound
     raises AssertionError.  As an RREF is unique, those reads are the same
     for every row order; the order sets only how many rows are reduced.
 
@@ -153,9 +152,8 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     column N_d is zero before it, so the rows with a pivot below N_d, cut to
     N_d columns, are the RREF of the slice's degree-d rows, and an RREF is
     unique, so every read equals a direct build's.  A rung above every built
-    one is eliminated on its own, so the exact ascents request their
-    predicted rung first (``_ascent``) and the sweeps their ladder's top
-    (``gap_degree_sweep``).  The ladder of the last slice requested is
+    one is eliminated on its own, so the sweeps request their ladder's top
+    first (``gap_degree_sweep``).  The ladder of the last slice requested is
     kept until another slice is requested; it reads the slice once, as the
     cached ``slice_array``, and every rung's ``points`` is that one array.
     Rungs share their rows, so they are frozen: ``extend`` into one raises
@@ -188,19 +186,11 @@ def _slice_oracle(field: PrimeField, n: int, k: int,
     return rungs[d]
 
 
-def _witness_from_oracle(ev: EvaluationMatrix, oracle: RankOracle,
-                         outside_mask: Mask) -> MultilinearPoly:
-    """An ideal element nonzero at a point outside the closure.
-
-    Entry f of the residue of the point's row equals the value at the point
-    of the canonical nullspace polynomial for free column f, so any nonzero
-    residue entry indexes a witness directly.
-    """
-    row = ev.row_for_oracle(outside_mask)
-    res = oracle.residue(row)
-    free = next(f for f, v in enumerate(res) if v)
-    return poly_from_coeffs(ev.n, ev.field, ev.monomials,
-                            oracle.nullspace_vector(free))
+def _representative_row(ev: EvaluationMatrix, K: int) -> np.ndarray:
+    """``ev``'s 0/1 row at slice K's representative (1 << K) - 1, with no
+    evaluation: a monomial lies inside the first K variables iff its mask
+    is below 2^K."""
+    return (ev.monomials <= np.uint64((1 << K) - 1)).view(np.uint8)
 
 
 def _separates(field: PrimeField, n: int, k: int, K: int, q: int) -> bool:
@@ -236,41 +226,33 @@ def _hegedus_degree(n: int, p: int, k: int, K: int) -> Optional[int]:
     return q if q <= (k if K > k else n - k) else None
 
 
-def _ascent(field: PrimeField, n: int, k: int, K: int, top: int,
-            predict: bool = False):
-    """Rungs (d, ev, oracle, escaped) of slice k's degree ladder for d = 0,
-    1, ..., ``top``, ending at the first whose span the row of slice K's
-    representative (1 << K) - 1 escapes.
+def _ascent(field: PrimeField, n: int, k: int, K: int, rungs: range):
+    """Rungs (d, ev, oracle, f) of slice k's ladder for d in ``rungs``, up
+    to the first that slice K's representative escapes: f is the first
+    nonzero column of its row's residue, None while the row is a member.
 
     The only test of slice K against the ladder: the row space of a full
     slice is permutation-invariant, so escape at one point of slice K is
-    escape at all of them.  Some d <= n always escapes.  With ``predict``,
-    the rung at ``_hegedus_degree``, capped at ``top``, is requested first,
-    so every rung below it is its projection (``_slice_oracle``); the
-    ascent still tests every rung from d = 0, so the prediction sets only
-    the cost.  The exact solvers predict: the witness path up to the rung at
-    the degree, the degree-only answer (``_escape_degree``) with ``top``
-    below it.  The robust ones do not, as a removal can stop them below the
-    exact degree.
+    escape at all of them.  Rung e < d is rung d's prefix (``_slice_oracle``)
+    and the monomial order is graded, so the residue at d cut to N_e columns
+    is the residue at e: the least escape degree up to d is the degree of
+    monomial f.  The canonical nullspace vector of free column f at d is
+    that degree's padded with zeros (a stored row with its pivot past f is
+    zero at f), and its value at the representative is residue entry f, so
+    it is a witness.  Some d <= n always escapes, else AssertionError.
     """
-    rep = (1 << K) - 1
-    q = _hegedus_degree(n, field.p, k, K) if predict else None
-    if q is not None:
-        _slice_oracle(field, n, k, min(q, top))
-    for d in range(top + 1):
+    for d in rungs:
         ev, oracle = _slice_oracle(field, n, k, d)
-        escaped = not oracle.member(ev.row_for_oracle(rep))
-        yield d, ev, oracle, escaped
-        if escaped:
+        f = oracle.first_escape(_representative_row(ev, K))
+        yield d, ev, oracle, f
+        if f is not None:
             return
-    if top == n:
+    if d == n:
         raise AssertionError("no distinguisher up to degree n; this cannot happen")
 
 
-def _escape_degree(field: PrimeField, n: int, k: int, K: int,
-                   top: int) -> int:
-    """The least d <= ``top`` at which slice K escapes slice k's span, or
-    ``top`` + 1 if it escapes at no such d.
+def _escape_degree(field: PrimeField, n: int, k: int, K: int) -> int:
+    """The least d at which slice K escapes slice k's span.
 
     x -> 1 - x on every coordinate maps the degree-<=d multilinear
     polynomials onto themselves, over every field, and weight w to n - w, so
@@ -279,10 +261,10 @@ def _escape_degree(field: PrimeField, n: int, k: int, K: int,
     rungs (a witness, an error set) use ``_ascent`` on slice k itself.
 
     Slice K escapes at q' = ``p_adic_part(|K - k|, p)`` (``_separates``; a
-    failed check raises AssertionError), so only the rungs below q' are
-    climbed.  In the lemma's range, whose guard reads the same on both sides
-    of the mirror, the ascent requests rung q' - 1 first; outside it the
-    climb is bottom-up, as the degree can be far below q'.
+    failed check raises AssertionError), so only rungs below q' are read.
+    In the lemma's range, whose guard reads the same on both sides of the
+    mirror, that is rung q' - 1 alone; outside it the climb is bottom-up, as
+    the degree can be far below q' and rung q' - 1 wider than ``MAX_COLS``.
     """
     if k > n - k:
         k, K = n - k, n - K
@@ -290,27 +272,24 @@ def _escape_degree(field: PrimeField, n: int, k: int, K: int,
     if not _separates(field, n, k, K, q):
         raise AssertionError(f"C(|x| - k, {q}) does not separate slice {k} "
                              f"from slice {K} of n = {n} over F_{field.p}")
-    return next((d for d, _, _, escaped in _ascent(
-        field, n, k, K, min(q - 1, top), predict=True) if escaped),
-        min(q, top + 1))
+    start = q - 1 if _hegedus_degree(n, field.p, k, K) else 0
+    *_, (_, ev, _, f) = _ascent(field, n, k, K, range(start, q))
+    return q if f is None else int(ev.monomials[f]).bit_count()
 
 
 def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
                   want_witness: bool) -> DistinguishReport:
     """The report of the least escape degree, for ``exact_min_degree`` and
     zero-budget ``robust_search``.  A witness is read off slice k's own
-    ladder, whose ascent first requests the rung at ``_hegedus_degree`` when
-    k is in the lemma's range, so it stops at that rung and every rung below
-    it is its projection.  Without a witness the degree comes from
-    ``_escape_degree``, which may climb slice n - k's ladder and builds no
-    rung at or above q'."""
+    ladder (``_ascent``), at rung ``_hegedus_degree`` alone in the lemma's
+    range and bottom-up outside it; the degree alone comes from
+    ``_escape_degree``, which may climb slice n - k's ladder."""
     if want_witness:
-        for d, ev, oracle, escaped in _ascent(field, n, k, K, n,
-                                              predict=True):
-            if escaped:
-                break
+        start = _hegedus_degree(n, field.p, k, K) or 0
+        *_, (_, ev, oracle, f) = _ascent(field, n, k, K, range(start, n + 1))
+        d = int(ev.monomials[f]).bit_count()
     else:
-        d = _escape_degree(field, n, k, K, n)
+        d = _escape_degree(field, n, k, K)
     p, size_K = field.p, comb(n, K)
     report = DistinguishReport(
         degree=d, mode="exact", n=n, p=p, k=k, K=K, outside_count=size_K,
@@ -319,8 +298,8 @@ def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
         psi_K_expected=Fraction(p - 1, p), psi_K_max=Fraction(1),
     )
     if want_witness:
-        w = _witness_from_oracle(ev, oracle, (1 << K) - 1)
-        report.witness = w
+        report.witness = w = poly_from_coeffs(n, field, ev.monomials,
+                                              oracle.nullspace_vector(f))
         report.psi_k = slice_stats(w, k, caps).psi
         report.psi_K = slice_stats(w, K, caps).psi
     return report
@@ -359,11 +338,11 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
     Rows share the rank oracle across all gaps, and slices k and n - k
     are taken one after the other on slice min(k, n - k)'s ladder
     (``_escape_degree``).  Every target is in the lemma's range, so an
-    ascent climbs only the rungs below its expected degree, and the
-    separator certifies the expected one.  The ladder's top rung, one below
-    the larger ``max_expected`` of k and of n - k, is requested first, so it
-    is the one elimination of the ladder and every rung the ascents climb is
-    its prefix (``_slice_oracle``).  Rows are sorted by (n, k, K).
+    answer reads the rung below its expected degree, which the separator
+    certifies.  The ladder's top, the highest of those rungs over k and
+    n - k, is requested first, so it is the ladder's one elimination and
+    every other rung its prefix (``_slice_oracle``).  Rows are sorted by
+    (n, k, K).
 
     Returns (rows, violations).
     """
@@ -386,10 +365,8 @@ def gap_degree_sweep(p: int, n_values: Sequence[int], gaps: str = "ppower"):
                 continue
             _slice_oracle(field, n, min(k, n - k), max(
                 max(targets[j].values(), default=0) for j in (k, n - k)) - 1)
-            max_expected = max(targets[k].values())
             for K, expected in sorted(targets[k].items()):
-                # max_expected + 1 is the ">expected" sentinel
-                degree = _escape_degree(field, n, k, K, max_expected)
+                degree = _escape_degree(field, n, k, K)
                 rows.append(SweepRow(n=n, k=k, K=K, gap=K - k,
                                      expected=expected, degree=degree,
                                      ok=(degree == expected)))
@@ -440,9 +417,9 @@ def exhaustive_robust(n: int, p: int, k: int, K: int, max_removals: int,
               "exhaustive robust work")
     K_masks = slice_array(n, K)
     per_degree: dict[int, int] = {}
-    for d, ev, _, escaped in _ascent(field, n, k, K, n):
-        outside, removed = (len(K_masks) if escaped else 0), ()
-        if not escaped and max_removals:
+    for d, ev, _, f in _ascent(field, n, k, K, range(n + 1)):
+        outside, removed = (0 if f is None else len(K_masks)), ()
+        if f is None and max_removals:
             X = evaluation_bool_matrix(ev.monomials, K_masks)
             R = ev.bool_matrix()
             both = RankOracle.from_rows(field, np.hstack([R.T, X.T]))
@@ -528,14 +505,14 @@ def robust_search(inst: SliceDistinguishInstance, eps0_budget: Fraction,
     for rs in restart_seeds:
         rng = random.Random(rs)
         per_degree: dict[int, int] = {}
-        for d, ev, _, escaped in _ascent(field, n, k, K, n):
+        for d, ev, _, f in _ascent(field, n, k, K, range(n + 1)):
             if strategy == "uniform":
                 rows = rng.sample(range(size_k), removals)
             else:
                 rows = _rank_critical(ev, removals)
             error_set = sorted(ev.points[rows].tolist())
             outside = size_K
-            if not escaped:
+            if f is None:
                 kept = closure(field, n, np.delete(ev.points, rows), d,
                                Candidates.slices(n, [K]), caps)
                 outside = size_K - kept.closure_count

@@ -683,9 +683,8 @@ def _frontier(params, seed, caps):
     # all p-power gaps q <= min(k, n - k) of one slice k in a row, and slices
     # k and n - k one after the other: both climb slice min(k, n - k)'s
     # ladder, and only the last slice's ladder is kept.  Both degree-only
-    # answers build the rung at q - 1 first (the separator certifies q), so
-    # the largest q comes first: the ladder's top is its one elimination,
-    # and every other rung is its projection
+    # answers read rung q - 1 alone (the separator certifies q), so the
+    # largest q comes first: the ladder's top is its one elimination
     mismatches = []
     count = 0
     for p in (2, 3):

@@ -24,7 +24,8 @@ the width alone.  No entry takes more than the growth bound
 (max - p) // (p - 1)^2 of updates between two reductions, so every
 intermediate value is exact.  Residues, for membership and for ``extend``,
 take one int64 product with the stored RREF per group of
-``_growth_bound(np.int64, p)`` pivots.
+``_growth_bound(np.int64, p)`` pivots; ``first_escape`` of a 0/1 row takes
+none.
 """
 
 from __future__ import annotations
@@ -265,6 +266,10 @@ class _BitRankOracle:
         res = self._reduce(self._rows([row])[0])
         return [(res >> i) & 1 for i in range(self.cols)]
 
+    def first_escape(self, row) -> int | None:
+        res = self._reduce(self._rows([row])[0])
+        return (res & -res).bit_length() - 1 if res else None
+
     def entry(self, pivot_col: int, col: int) -> int:
         return (self.pivots[pivot_col] >> col) & 1
 
@@ -336,6 +341,14 @@ class _ArrRankOracle:
     def residue(self, row) -> list[int]:
         return self._reduce([row])[0].tolist()
 
+    def first_escape(self, row) -> int | None:
+        row = _checked_block([row], self.cols)[0]
+        if (row >> 1).any():  # an entry outside {0, 1}
+            raise ValueError("first_escape reads a 0/1 row")
+        hit = row[np.fromiter(self.pivots, np.intp, len(self.pivots))] != 0
+        res = (row - self.block[hit].sum(axis=0)) % self.p
+        return int((res != 0).argmax()) if res.any() else None
+
     def entry(self, pivot_col: int, col: int) -> int:
         return int(self.pivots[pivot_col][col])
 
@@ -401,13 +414,18 @@ class RankOracle:
         return sorted(self._impl.pivots)
 
     def residue(self, row) -> list[int]:
-        """The fully reduced remainder of ``row`` against the stored pivots.
-
-        Zero iff the row is a member.  Entry f of the residue equals the
-        inner product of ``row`` with the canonical nullspace vector of free
-        column f, which makes witness extraction a lookup.
-        """
+        """The fully reduced remainder of ``row`` against the stored pivots:
+        zero iff the row is a member; entry f is the inner product of ``row``
+        with the canonical nullspace vector of free column f."""
         return self._impl.residue(row)
+
+    def first_escape(self, row) -> int | None:
+        """The first column at which the residue of a 0/1 ``row`` is
+        nonzero, or None if the row is a member.  A stored row is 1 in its
+        own pivot column and 0 in the others, so its coefficient is the
+        row's entry there: the residue is the row minus the stored rows at
+        its nonzero pivot entries, a sum with no product."""
+        return self._impl.first_escape(row)
 
     def nullspace_vector(self, free_col: int) -> list[int]:
         """Canonical nullspace vector for one free (non-pivot) column."""

@@ -11,13 +11,21 @@ from hypothesis import example, given, settings, strategies as st
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, _digit_axes,
                            ecoeffs_from_weight_values, monomials_upto,
-                           multilinearize_product, point_array,
+                           multilinearize_product, p_adic_part, point_array,
                            poly_to_json_dict, popcount, slice_array,
                            slice_stats,
                            weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_p_adic_part_needs_p_at_least_2(p):
+    # every q is divisible by 1 and -1, and by no power of 0
+    assert p_adic_part(12, 2) == 4 and p_adic_part(18, 3) == 9
+    with pytest.raises(ValueError, match="p-adic part"):
+        p_adic_part(12, p)
 
 
 def elementary_symmetric(n, j, field):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from slicedeg import distinguish
-from slicedeg.closure import EvaluationMatrix, evaluation_bool_matrix
+from slicedeg.closure import (EvaluationMatrix, evaluation_bool_matrix,
+                              poly_from_coeffs)
 from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, monomials_upto, slice_array)
 from slicedeg.distinguish import (SliceDistinguishInstance, midslice_consistency,
@@ -374,8 +375,9 @@ class TestComplementMirror:
 
 
 class TestPredictedRung:
-    """The exact ascents request the rung at Hegedus's degree first; the
-    prediction sets only the cost."""
+    """An exact question reads the one rung that Hegedus's lemma predicts,
+    and climbs bottom-up outside its range; the prediction sets only the
+    cost."""
 
     @pytest.mark.parametrize("p, n, k, K", [(2, 6, 1, 5), (3, 7, 1, 7)])
     def test_out_of_range_requests_nothing_above_the_degree(
@@ -396,36 +398,73 @@ class TestPredictedRung:
             assert set(rungs) == set(range(degree + 1))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_in_range_reports_equal_a_bottom_up_climb(self, p, monkeypatch):
-        # on both sides of k the degree is q', the top rung is requested
-        # first and no rung above it; without the prediction the same
-        # reports and witnesses come out
-        cases = [(n, k, K) for n in range(2, 11) for k in range(1, n)
-                 for K in range(n + 1)
-                 if K != k and distinguish._hegedus_degree(n, p, k, K)]
-        assert {K > k for _, k, K in cases} == {True, False}
+    def test_reports_equal_a_bottom_up_climb(self, p, monkeypatch):
+        # every (n <= 10, k, K), in the lemma's range and out of it: the
+        # degree and the witness equal a bottom-up climb of direct builds,
+        # read by the first nonzero entry of the full residue; in range the
+        # witness path requests rung q' alone, and out of it every rung up
+        # to the degree
+        field = PrimeField(p)
         requested = []
         provider = distinguish._slice_oracle
         monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
             requested.append(d) or provider(f, n, k, d)))
+        in_range = 0
+        for n in range(2, 11):
+            for k in range(1, n):
+                rungs = {}
+                for K in range(n + 1):
+                    if K == k:
+                        continue
+                    for d in range(n + 1):
+                        if d not in rungs:
+                            ev = EvaluationMatrix(field, n, d, slice_array(n, k))
+                            rungs[d] = ev, ev.oracle()
+                        ev, oracle = rungs[d]
+                        res = oracle.residue(ev.point_row_bool((1 << K) - 1))
+                        if any(res):
+                            break
+                    f = next(i for i, v in enumerate(res) if v)
+                    want = poly_from_coeffs(n, field, ev.monomials,
+                                            oracle.nullspace_vector(f))
+                    requested.clear()
+                    rep = exact_min_degree(n, p, k, K)
+                    assert rep.degree == d
+                    assert rep.witness.sorted_terms() == want.sorted_terms()
+                    q = distinguish._hegedus_degree(n, p, k, K)
+                    in_range += q is not None
+                    assert requested == ([q] if q else list(range(d + 1)))
+                    assert exact_min_degree(n, p, k, K,
+                                            want_witness=False).degree == d
+        assert in_range > 100
 
-        def reports():
-            out = []
-            for n, k, K in cases:
-                requested.clear()
-                distinguish._ladder.clear()
-                rep = exact_min_degree(n, p, k, K)
-                out.append((rep.to_json_dict(), rep.witness.sorted_terms(),
-                            requested[0], max(requested)))
-            return out
+    def test_representative_row_equals_its_evaluation(self):
+        for n in range(1, 11):
+            for d in range(n + 1):
+                ev = EvaluationMatrix(F2, n, d, [])
+                for K in range(n + 1):
+                    row = distinguish._representative_row(ev, K)
+                    assert row.dtype == np.uint8
+                    assert np.array_equal(row,
+                                          ev.point_row_bool((1 << K) - 1))
 
-        predicted = reports()
-        for (n, k, K), (report, _, first, top) in zip(cases, predicted):
-            assert report["degree"] == p_adic_part(abs(K - k), p) == first == top
-        monkeypatch.setattr(distinguish, "_hegedus_degree", lambda *a: None)
-        climbed = reports()
-        assert [r[:2] for r in climbed] == [r[:2] for r in predicted]
-        assert all(first == 0 for _, _, first, _ in climbed)
+    @pytest.mark.parametrize("p, n, k, K", [(2, 8, 4, 8), (3, 9, 3, 6)])
+    def test_the_lemma_boundary_reads_one_rung(self, p, n, k, K,
+                                               monkeypatch):
+        # k = q' is the least k in the lemma's range; a bottom-up climb
+        # there reaches the same degree, so only the requests tell it apart
+        q = p_adic_part(K - k, p)
+        assert q == k and distinguish._hegedus_degree(n, p, k, K) == q
+        requested = []
+        provider = distinguish._slice_oracle
+        monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
+            requested.append(d) or provider(f, n, k, d)))
+        for want_witness, rung in ((True, q), (False, q - 1)):
+            requested.clear()
+            distinguish._ladder.clear()
+            assert exact_min_degree(n, p, k, K,
+                                    want_witness=want_witness).degree == q
+            assert requested == [rung]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_degree_only_builds_no_rung_at_the_degree(self, p, monkeypatch):
@@ -767,11 +806,11 @@ class TestSliceOracleProvider:
             # slices k and n - k both climb slice min(k, n - k)'s ladder
             assert calls == [(12, k) for k in range(1, 7)]
             assert any(r.k > 6 for r in rows)
-            # the rungs below the degrees asked of the last slice all read
-            # its one array; the separator answers the degrees themselves
+            # each answer of the last slice reads the one rung below its
+            # degree, and those rungs all read its one array; the separator
+            # answers the degrees themselves
             points, _, rungs = distinguish._ladder[F2, 12, 6]
-            assert set(rungs) == set(range(max(r.degree for r in rows
-                                               if r.k == 6)))
+            assert set(rungs) == {r.degree - 1 for r in rows if r.k == 6}
             assert all(np.shares_memory(ev.points, points)
                        for ev, _ in rungs.values())
             degrees += [r.degree for r in rows]

@@ -103,6 +103,10 @@ class TestChecksShape:
     @pytest.mark.parametrize("name, params", [
         ("symfun-analyze", {"family": "thr"}),
         ("symfun-analyze", {"family": "maj:4"}),
+        # per(g) = 3 reaches the p-adic part, which once looped forever at
+        # p = 1 and divided by zero at p = 0
+        ("symfun-analyze", {"family": "mod:3:0", "n": 12, "p": 0}),
+        ("symfun-analyze", {"family": "mod:3:0", "n": 12, "p": 1}),
         ("construct-coin", {"eps": "0"}),
         ("construct-coin", {"delta": "0"}),
         ("coin-verify", {"eps": "0"}),
@@ -136,8 +140,8 @@ class TestChecksShape:
         # n - k one after the other on slice min(k, n - k)'s ladder, so every
         # (p, n, k, d) rung of the run is built once and none has k > n/2;
         # parts (b) and (c) reach only slices of n = 7 and 8, above this
-        # sweep range.  A ladder's largest gap q is certified by a separator,
-        # so part (a) builds exactly the rungs below it
+        # sweep range.  Each gap q is certified by a separator and read at
+        # the one rung below it, so part (a) builds exactly those rungs
         built = []
 
         class Recording(EvaluationMatrix):
@@ -154,15 +158,15 @@ class TestChecksShape:
         assert len(built) == len(set(built))
         assert all(2 * k <= n for _, n, k, _ in built)
 
-        def largest_gap(p, m):
+        def gaps(p, m):
             q = 1
-            while q * p <= m:
+            while q <= m:
+                yield q
                 q *= p
-            return q
 
         assert {b for b in built if b[1] <= 6} == {
-            (p, n, m, d) for p in (2, 3) for n in range(2, 7)
-            for m in range(1, n // 2 + 1) for d in range(largest_gap(p, m))}
+            (p, n, m, q - 1) for p in (2, 3) for n in range(2, 7)
+            for m in range(1, n // 2 + 1) for q in gaps(p, m)}
 
     def test_frontier_eliminates_each_ladder_once(self, monkeypatch):
         # part (a) takes each slice's largest gap first, and the exact

@@ -328,6 +328,33 @@ class TestRankOracle:
                 assert [o.member(r) for r in form] == expect
                 assert [not any(o.residue(r)) for r in form] == expect
 
+    @given(st.sampled_from([2, 3, 5, 2**31 - 1]), st.integers(0, 6),
+           st.integers(1, 9), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_first_escape_is_the_first_nonzero_residue_entry(
+            self, p, rows, cols, seed):
+        # on any stored rows and on their prefixes, for 0/1 probes
+        field = PrimeField(p)
+        rng = random.Random(seed)
+        data = np.array([[rng.randrange(p) for _ in range(cols)]
+                         for _ in range(rows)], dtype=np.int64).reshape(-1, cols)
+        probes = np.array([[rng.randrange(2) for _ in range(cols)]
+                           for _ in range(6)], dtype=np.uint8)
+        full = RankOracle(field, cols)
+        full.extend(data % 2 if p == 2 else data)
+        for o in (full, full.prefix(rng.randrange(cols + 1))):
+            for row in probes[:, :o.cols]:
+                res = o.residue(row)
+                want = next((f for f, v in enumerate(res) if v), None)
+                assert o.first_escape(row) == want
+
+    def test_first_escape_reads_only_0_1_rows_over_odd_p(self):
+        o = RankOracle.from_array(F3, np.array([[1, 2, 0]]))
+        assert o.first_escape([1, 0, 1]) == 1
+        for row in ([2, 0, 0], [1, -1, 0]):
+            with pytest.raises(ValueError, match="0/1 row"):
+                o.first_escape(row)
+
     def test_from_array_any_input_dtype(self):
         # a block is reduced in its own dtype widened to hold p, so narrow
         # and signed inputs build the same oracle as int64 ones, also when p
@@ -694,12 +721,13 @@ class TestFourRussians:
                             or provider(field, n, k, d))
         for gaps in ("ppower", "composite"):
             distinguish.gap_degree_sweep(2, range(6, 13), gaps=gaps)
-        # the sweep certifies each ladder's largest degree with a separator
-        # and builds the rungs below it; check the rung at that degree too
+        # the sweep builds each ladder's top, one below its largest degree,
+        # and reads the rung below each degree; check every rung up to the
+        # one at the largest degree, which the separator certifies
         tops = {}
         for n, k, d in rungs:
             tops[n, k] = max(tops.get((n, k), d), d)
-        rungs |= {(n, k, d + 1) for (n, k), d in tops.items()}
+        rungs = {(n, k, e) for (n, k), d in tops.items() for e in range(d + 2)}
         assert len(rungs) > 100
         # the sweep climbs slice min(k, n - k); check slice n - k's blocks too
         rungs |= {(n, n - k, d) for n, k, d in rungs}

@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` still imports, the exact-sums benchmark
-still computes the results it first recorded, and the acceptance runner runs
-the criteria it is given.
+still computes the results it first recorded, the acceptance runner runs
+the criteria it is given, and the elimination counter's worker counts the
+builds and the rungs each exact question reads.
 
 The bench scripts import private library names (``_rref_words``,
 ``_pack_words``, ``_rref_array``, ``_HEAD_MARGIN``, ``_row_order``).  A
@@ -11,6 +12,7 @@ script; this test loads each script by file path, as a module that is not
 
 import hashlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -74,3 +76,43 @@ def test_acceptance_rejects_an_unknown_id():
     res = _acceptance("05", "13")
     assert res.returncode == 2 and res.stdout == ""
     assert "unknown criterion id(s): 13" in res.stderr
+
+
+def test_count_eliminations_worker_counts_one_rung_per_question(
+        monkeypatch):
+    # one mindeg and one small hegedus-sweep op, both in the range of
+    # Hegedus's lemma: every exact question reads one rung, and at this
+    # size every build is one extend, so extend_calls is the number of
+    # builds the same ops make in this process
+    from slicedeg import distinguish
+    from slicedeg.experiments import ExperimentSpec, run
+    from slicedeg.linalg import RankOracle
+
+    ops = [{"name": "mindeg", "params": {"n": 8, "p": 2, "k": 3, "K": 5},
+            "seed": 0},
+           {"name": "hegedus-sweep", "params": {"p": 3, "n_min": 6,
+                                                "n_max": 8}, "seed": 0}]
+    path = next(s for s in SCRIPTS if s.name == "count_eliminations.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(path.parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, str(path), "--worker"],
+                         input=json.dumps(ops), env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    counts = json.loads(res.stdout)
+    assert list(counts) == [
+        "extend_calls", "extend_rows", "extend_cells", "fallback_rows",
+        "from_rows_calls", "exact_questions", "exact_rungs_read"]
+
+    builds, rows = [], []
+    from_rows = RankOracle.from_rows.__func__
+    monkeypatch.setattr(RankOracle, "from_rows", classmethod(
+        lambda cls, field, block: builds.append(1)
+        or from_rows(cls, field, block)))
+    distinguish._ladder.clear()
+    for o in ops:
+        rep = run(ExperimentSpec(o["name"], o["params"], o["seed"]))
+        rows += rep.tables.get("sweep", rep.tables.get("report"))
+    assert counts["extend_calls"] == counts["from_rows_calls"] == len(builds)
+    assert counts["fallback_rows"] == 0
+    assert counts["exact_questions"] == counts["exact_rungs_read"] == len(rows)
