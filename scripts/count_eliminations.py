@@ -15,9 +15,10 @@ rank: the rank certificate's chunks after its head
 An exact question is one call of ``distinguish._exact_report`` or, from the
 sweeps, of ``distinguish._escape_degree``, the degree-only answer;
 ``exact_questions`` counts them and ``exact_rungs_read`` the rungs their
-ascents (``distinguish._ascent``) read, one each where Hegedus's lemma
-fixes the degree (``distinguish._hegedus_degree``) and one per rung of a
-bottom-up climb outside its range.  Prints one JSON line per workload.
+ascents (``distinguish._ascent``) read: one for a degree-only answer where
+Hegedus's lemma fixes the degree (``distinguish._hegedus_degree``), and
+one per rung of a bottom-up climb outside its range or for a witness.
+Prints one JSON line per workload.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ k onto slice n - k, so a search that needs only the degree climbs the
 smaller-weight ladder (``_escape_degree``).  The p-adic part q' of the gap
 bounds the degree from above by one explicit polynomial (``_separates``).
 Where Hegedus's lemma applies it is the exact degree (``_hegedus_degree``):
-one read of rung q' gives the degree and a witness, one of rung q' - 1 the
-degree alone.
+one read of rung q' - 1 gives the degree alone, and a witness ascent
+eliminates rung q' first, so every rung it reads is a prefix.
 
 Robust variants relax the vanishing constraint on an explicit error set,
 either heuristically (upper bound) or exactly over all small error sets,
@@ -281,13 +281,15 @@ def _exact_report(field: PrimeField, n: int, k: int, K: int, caps: Caps,
                   want_witness: bool) -> DistinguishReport:
     """The report of the least escape degree, for ``exact_min_degree`` and
     zero-budget ``robust_search``.  A witness is read off slice k's own
-    ladder (``_ascent``), at rung ``_hegedus_degree`` alone in the lemma's
-    range and bottom-up outside it; the degree alone comes from
-    ``_escape_degree``, which may climb slice n - k's ladder."""
+    ladder by a bottom-up ``_ascent``, whose rungs in the lemma's range are
+    prefixes of rung ``_hegedus_degree``, eliminated first.  (Rung q' alone
+    gives the same witness; perfbench's ``degree_steps`` counts the climb.)
+    The degree alone comes from ``_escape_degree``."""
     if want_witness:
-        start = _hegedus_degree(n, field.p, k, K) or 0
-        *_, (_, ev, oracle, f) = _ascent(field, n, k, K, range(start, n + 1))
-        d = int(ev.monomials[f]).bit_count()
+        q = _hegedus_degree(n, field.p, k, K)
+        if q is not None:
+            _slice_oracle(field, n, k, q)
+        *_, (d, ev, oracle, f) = _ascent(field, n, k, K, range(n + 1))
     else:
         d = _escape_degree(field, n, k, K)
     p, size_K = field.p, comb(n, K)

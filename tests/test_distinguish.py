@@ -401,9 +401,9 @@ class TestPredictedRung:
     def test_reports_equal_a_bottom_up_climb(self, p, monkeypatch):
         # every (n <= 10, k, K), in the lemma's range and out of it: the
         # degree and the witness equal a bottom-up climb of direct builds,
-        # read by the first nonzero entry of the full residue; in range the
-        # witness path requests rung q' alone, and out of it every rung up
-        # to the degree
+        # read by the first nonzero entry of the full residue; the witness
+        # path climbs every rung up to the degree, in range after requesting
+        # rung q' first
         field = PrimeField(p)
         requested = []
         provider = distinguish._slice_oracle
@@ -433,7 +433,7 @@ class TestPredictedRung:
                     assert rep.witness.sorted_terms() == want.sorted_terms()
                     q = distinguish._hegedus_degree(n, p, k, K)
                     in_range += q is not None
-                    assert requested == ([q] if q else list(range(d + 1)))
+                    assert requested == [q] * bool(q) + list(range(d + 1))
                     assert exact_min_degree(n, p, k, K,
                                             want_witness=False).degree == d
         assert in_range > 100
@@ -449,22 +449,25 @@ class TestPredictedRung:
                                           ev.point_row_bool((1 << K) - 1))
 
     @pytest.mark.parametrize("p, n, k, K", [(2, 8, 4, 8), (3, 9, 3, 6)])
-    def test_the_lemma_boundary_reads_one_rung(self, p, n, k, K,
-                                               monkeypatch):
+    def test_the_lemma_boundary_requests_the_predicted_rung(
+            self, p, n, k, K, monkeypatch):
         # k = q' is the least k in the lemma's range; a bottom-up climb
-        # there reaches the same degree, so only the requests tell it apart
+        # there reaches the same degree, so only the requests tell it apart:
+        # the degree alone reads rung q' - 1 alone, a witness requests rung
+        # q' before it climbs
         q = p_adic_part(K - k, p)
         assert q == k and distinguish._hegedus_degree(n, p, k, K) == q
         requested = []
         provider = distinguish._slice_oracle
         monkeypatch.setattr(distinguish, "_slice_oracle", lambda f, n, k, d: (
             requested.append(d) or provider(f, n, k, d)))
-        for want_witness, rung in ((True, q), (False, q - 1)):
+        for want_witness, rungs in ((True, [q, *range(q + 1)]),
+                                    (False, [q - 1])):
             requested.clear()
             distinguish._ladder.clear()
             assert exact_min_degree(n, p, k, K,
                                     want_witness=want_witness).degree == q
-            assert requested == [rung]
+            assert requested == rungs
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_degree_only_builds_no_rung_at_the_degree(self, p, monkeypatch):

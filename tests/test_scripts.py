@@ -78,12 +78,10 @@ def test_acceptance_rejects_an_unknown_id():
     assert "unknown criterion id(s): 13" in res.stderr
 
 
-def test_count_eliminations_worker_counts_one_rung_per_question(
-        monkeypatch):
+def test_count_eliminations_worker_counts_questions_and_rungs(monkeypatch):
     # one mindeg and one small hegedus-sweep op, both in the range of
-    # Hegedus's lemma: every exact question reads one rung, and at this
-    # size every build is one extend, so extend_calls is the number of
-    # builds the same ops make in this process
+    # Hegedus's lemma, and at this size every build is one extend, so
+    # extend_calls is the number of builds the same ops make in this process
     from slicedeg import distinguish
     from slicedeg.experiments import ExperimentSpec, run
     from slicedeg.linalg import RankOracle
@@ -115,4 +113,7 @@ def test_count_eliminations_worker_counts_one_rung_per_question(
         rows += rep.tables.get("sweep", rep.tables.get("report"))
     assert counts["extend_calls"] == counts["from_rows_calls"] == len(builds)
     assert counts["fallback_rows"] == 0
-    assert counts["exact_questions"] == counts["exact_rungs_read"] == len(rows)
+    assert counts["exact_questions"] == len(rows)
+    # each sweep row reads one rung; the mindeg witness (degree 2) climbs
+    # rungs 0, 1 and 2
+    assert counts["exact_rungs_read"] == len(rows) + 2
