@@ -33,6 +33,15 @@ def frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational from its text, such as "1/8" or "0.125"; malformed
+    text or a zero denominator raises ``ValueError``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"fraction {text!r} has a zero denominator") from None
+
+
 class CapExceeded(RuntimeError):
     """An operation would exceed a configured size cap."""
 
@@ -48,4 +57,8 @@ DEFAULT_CAPS = Caps()
 
 def check_cap(value: int, limit: int, what: str) -> None:
     if value > limit:
-        raise CapExceeded(f"{what} = {value} exceeds cap {limit}")
+        try:
+            shown = str(value)
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            shown = f"a {value.bit_length()}-bit number"
+        raise CapExceeded(f"{what} = {shown} exceeds cap {limit}")

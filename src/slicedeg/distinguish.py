@@ -565,20 +565,6 @@ def _midslice_bounds(n: int, t: int) -> tuple:
                 min(mp.e ** (-200), mp.e ** (-2 * ell_f)), mp.e ** (-ell_f / 2))
 
 
-@lru_cache(maxsize=256)
-def _midslice_window(n: int, t: int, psi_low: Fraction,
-                     psi_mid: Fraction) -> tuple[bool, bool, bool]:
-    """(ell in range, eps window nonempty, psi_mid >= e^(-ell/2)) at the
-    working precision, once per distinct (n, t, psi_low, psi_mid): a
-    symmetric candidate's nonzero fractions are 0 or 1, so most candidates
-    share their key."""
-    ell_in_range, eps_floor, eps_hi, psi_mid_floor = _midslice_bounds(n, t)
-    with mp.workdps(DPS):
-        eps_lo = max(mpf_fraction(psi_low), eps_floor)
-        return (ell_in_range, bool(eps_lo <= eps_hi),
-                bool(mpf_fraction(psi_mid) >= psi_mid_floor))
-
-
 def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
                     caps: Caps = DEFAULT_CAPS) -> MidsliceConsistencyReport:
     """Check a candidate against the special-case hypotheses and degree bound.
@@ -601,8 +587,11 @@ def midslice_consistency(n: int, t: int, p: int, witness: MultilinearPoly,
     ell = Fraction(t * t, n)
     psi_low = slice_stats(witness, m - t, caps).psi
     psi_mid = slice_stats(witness, m, caps).psi
-    ell_in_range, eps_window_nonempty, psi_mid_ok = _midslice_window(
-        n, t, psi_low, psi_mid)
+    ell_in_range, eps_floor, eps_hi, psi_mid_floor = _midslice_bounds(n, t)
+    with mp.workdps(DPS):
+        eps_window_nonempty = bool(max(mpf_fraction(psi_low), eps_floor)
+                                   <= eps_hi)
+        psi_mid_ok = bool(mpf_fraction(psi_mid) >= psi_mid_floor)
     hypotheses = ell_in_range and eps_window_nonempty and psi_mid_ok
     threshold = Fraction(t, 25)
     degree = witness.degree

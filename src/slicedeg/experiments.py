@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, check_cap,
-                     frac_str, mpf_fraction)
+                     frac_str, mpf_fraction, parse_fraction)
 from .closure import (Candidates, IdealSampler, ball_fact_check, closure,
                       hamming_ball, nie_wang_check)
 from .cube import (MultilinearPoly, binomial_row, n_monomials,
@@ -32,8 +32,8 @@ from .distinguish import (SliceDistinguishInstance, midslice_consistency,
                           exact_min_degree, exhaustive_robust,
                           gap_degree_sweep, p_adic_part, robust_search)
 from .linalg import PrimeField
-from .spectra import (Spectrum, bounded_index, classify_pdeg, make_family,
-                      period, periodic_exact_poly, primitive_root,
+from .spectra import (Spectrum, _classify, bounded_index, make_family, period,
+                      periodic_exact_poly, primitive_root,
                       standard_decomposition, window_distinct_check)
 from .constructions import (C_LADDER, CoinInstance, GalvinFamily,
                             WeightWindow, binom_ratio_check, coin_build,
@@ -269,6 +269,7 @@ def _niewang(params, seed, caps):
         D = rng.randrange(0, min(d_max, n) + 1)
         nd = n_monomials(n, D)
         size = rng.randrange(0, min(nd, 1 << n) + 1)
+        check_cap(1 << n, caps.max_slice_points, "full-cube candidates")
         points = rng.sample(range(1 << n), size)
         lhs, rhs, holds = nie_wang_check(PrimeField(p), n, points, D, caps)
         ok &= holds
@@ -511,8 +512,9 @@ def _sample(params, seed, caps):
              "eps": (str, "1/100", "error"), "C": (int, 2, "sizing constant")},
             "window polynomial distinguishing coin biases, exact errors")
 def _coin(params, seed, caps):
-    inst = CoinInstance.from_sizing(params["p"], Fraction(params["delta"]),
-                                    Fraction(params["eps"]), params["C"])
+    inst = CoinInstance.from_sizing(
+        params["p"], parse_fraction(params["delta"]),
+        parse_fraction(params["eps"]), params["C"])
     poly = coin_build(inst)
     err_u, err_b = coin_verify_errors(inst, poly)
     window_len = len(inst.zero_weights()) + len(inst.one_weights()) + 1
@@ -535,7 +537,7 @@ def _coin(params, seed, caps):
              "eps": (str, "1/100", "error")},
             "coin construction meets its error target at the sizing rule")
 def _coin_verify(params, seed, caps):
-    delta, eps = Fraction(params["delta"]), Fraction(params["eps"])
+    delta, eps = parse_fraction(params["delta"]), parse_fraction(params["eps"])
 
     def attempt(C):
         inst = CoinInstance.from_sizing(params["p"], delta, eps, C)
@@ -640,10 +642,11 @@ def _symfun(params, seed, caps):
         spec = make_family(fam, params["n"])
     n = spec.n
     dec = standard_decomposition(spec)
-    case = classify_pdeg(spec, params["p"], params["eps"])
+    case = _classify(dec, params["p"], params["eps"])
+    per = period(spec)
     row = {
         "spectrum": spec.to_string(),
-        "period": period(spec),
+        "period": per,
         "bounded_index": bounded_index(spec),
         "per_g": dec.per_g,
         "B_h": dec.B_h,
@@ -660,7 +663,7 @@ def _symfun(params, seed, caps):
         Check("per-g-bound", dec.per_g <= n // 3 or dec.fallback,
               f"per_g={dec.per_g}, floor(n/3)={n // 3}"),
     ]
-    if period(spec) > 1:
+    if per > 1:
         checks.append(Check("window-distinct", window_distinct_check(spec), ""))
     return checks, {"analysis": [row]}, []
 

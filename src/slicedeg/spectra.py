@@ -1,11 +1,11 @@
 """Symmetric Boolean functions as weight-indexed spectra.
 
 A symmetric function on n variables is the string Spec f of length n+1 with
-Spec f(w) = value on weight-w inputs.  This module computes periods (border
-method, with brute force kept as a test oracle), boundedness indices, the
-minimal-period middle-window decomposition, named families, the periodic
-exact polynomial (the forward differences of its weight table), and the
-probabilistic-degree case classifier.
+Spec f(w) = value on weight-w inputs.  This module computes periods,
+boundedness indices and the minimal-period middle-window decomposition, all
+by shift and XOR on spectrum numbers, and holds the named families, the
+periodic exact polynomial (the forward differences of its weight table) and
+the probabilistic-degree case classifier.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .cube import MultilinearPoly, ecoeffs_from_weight_values, p_adic_part
 from .linalg import PrimeField
+
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> "0" and "1"
 
 
 @dataclass(frozen=True)
@@ -36,32 +40,75 @@ class Spectrum:
         return cls(len(s) - 1, tuple(int(c) for c in s))
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __xor__(self, other: "Spectrum") -> "Spectrum":
-        if self.n != other.n:
-            raise ValueError("arity mismatch")
-        return Spectrum(self.n, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return bytes(self.bits).translate(_ASCII_BITS).decode()
 
 
-def _border_table(s: Sequence) -> list[int]:
-    """KMP failure function: border[i] = longest proper border of s[:i+1]."""
-    border = [0] * len(s)
-    k = 0
-    for i in range(1, len(s)):
-        while k and s[i] != s[k]:
-            k = border[k - 1]
-        if s[i] == s[k]:
-            k += 1
-        border[i] = k
-    return border
+def _number(spec: Spectrum) -> int:
+    """The spectrum number of ``spec``: bit i is Spec f(i)."""
+    return int(spec.to_string()[::-1], 2)
 
 
-def string_period(s: Sequence) -> int:
-    """Smallest b >= 1 with s[i] == s[i+b] for all valid i (may equal len(s))."""
-    if len(s) == 0:
-        raise ValueError("empty string has no period")
-    return len(s) - _border_table(s)[-1]
+def _spectrum(n: int, x: int) -> Spectrum:
+    """The spectrum whose number is ``x``."""
+    return Spectrum(n, tuple((x >> i) & 1 for i in range(n + 1)))
+
+
+# The shift-XOR functions below take spectrum numbers in either of two forms:
+# one Python int, for any n, or an int64 array of them, for the exhaustive
+# scans (n <= 62).  Each step adds a bool, or a bool array, to the answer, so
+# one expression serves both forms.
+
+def _least_period(x, length: int):
+    """The least period of each ``length``-bit string x (bit j is position
+    j): the least c >= 1 with bits j and j + c equal for all j, that is
+    ((x ^ (x >> c)) & (2^(length - c) - 1)) == 0; c = length always holds."""
+    least, miss = 1, True
+    for c in range(1, length):
+        miss &= ((x ^ (x >> c)) & ((1 << (length - c)) - 1)) != 0
+        least += miss
+    return least
+
+
+def _bounded_index(h, n: int):
+    """B(h) of each (n+1)-bit h: the least k at which bits k..n-k of h are
+    all 0 or all 1; from k = floor(n/2) + 1 on, that segment is empty.  The
+    segment shrinks as k grows, so B(h) is the number of k at which it is
+    mixed."""
+    least = 0
+    for k in range(n // 2 + 1):
+        seg = ((1 << (n - 2 * k + 1)) - 1) << k
+        part = h & seg
+        least += (part != 0) & (part != seg)
+    return least
+
+
+def decomposition_window(n: int) -> tuple[int, int]:
+    """The agreement window [ceil(n/3)+1, floor(2n/3)] (may be empty)."""
+    return (-(-n // 3) + 1, (2 * n) // 3)
+
+
+def _decompose(x, n: int) -> tuple:
+    """The standard decomposition of spectrum number(s) x of arity n >= 3.
+
+    Returns (g, per(g), B(h), fallback), with g as a spectrum number and
+    fallback whether the agreement window of n is empty (then g = 0).  g
+    extends the window's least period b bit by bit, and per(g) is computed
+    again from g: a per(g) other than b raises ``AssertionError``.  h is
+    f xor g.
+    """
+    lo, hi = decomposition_window(n)
+    fallback = lo > hi
+    g = x & 0
+    if not fallback:
+        width = hi - lo + 1
+        window = (x >> lo) & ((1 << width) - 1)
+        b = _least_period(window, width)
+        for i in range(n + 1):
+            g |= ((window >> ((i - lo) % b)) & 1) << i
+    per_g = _least_period(g, n + 1)
+    if not fallback and np.any(per_g != b):
+        raise AssertionError("periodic extension must realize the window period")
+    return g, per_g, _bounded_index(x ^ g, n), fallback
 
 
 def period(spec: Spectrum) -> int:
@@ -70,14 +117,16 @@ def period(spec: Spectrum) -> int:
     A constant spectrum has period 1; b = n+1 means only the trivial
     full-length period exists.
     """
-    return string_period(spec.bits)
+    return _least_period(_number(spec), spec.n + 1)
 
 
 def primitive_root(w: str) -> tuple[str, int]:
-    """Shortest z with w = z^k, k maximal (k = 1 iff w is primitive)."""
+    """Shortest z with w = z^k, k maximal (k = 1 iff w is primitive), for a
+    0/1 word w, read as the number int(w, 2): a word and its reverse have
+    the same periods."""
     if not w:
         raise ValueError("word must be non-empty")
-    b = string_period(w)
+    b = _least_period(int(w, 2), len(w))
     if len(w) % b == 0 and len(w) // b >= 2:
         return w[:b], len(w) // b
     return w, 1
@@ -86,18 +135,17 @@ def primitive_root(w: str) -> tuple[str, int]:
 def window_distinct_check(spec: Spectrum) -> bool:
     """Verify that length-b windows at offsets differing mod b are distinct.
 
-    Requires per(spec) = b > 1; offsets range over [0, n-b+1].
+    Requires per(spec) = b > 1; offsets range over [0, n-b+1].  One pass maps
+    each window to the offset residue where it was first seen.
     """
     b = period(spec)
     if b <= 1:
         raise ValueError("spectrum has period 1; windows are all identical")
-    s = spec.bits
-    last = spec.n - b + 1
-    windows = [tuple(s[i:i + b]) for i in range(last + 1)]
-    for i in range(last + 1):
-        for j in range(i + 1, last + 1):
-            if (i - j) % b != 0 and windows[i] == windows[j]:
-                return False
+    x, mask = _number(spec), (1 << b) - 1
+    first = {}
+    for i in range(spec.n - b + 2):
+        if first.setdefault((x >> i) & mask, i % b) != i % b:
+            return False
     return True
 
 
@@ -107,12 +155,7 @@ def bounded_index(spec: Spectrum) -> int:
     A single-point interval is constant; an empty interval (k > n-k) is
     vacuously constant, so the index always exists.
     """
-    s, n = spec.bits, spec.n
-    for k in range(n + 2):
-        seg = s[k:n - k + 1]
-        if len(seg) <= 1 or all(v == seg[0] for v in seg):
-            return k
-    raise AssertionError("unreachable")
+    return _bounded_index(_number(spec), spec.n)
 
 
 @dataclass(frozen=True)
@@ -128,11 +171,6 @@ class StandardDecomposition:
     fallback: bool           # True when the window was empty (tiny n)
 
 
-def decomposition_window(n: int) -> tuple[int, int]:
-    """The agreement window [ceil(n/3)+1, floor(2n/3)] (may be empty)."""
-    return (-(-n // 3) + 1, (2 * n) // 3)
-
-
 def standard_decomposition(spec: Spectrum) -> StandardDecomposition:
     """Minimal-period extension of the middle window plus bounded correction.
 
@@ -144,22 +182,12 @@ def standard_decomposition(spec: Spectrum) -> StandardDecomposition:
     n = spec.n
     if n < 3:
         raise ValueError("standard decomposition needs n >= 3")
-    lo, hi = decomposition_window(n)
-    if lo > hi:
-        g = Spectrum(n, (0,) * (n + 1))
-        h = spec ^ g
-        return StandardDecomposition(g=g, h=h, per_g=1, B_h=bounded_index(h),
-                                     window=(lo, hi), fallback=True)
-    w = spec.bits[lo:hi + 1]
-    b = string_period(w)
-    g_bits = tuple(w[(i - lo) % b] for i in range(n + 1))
-    g = Spectrum(n, g_bits)
-    per_g = period(g)
-    if per_g != b:
-        raise AssertionError("periodic extension must realize the window period")
-    h = spec ^ g
-    return StandardDecomposition(g=g, h=h, per_g=per_g, B_h=bounded_index(h),
-                                 window=(lo, hi), fallback=False)
+    x = _number(spec)
+    g, per_g, B_h, fallback = _decompose(x, n)
+    return StandardDecomposition(g=_spectrum(n, g), h=_spectrum(n, x ^ g),
+                                 per_g=per_g, B_h=B_h,
+                                 window=decomposition_window(n),
+                                 fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +275,14 @@ def classify_pdeg(spec: Spectrum, p: int, eps: float) -> PdegCase:
     period with B(h) = 0 -> min(sqrt(n log(1/eps)), per(g)); otherwise the
     mixed expression.
     """
-    n = spec.n
+    return _classify(standard_decomposition(spec), p, eps)
+
+
+def _classify(dec: StandardDecomposition, p: int, eps: float) -> PdegCase:
+    """``classify_pdeg`` of the spectrum whose decomposition is ``dec``."""
+    n = dec.g.n
     if not (2.0 ** (-n) <= eps <= 1 / 3):
         raise ValueError(f"eps {eps} outside [2^-n, 1/3]")
-    dec = standard_decomposition(spec)
     per_g, B_h = dec.per_g, dec.B_h
     L = math.log(1 / eps)
     root = math.sqrt(n * L)

@@ -8,10 +8,11 @@ target with composed degree strictly below the gap) and criterion 12b
 verified alongside with zero violations).
 """
 
+import numpy as np
 import pytest
 
-from slicedeg import acceptance
-from slicedeg.spectra import Spectrum, standard_decomposition
+import spectra_reference as ref
+from slicedeg import acceptance, spectra
 
 
 def _check(result):
@@ -101,8 +102,8 @@ def test_frontier_candidate_details_are_pinned():
 
 
 def _decomposition_loop(n_max):
-    """Criteria 12a/12b's scan one ``standard_decomposition`` at a time, as
-    it ran before the array scan: the reference for
+    """Criteria 12a/12b's scan one spectrum at a time through the string
+    reference's decomposition: the reference for
     ``acceptance._decomposition_scan``."""
     total = core_bad = bad = bad_plus_one = 0
     first = None
@@ -110,34 +111,51 @@ def _decomposition_loop(n_max):
         ceil_third = -(-n // 3)
         for code in range(1 << (n + 1)):
             bits = tuple((code >> i) & 1 for i in range(n + 1))
-            spec = Spectrum(n, bits)
-            dec = standard_decomposition(spec)
+            _, per_g, B_h, fallback = ref.standard_decomposition(bits)
             total += 1
-            if any(g ^ h != f for g, h, f in
-                   zip(dec.g.bits, dec.h.bits, spec.bits)):
+            if not fallback and per_g > n // 3:
                 core_bad += 1
-            elif not dec.fallback and dec.per_g > n // 3:
-                core_bad += 1
-            if dec.B_h > ceil_third:
+            if B_h > ceil_third:
                 bad += 1
                 if first is None:
-                    first = (n, "".join(map(str, bits)), dec.B_h, ceil_third)
-            if dec.B_h > ceil_third + 1:
+                    first = (n, "".join(map(str, bits)), B_h, ceil_third)
+            if B_h > ceil_third + 1:
                 bad_plus_one += 1
     return total, core_bad, bad, bad_plus_one, first
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_decompose_matches_standard_decomposition(n):
-    g, per_g, B_h, fallback = acceptance._decompose(n)
+    # the array form of spectra._decompose against the string reference
+    g, per_g, B_h, fallback = spectra._decompose(
+        np.arange(1 << (n + 1), dtype=np.int64), n)
     for code in range(1 << (n + 1)):
-        dec = standard_decomposition(
-            Spectrum(n, tuple((code >> i) & 1 for i in range(n + 1))))
-        assert dec.fallback == fallback
+        ref_g, ref_per_g, ref_B_h, ref_fallback = ref.standard_decomposition(
+            tuple((code >> i) & 1 for i in range(n + 1)))
+        assert fallback == ref_fallback
         assert (int(g[code]), int(per_g[code]), int(B_h[code])) == (
-            sum(b << i for i, b in enumerate(dec.g.bits)), dec.per_g,
-            dec.B_h), code
+            sum(b << i for i, b in enumerate(ref_g)), ref_per_g,
+            ref_B_h), code
 
 
 def test_decomposition_scan_matches_the_loop():
     assert acceptance._decomposition_scan(12) == _decomposition_loop(12)
+
+
+def test_core_violations_are_counted(monkeypatch):
+    # a decomposition whose per(g) exceeds floor(n/3) everywhere makes each
+    # spectrum outside the fallback (the 32 of n = 4) a core violation
+    decompose = acceptance._decompose
+
+    def too_long(x, n):
+        g, per_g, B_h, fallback = decompose(x, n)
+        return g, per_g + n, B_h, fallback
+
+    monkeypatch.setattr(acceptance, "_decompose", too_long)
+    acceptance._decomposition_scan.cache_clear()
+    try:
+        result = acceptance.criterion_12a_decomposition_core()
+    finally:
+        acceptance._decomposition_scan.cache_clear()
+    assert not result.passed
+    assert result.details == "65520 spectra, n in [3,14]; violations=65488"

@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from slicedeg import cli, distinguish, experiments
+import spectra_reference as ref
+from slicedeg import cli, distinguish, experiments, spectra
 from slicedeg.closure import Candidates, EvaluationMatrix
 from slicedeg.config import DEFAULT_CAPS, CapExceeded
 from slicedeg.constructions import C_LADDER, lucas_poly
@@ -17,7 +18,7 @@ from slicedeg.cube import MultilinearPoly
 from slicedeg.experiments import (EXPERIMENTS, ExperimentSpec,
                                   list_experiments, run)
 from slicedeg.linalg import PrimeField, RankOracle
-from slicedeg.spectra import periodic_exact_poly, primitive_root
+from slicedeg.spectra import periodic_exact_poly
 
 REQUIRED_EXPERIMENTS = {
     "mindeg", "closure", "niewang", "hegedus-sweep", "extension-sweep",
@@ -73,6 +74,31 @@ class TestChecksShape:
         assert rep.all_passed
         assert rep.tables["report"][0]["degree"] == 2
 
+    def test_symfun_checks_can_fail(self, monkeypatch):
+        # a decomposition with g xor h != f and per(g) > floor(n/3), and a
+        # window check that reads twice the period, so that two windows one
+        # period apart are equal at different offsets mod its b
+        f = spectra.mod_spectrum(12, 3)
+        wrong = spectra.StandardDecomposition(
+            g=f, h=f, per_g=5, B_h=0, window=spectra.decomposition_window(12),
+            fallback=False)
+        monkeypatch.setattr(experiments, "standard_decomposition",
+                            lambda spec: wrong)
+        period = spectra.period
+        monkeypatch.setattr(spectra, "period", lambda spec: 2 * period(spec))
+        rep = run(ExperimentSpec("symfun-analyze",
+                                 {"family": "mod:3:0", "n": 12}))
+        assert [(c.name, c.passed, c.details) for c in rep.checks] == [
+            ("f-equals-g-xor-h", False, ""),
+            ("per-g-bound", False, "per_g=5, floor(n/3)=4"),
+            ("window-distinct", False, "")]
+
+    def test_niewang_past_the_full_cube_cap_raises(self):
+        # the cap is checked before rng.sample draws from the full cube,
+        # which raised OverflowError from n = 63 on; 2^n is too long to print
+        with pytest.raises(CapExceeded, match="full-cube candidates = a "):
+            run(ExperimentSpec("niewang", {"n_max": 10**6}))
+
     def test_symfun_spectrum_string_input(self):
         rep = run(ExperimentSpec(name="symfun-analyze",
                                  params={"family": "0101010101010"}))
@@ -112,6 +138,12 @@ class TestChecksShape:
         # p = 1 and divided by zero at p = 0
         ("symfun-analyze", {"family": "mod:3:0", "n": 12, "p": 0}),
         ("symfun-analyze", {"family": "mod:3:0", "n": 12, "p": 1}),
+        # "1/0" once raised ZeroDivisionError
+        ("construct-coin", {"delta": "1/0"}),
+        ("construct-coin", {"eps": "1/0"}),
+        ("coin-verify", {"delta": "1/0"}),
+        ("coin-verify", {"eps": "1/0"}),
+        ("coin-verify", {"delta": "one/8"}),
     ])
     def test_malformed_inputs_raise_value_error(self, name, params):
         with pytest.raises(ValueError):
@@ -254,8 +286,8 @@ def _candidate_loop(n, t, count, seed):
 
 
 def _stringlemma_loop(maxlen):
-    """The commuting-words check one string and one cut at a time, as it ran
-    before the rotation scan: (commuting splits, violations)."""
+    """The commuting-words check one string and one cut at a time, with the
+    string reference's KMP root: (commuting splits, violations)."""
     commuting = violations = 0
     for L in range(2, maxlen + 1):
         for x in range(1 << L):
@@ -263,7 +295,7 @@ def _stringlemma_loop(maxlen):
             for cut in range(1, L):
                 if w == w[cut:] + w[:cut]:
                     commuting += 1
-                    _, k = primitive_root(w)
+                    _, k = ref.primitive_root(w)
                     if k < 2:
                         violations += 1
     return commuting, violations

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spectra_reference as ref
 from slicedeg.cube import MultilinearPoly
 from slicedeg.linalg import PrimeField
 from slicedeg.spectra import (CASE_APERIODIC, CASE_MIXED, CASE_P_POWER,
@@ -12,8 +13,8 @@ from slicedeg.spectra import (CASE_APERIODIC, CASE_MIXED, CASE_P_POWER,
                               decomposition_window, ethr_spectrum,
                               maj_spectrum, make_family, mod_spectrum, period,
                               periodic_exact_poly, primitive_root,
-                              standard_decomposition, string_period,
-                              thr_spectrum, window_distinct_check)
+                              standard_decomposition, thr_spectrum,
+                              window_distinct_check)
 
 F2, F3 = PrimeField(2), PrimeField(3)
 
@@ -51,7 +52,7 @@ class TestPeriod:
         for L in range(1, 12):
             for code in range(1 << L):
                 bits = tuple((code >> i) & 1 for i in range(L))
-                assert string_period(bits) == brute_period(bits)
+                assert period(Spectrum(L - 1, bits)) == brute_period(bits)
 
 
 class TestPrimitiveRoot:
@@ -237,6 +238,59 @@ class TestStandardDecomposition:
         # h = f and B(h) = 4 > ceil(7/3) = 3
         d = standard_decomposition(ethr_spectrum(7, 3))
         assert d.per_g == 1 and d.B_h == 4
+
+
+def _assert_equals_reference(bits):
+    """Every shift-XOR answer on one spectrum equals the string reference."""
+    n = len(bits) - 1
+    spec = Spectrum(n, bits)
+    per = period(spec)
+    assert type(per) is int and per == ref.string_period(bits)
+    assert bounded_index(spec) == ref.bounded_index(bits)
+    word = spec.to_string()
+    assert primitive_root(word) == ref.primitive_root(word)
+    if per > 1:
+        assert window_distinct_check(spec) == ref.window_distinct_check(bits)
+    if n >= 3:
+        d = standard_decomposition(spec)
+        g, per_g, B_h, fallback = ref.standard_decomposition(bits)
+        assert (d.g.bits, d.per_g, d.B_h, d.fallback) == (g, per_g, B_h,
+                                                          fallback)
+        assert d.h.bits == tuple(a ^ b for a, b in zip(bits, g))
+        assert type(d.per_g) is int and type(d.B_h) is int
+
+
+@st.composite
+def near_periodic_spectra(draw):
+    """Spectra with n up to 160, well past 64 bits: a random pattern of a
+    drawn length repeated, with up to two values flipped."""
+    n = draw(st.integers(0, 160))
+    b = draw(st.integers(1, n + 1))
+    pattern = draw(st.lists(st.integers(0, 1), min_size=b, max_size=b))
+    bits = [pattern[i % b] for i in range(n + 1)]
+    for i in draw(st.lists(st.integers(0, n), max_size=2)):
+        bits[i] ^= 1
+    return tuple(bits)
+
+
+class TestAgainstStringReference:
+    @given(near_periodic_spectra())
+    @settings(max_examples=300, deadline=None)
+    def test_single_spectra_up_to_n160(self, bits):
+        _assert_equals_reference(bits)
+
+    @given(st.integers(0, 160).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n + 1,
+                           max_size=n + 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_spectra_up_to_n160(self, bits):
+        _assert_equals_reference(tuple(bits))
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_spectrum_to_n12(self, n):
+        for code in range(1 << (n + 1)):
+            _assert_equals_reference(
+                tuple((code >> i) & 1 for i in range(n + 1)))
 
 
 class TestClassifier:
