@@ -32,7 +32,7 @@ import numpy as np
 from .config import (DEFAULT_CAPS, DPS, Caps, CapExceeded, frac_str,
                      mpf_fraction)
 from .cube import (MultilinearPoly, binomial_row, ecoeffs_from_weight_values,
-                   multilinearize_product, p_adic_part, popcount,
+                   multilinearize_product, p_adic_part,
                    weight_values_from_ecoeffs)
 from .linalg import PrimeField
 
@@ -399,7 +399,7 @@ class GalvinFamily:
         if self.n % 2:
             raise ValueError("n must be even")
         for u, b in self.items:
-            if popcount(u) != self.n // 2:
+            if u.bit_count() != self.n // 2:
                 raise ValueError(f"vector 0x{u:x} does not have weight n/2")
 
     @property

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ from .linalg import PrimeField
 
 Mask = int  # monomial / point bitmask
 CHUNK_CELLS = 1 << 18  # points x monomials per evaluation chunk: 2 MB uint64
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def p_adic_part(q: int, p: int) -> int:
@@ -177,12 +173,24 @@ def _digit_axes(n: int, p: int) -> tuple:
     return (n // low + 1, *axes)
 
 
-def _digit_views(table: np.ndarray, axes: tuple) -> Iterator[np.ndarray]:
-    """The flat ``table`` as an (outer, digit, inner) view per digit axis."""
+def _digit_passes(n: int, residues: Sequence[int], p: int,
+                  step: np.ufunc) -> list[int]:
+    """The table of weights 0..n from ``residues`` (zero-padded) after one
+    pass per position j >= 1 of each base-p digit axis, most significant
+    first: ``step`` (``np.add`` or ``np.subtract``) combines every entry from
+    j on with its predecessor on the axis, and the pass reduces mod p."""
+    axes = _digit_axes(n, p)
+    table = np.zeros(prod(axes), dtype=np.int64)
+    table[:len(residues)] = residues
     outer = 1
     for length in axes:
-        yield table.reshape(outer, length, -1)
+        view = table.reshape(outer, length, -1)
+        for j in range(1, length):
+            seg = view[:, j:]
+            step(seg, view[:, j - 1:-1], out=seg)
+            seg %= p
         outer *= length
+    return table[:n + 1].tolist()
 
 
 def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
@@ -208,16 +216,7 @@ def weight_values_from_ecoeffs(n: int, coeffs: Sequence[int],
         for c in reversed(coeffs):
             vals = list(accumulate(vals[:n], initial=c))
         return vals
-    axes = _digit_axes(n, p)
-    table = np.zeros(prod(axes), dtype=np.int64)
-    low = [c % p for c in coeffs[:n + 1]]
-    table[:len(low)] = low
-    for view in _digit_views(table, axes):
-        for j in range(1, view.shape[1]):
-            seg = view[:, j:]
-            seg += view[:, j - 1:-1]
-            seg %= p
-    return table[:n + 1].tolist()
+    return _digit_passes(n, [c % p for c in coeffs[:n + 1]], p, np.add)
 
 
 def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
@@ -235,16 +234,7 @@ def ecoeffs_from_weight_values(values: Sequence[int], p: int) -> list[int]:
     n = len(values) - 1
     if n < 0:
         return []
-    axes = _digit_axes(n, p)
-    table = np.zeros(prod(axes), dtype=np.int64)
-    table[:n + 1] = np.fromiter((v % p for v in values), dtype=np.int64,
-                                count=n + 1)
-    for view in _digit_views(table, axes):
-        for j in range(1, view.shape[1]):
-            seg = view[:, j:]
-            seg -= view[:, j - 1:-1]
-            seg %= p
-    return table[:n + 1].tolist()
+    return _digit_passes(n, [v % p for v in values], p, np.subtract)
 
 
 def binomial_row(top: int, lo: int, hi: int) -> list[int]:
@@ -343,7 +333,7 @@ class MultilinearPoly:
             return len(self._sym) - 1 if self._sym else 0
         if not self._terms:
             return 0
-        return max(popcount(m) for m in self._terms)
+        return max(m.bit_count() for m in self._terms)
 
     @property
     def sym_coeffs(self) -> Optional[tuple]:
@@ -378,7 +368,7 @@ class MultilinearPoly:
     def sorted_terms(self, caps: Caps = DEFAULT_CAPS) -> list[tuple[Mask, int]]:
         """Terms in canonical order: graded by degree, then numeric mask."""
         return sorted(self.terms_map(caps).items(),
-                      key=lambda mc: (popcount(mc[0]), mc[0]))
+                      key=lambda mc: (mc[0].bit_count(), mc[0]))
 
     # -- evaluation -------------------------------------------------------
     def weight_value(self, w: int) -> int:
@@ -413,7 +403,7 @@ class MultilinearPoly:
         if mask < 0 or mask >> self.n:
             raise ValueError(f"a mask is outside [0, 2^{self.n})")
         if self._terms is None:
-            return self.weight_value(popcount(mask))
+            return self.weight_value(mask.bit_count())
         acc = 0
         for m, c in self._terms.items():
             if m & ~mask == 0:

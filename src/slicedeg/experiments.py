@@ -1,8 +1,9 @@
 """Named, seeded, reproducible experiments with JSON/CSV reports.
 
-Every check that the test suite's acceptance gate runs is expressed here as
-a registered experiment; the CLI exposes the same registry.  Reports are
-deterministic given (experiment, params, seed) up to the wall-time field.
+The acceptance gate (``acceptance``) runs most of its criteria as registered
+experiments; criteria 05 and 12a-12c run their own scans there.  The CLI
+exposes the same registry.  Reports are deterministic given (experiment,
+params, seed) up to the wall-time field.
 All tolerances live in TOLERANCES below, never inside library modules.
 """
 
@@ -12,6 +13,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -746,11 +748,6 @@ def _frontier(params, seed, caps):
     return checks, {"frontier": frontier_rows}, []
 
 
-# cells per block of _candidate_scan: a block of 2t + 1 columns and its int64
-# product stay within 128 KB
-_CANDIDATE_CELLS = 1 << 14
-
-
 def _candidate_scan(n: int, t: int, count: int, seed: int,
                     caps: Caps) -> tuple[int, int]:
     """(hypothesis hits, violations) of part (c)'s ``count`` candidates
@@ -759,63 +756,46 @@ def _candidate_scan(n: int, t: int, count: int, seed: int,
     Candidate 0 is the Lucas polynomial that vanishes on slice n//2 - t,
     candidate 1 the t-periodic indicator of weight n//2 mod t, and every
     other one sum_j c_j e_j, with its degree d and then its bits c_0..c_d
-    drawn by ``random.Random(seed).randrange``.  The coefficients of a block
-    of candidates go into one uint8 array, a row each.
+    drawn by ``random.Random(seed).randrange``.  A candidate is one Python
+    int, bit j = c_j, and its degree, at most 2t, is its top set bit.
 
-    Every candidate is symmetric, so its value at weight w is
-    sum_j c_j C(w, j) mod p, and its nonzero fraction on a slice is 0 or 1:
-    one product with the binomial rows C(m - t, j) and C(m, j) mod p reads
-    psi_low and psi_mid of every row, and the last nonzero column its
-    degree.  Every ``MidsliceConsistencyReport`` field is a function of
-    (n, t, p, psi_low, psi_mid, degree): ell and the thresholds of n and t,
-    the window tests of those and the two fractions, the degree test of t
-    and the degree.  So ``midslice_consistency`` runs once per distinct
-    (psi_low, psi_mid, degree), on the first candidate with that key, and
-    its report counts once for each candidate with the key.  That is exact:
-    every candidate's report is the one it would get on its own.
+    By Lucas's theorem a candidate's value at weight w is the parity of its
+    bits j with C(w, j) odd, the bits of ``mask & odd_w``, and its nonzero
+    fraction on a slice is 0 or 1: two popcounts read psi_low and psi_mid
+    (w = m - t and m).  Every ``MidsliceConsistencyReport`` field is a
+    function of (n, t, p, psi_low, psi_mid, degree): ell and the thresholds
+    of n and t, the window tests of those and the two fractions, the degree
+    test of t and the degree.  So ``midslice_consistency`` runs once per
+    distinct (degree, psi_low, psi_mid), on the first candidate with that
+    key, and its report counts once for each candidate with the key.  That
+    is exact: every candidate's report is the one it would get on its own.
     """
-    p = 2
+    p, m = 2, n // 2
     field = PrimeField(p)
-    m, width = n // 2, 2 * t + 1
-    fixed = []
-    if count > 0:
-        fixed.append(lucas_poly(n, m - t, t, p).sym_coeffs)
-    if count > 1:
-        fixed.append(periodic_exact_poly(
-            n, t, [1 if r == m % t else 0 for r in range(t)],
-            field).sym_coeffs)
-    binom = np.array([[c % p for c in binomial_row(w, 0, width - 1)]
-                      for w in (m - t, m)], dtype=np.int64).T
-    columns = np.arange(width)
-    counts = np.zeros(4 * width, dtype=np.int64)
-    reports = {}
+    odd_low, odd_mid = (sum((c & 1) << j for j, c in enumerate(
+        binomial_row(w, 0, 2 * t))) for w in (m - t, m))
     randrange = random.Random(seed).randrange
-    step = max(1, _CANDIDATE_CELLS // width)
-    for lo in range(0, count, step):
-        lengths, bits = [], []
-        for idx in range(lo, min(lo + step, count)):
-            if idx < len(fixed):
-                coeffs = fixed[idx]
-            else:
-                deg = randrange(0, width)
-                coeffs = [randrange(2) for _ in range(deg + 1)]
-            lengths.append(len(coeffs))
-            bits.extend(coeffs)
-        block = np.zeros((len(lengths), width), dtype=np.uint8)
-        block[columns < np.array(lengths)[:, None]] = bits
-        low, mid = ((block @ binom) % p != 0).T
-        nonzero = block != 0
-        degree = np.where(nonzero.any(axis=1),
-                          width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-        keys = (degree * 2 + low) * 2 + mid
-        block_counts = np.bincount(keys, minlength=counts.size)
-        counts += block_counts
-        for key in np.flatnonzero(block_counts).tolist():
-            if key not in reports:
-                row = block[np.argmax(keys == key)].tolist()
-                reports[key] = midslice_consistency(
-                    n, t, p, MultilinearPoly.from_sym(n, field, row), caps)
-    hits = sum(int(counts[k]) for k, r in reports.items() if r.hypotheses_hold)
-    violations = sum(int(counts[k]) for k, r in reports.items()
-                     if not r.consistent)
+    masks = []
+    for idx in range(count):
+        if idx < 2:
+            poly = (lucas_poly(n, m - t, t, p) if idx == 0 else
+                    periodic_exact_poly(
+                        n, t, [int(r == m % t) for r in range(t)], field))
+            masks.append(sum(c << j for j, c in enumerate(poly.sym_coeffs)))
+        else:
+            mask = 0
+            for j in range(randrange(0, 2 * t + 1) + 1):
+                mask |= randrange(2) << j
+            masks.append(mask)
+    hits = violations = 0
+    reports = {}
+    for mask, repeats in Counter(masks).items():
+        key = (max(mask.bit_length() - 1, 0), (mask & odd_low).bit_count() & 1,
+               (mask & odd_mid).bit_count() & 1)
+        if key not in reports:
+            bits = [mask >> j & 1 for j in range(mask.bit_length())]
+            reports[key] = midslice_consistency(
+                n, t, p, MultilinearPoly.from_sym(n, field, bits), caps)
+        hits += repeats * reports[key].hypotheses_hold
+        violations += repeats * (not reports[key].consistent)
     return hits, violations

@@ -17,7 +17,7 @@ from slicedeg.closure import (Candidates, EvaluationMatrix, IdealSampler,
                               ideal_basis, nie_wang_check)
 from slicedeg.config import MAX_COLS, CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, monomials_upto, n_monomials,
-                           popcount, slice_array)
+                           slice_array)
 from slicedeg.linalg import PrimeField, RankOracle
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -229,7 +229,7 @@ class TestClosure:
                           Candidates.full_cube(n)).member_masks
         by_weight = {}
         for m in members:
-            by_weight.setdefault(popcount(m), set()).add(m)
+            by_weight.setdefault(m.bit_count(), set()).add(m)
         for w, got in by_weight.items():
             assert len(got) == comb(n, w)  # whole slice or nothing
 

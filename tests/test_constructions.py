@@ -22,8 +22,7 @@ from slicedeg.constructions import (CoinInstance, GalvinFamily, WeightWindow,
                                     junta_exact_slice_error, lucas_poly,
                                     sampling_poly)
 from slicedeg.cube import (MultilinearPoly, binomial_row,
-                           multilinearize_product, popcount, slice_array,
-                           slice_stats)
+                           multilinearize_product, slice_array, slice_stats)
 from slicedeg.experiments import ExperimentSpec, run
 from slicedeg.linalg import PrimeField
 
@@ -33,7 +32,7 @@ F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 def junta_value(junta, mask):
     """The junta's inner table at the weight of ``mask`` on its indices."""
     index_mask = sum(1 << i for i in junta.indices)
-    return junta.inner_table[popcount(mask & index_mask)]
+    return junta.inner_table[(mask & index_mask).bit_count()]
 
 
 def junta_poly(junta):
@@ -50,7 +49,7 @@ class TestLucasPoly:
         poly = lucas_poly(4, 1, 2, 2)
         assert poly.sym_coeffs == (0, 0, 1)  # e_2
         for m in range(16):
-            w = popcount(m)
+            w = m.bit_count()
             expect = comb(w, 2) % 2
             assert poly.evaluate(m) == expect
         assert all(poly.evaluate(m) == 0 for m in slice_array(4, 1).tolist())
@@ -130,7 +129,7 @@ class TestInterpolation:
             win = WeightWindow(ell, 0, ell, values)
             maj = interpolate_window_int(win).reduce_mod(F3)
             for m in range(1 << ell):
-                want = 1 if 2 * popcount(m) > ell else 0
+                want = 1 if 2 * m.bit_count() > ell else 0
                 assert maj.evaluate(m) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
@@ -588,7 +587,7 @@ class TestGalvin:
         pts = slice_array(8, 4).tolist()
         for u in (0b00001111, 0b10101010):
             fam = GalvinFamily(8, ((u, 1), (u, 2), (u, 7)))
-            hits = sum(any(popcount(v & u) == b for _, b in fam.items)
+            hits = sum(any((v & u).bit_count() == b for _, b in fam.items)
                        for v in pts)
             assert galvin_coverage(fam) == Fraction(hits, len(pts))
 
@@ -619,7 +618,8 @@ class TestGalvin:
         fam = GalvinFamily(n, tuple(items))
         poly = galvin_poly(fam, F5)
         for v in range(1 << n):
-            vanish = any((popcount(v & u) - b) % 5 == 0 for u, b in fam.items)
+            vanish = any(((v & u).bit_count() - b) % 5 == 0
+                         for u, b in fam.items)
             assert (poly.evaluate(v) == 0) == vanish
 
     @staticmethod
@@ -640,7 +640,8 @@ class TestGalvin:
         poly = galvin_poly(fam, field)
         vals = poly.evaluate_many(list(range(1 << 12)))
         for v in range(1 << 12):
-            vanish = any((popcount(v & u) - b) % 7 == 0 for u, b in fam.items)
+            vanish = any(((v & u).bit_count() - b) % 7 == 0
+                         for u, b in fam.items)
             assert (vals[v] == 0) == vanish
 
     def test_poly_term_cap(self):

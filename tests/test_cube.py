@@ -12,8 +12,7 @@ from slicedeg.config import CapExceeded, Caps
 from slicedeg.cube import (MultilinearPoly, _digit_axes,
                            ecoeffs_from_weight_values, monomials_upto,
                            multilinearize_product, p_adic_part, point_array,
-                           poly_to_json_dict, popcount, slice_array,
-                           slice_stats,
+                           poly_to_json_dict, slice_array, slice_stats,
                            weight_values_from_ecoeffs)
 from slicedeg.linalg import PrimeField
 
@@ -47,7 +46,7 @@ def mobius_reconstruct(n, field, values):
         acc = 0
         t = s
         while True:
-            sign = (-1) ** (popcount(s) - popcount(t))
+            sign = (-1) ** (s.bit_count() - t.bit_count())
             acc += sign * values[t]
             if t == 0:
                 break

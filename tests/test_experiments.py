@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -92,6 +93,38 @@ class TestChecksShape:
             ("f-equals-g-xor-h", False, ""),
             ("per-g-bound", False, "per_g=5, floor(n/3)=4"),
             ("window-distinct", False, "")]
+
+    def test_frontier_monotone_check_can_fail(self, monkeypatch):
+        # an oracle whose degree rises by exactly 1 per removal
+        monkeypatch.setattr(
+            experiments, "exhaustive_robust",
+            lambda n, p, k, K, removals, caps: SimpleNamespace(
+                degree=removals + 1))
+        rep = run(ExperimentSpec("robust-frontier", {
+            "n_min": 6, "n_max": 6, "candidates": 2}))
+        checks = {c.name: (c.passed, c.details) for c in rep.checks}
+        assert checks["exhaustive-monotone"] == (False, "")
+        assert [row["exhaustive"] for row in rep.tables["frontier"]] == [
+            1, 2, 3] * 3
+
+    def test_frontier_heuristic_check_can_fail(self, monkeypatch):
+        # greedy search reports degree 0, below the oracle; uniform search
+        # stays at or above it
+        search = experiments.robust_search
+
+        def greedy_below(inst, budget, strategy="uniform", **kw):
+            rep = search(inst, budget, strategy=strategy, **kw)
+            return replace(rep, degree=0) if strategy == "greedy" else rep
+
+        monkeypatch.setattr(experiments, "robust_search", greedy_below)
+        rep = run(ExperimentSpec("robust-frontier", {
+            "n_min": 6, "n_max": 6, "candidates": 2}))
+        checks = {c.name: (c.passed, c.details) for c in rep.checks}
+        assert checks["exhaustive-monotone"] == (True, "")
+        assert checks["heuristic-never-below-oracle"] == (False, "")
+        rows = rep.tables["frontier"]
+        assert all(row["uniform"] >= row["exhaustive"] for row in rows)
+        assert any(row["greedy"] < row["exhaustive"] for row in rows)
 
     def test_niewang_past_the_full_cube_cap_raises(self):
         # the cap is checked before rng.sample draws from the full cube,
@@ -257,6 +290,37 @@ class TestChecksShape:
             assert len(keys) == len(set(keys)) and set(keys) == ref_keys
             assert (hits, violations) == (ref_hits, ref_violations)
         assert hits > 0
+
+    @pytest.mark.parametrize("n, t, seed", [(40, 8, 13), (100, 8, 14),
+                                            (40, 16, 15)])
+    def test_frontier_candidate_keys_read_bits_past_t(self, monkeypatch, n,
+                                                      t, seed):
+        # C(w, j) is odd for a j with t < j < 2t here (j = 12, 10, 20 is a
+        # binary submask of w = 12, 42, 20), so a parity that read only bits
+        # 0..t would merge candidates whose keys differ
+        keys = []
+        check = experiments.midslice_consistency
+
+        def recorded(n, t, p, witness, caps):
+            rep = check(n, t, p, witness, caps)
+            keys.append((rep.psi_low, rep.psi_mid, rep.degree))
+            return rep
+
+        monkeypatch.setattr(experiments, "midslice_consistency", recorded)
+        counts = experiments._candidate_scan(n, t, 2000, seed, DEFAULT_CAPS)
+        ref_hits, ref_violations, ref_keys = _candidate_loop(n, t, 2000, seed)
+        assert len(keys) == len(set(keys)) and set(keys) == ref_keys
+        assert counts == (ref_hits, ref_violations)
+
+    def test_frontier_candidates_count_every_candidate(self, monkeypatch):
+        # a report whose hypotheses hold and that is inconsistent counts once
+        # per candidate: the 6,000 candidates hold fewer distinct masks
+        monkeypatch.setattr(
+            experiments, "midslice_consistency",
+            lambda n, t, p, witness, caps: SimpleNamespace(
+                hypotheses_hold=True, consistent=False))
+        assert experiments._candidate_scan(
+            64, 8, 6000, 13, DEFAULT_CAPS) == (6000, 6000)
 
 
 def _candidate_loop(n, t, count, seed):

@@ -3,8 +3,8 @@
 ``perfbench/golden.json`` holds the SHA-256 of every benchmark operation's
 report (``to_json(include_time=False)``).  This test loads the workload
 definitions by file path, without editing or installing them, and runs a
-few operations in process: the criterion-10 robust frontier at its own seed
-and every coin construction.
+few operations in process: the criterion-10 robust frontier at every seed
+of the workload, and every coin and sampling construction.
 """
 
 import hashlib
@@ -29,8 +29,10 @@ def _load_workloads():
 
 _wl = _load_workloads()
 GOLDEN = _wl.load_golden()
-OPS = ([_wl.op("robust-frontier", _wl.FRONTIER_PARAMS, 13)]
-       + _wl.query_space("construct-coin"))
+OPS = ([_wl.op("robust-frontier", _wl.FRONTIER_PARAMS, s)
+        for s in _wl.FRONTIER_SEEDS]
+       + _wl.query_space("construct-coin")
+       + _wl.query_space("construct-sample"))
 
 
 @pytest.mark.parametrize("o", OPS, ids=_wl.op_key)

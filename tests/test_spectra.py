@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectra_reference as ref
+from slicedeg import spectra
 from slicedeg.cube import MultilinearPoly
 from slicedeg.linalg import PrimeField
 from slicedeg.spectra import (CASE_APERIODIC, CASE_MIXED, CASE_P_POWER,
@@ -108,6 +109,24 @@ class TestWindowDistinct:
                 spec = Spectrum(n, bits)
                 if period(spec) > 1:
                     assert window_distinct_check(spec)
+
+    def test_wrong_period_fails_on_the_last_window(self, monkeypatch):
+        # 010101 read with twice its least period 2: of the windows 0101,
+        # 1010, 0101 at offsets 0..n-b+1, only the last repeats the first
+        spec = Spectrum(5, (0, 1, 0, 1, 0, 1))
+        assert window_distinct_check(spec)
+        monkeypatch.setattr(spectra, "period", lambda s: 4)
+        assert not window_distinct_check(spec)
+
+    def test_wrong_period_fails_past_offset_b(self, monkeypatch):
+        # 00010001 read with a period of 3: the windows at offsets 0..3 are
+        # distinct and the one at offset 4 repeats offset 0.  A multiple of
+        # the least period 4 cannot do this: windows one least period apart
+        # are equal, so the first repeat starts at offset 4 <= b
+        spec = Spectrum(7, (0, 0, 0, 1, 0, 0, 0, 1))
+        assert window_distinct_check(spec)
+        monkeypatch.setattr(spectra, "period", lambda s: 3)
+        assert not window_distinct_check(spec)
 
 
 class TestBoundedIndex:
